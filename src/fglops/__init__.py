@@ -16,6 +16,7 @@ from .obstruction import (
     mc,
     mc_explicit_2p2,
     mc_via_inverse,
+    mc_via_sum,
     mu,
 )
 from .poly import BasisMismatchError, GradedPoly
@@ -53,6 +54,7 @@ __all__ = [
     "mc",
     "mc_explicit_2p2",
     "mc_via_inverse",
+    "mc_via_sum",
     "mu",
     "nonvanishing_certificate",
     "power_op_series",

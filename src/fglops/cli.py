@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .fgl import FglContext, is_prime
-from .golden import SUITES, verify_suite
+from .golden import SUITES, GoldenFileError, verify_suite
 from .obstruction import mc, InsufficientTruncationError
 from .powerop import power_operation, reduce_a_mod_p_series
 from .render import poly_text, series_text, series_to_obj
@@ -25,6 +24,9 @@ DEFAULT_TRUNCATION = {2: 14, 3: 25, 5: 76, 7: 162, 11: 370, 13: 504}
 
 PROGRESS_PRIMES = (11, 13)
 
+# accepted so that existing command lines keep parsing
+THREADS_HELP = "no effect: the kernel runs in one process"
+
 
 def _add_common(sub, need_prime=True):
     if need_prime:
@@ -32,7 +34,7 @@ def _add_common(sub, need_prime=True):
         sub.add_argument("--truncation", "-k", type=int, default=None,
                          help="truncation order; defaults to the table-reproducing order for the prime")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sub.add_argument("--threads", type=int, help=THREADS_HELP)
     sub.add_argument("--ideal", default=None,
                      help="comma-separated generators to kill, e.g. 'v2,v3'")
 
@@ -70,11 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="disable the sparseness shortcut at odd primes")
     sub.add_argument("--show-raw", action="store_true", help="also print the raw sum")
     sub.add_argument("--progress", action="store_true",
-                     help="emit summand progress to stderr")
+                     help="emit recurrence-step progress to stderr")
 
     sub = sp.add_parser("verify", help="recompute and compare against the published tables")
     sub.add_argument("--suite", default="all", help="one of %s or 'all'" % (", ".join(SUITES)))
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sub.add_argument("--threads", type=int, help=THREADS_HELP)
     sub.add_argument("--progress", action="store_true")
     return ap
 
@@ -131,7 +133,7 @@ def _progress_printer(enabled: bool):
         return None
 
     def emit(done, total):
-        print(f"progress: {done}/{total} summands", file=sys.stderr, flush=True)
+        print(f"progress: {done}/{total} recurrence steps", file=sys.stderr, flush=True)
 
     return emit
 
@@ -146,8 +148,10 @@ def main(argv=None) -> int:
         for name in suites:
             if name not in SUITES:
                 return _fail(f"unknown suite {name!r}")
-            mism = verify_suite(name, threads=args.threads,
-                                progress=_progress_printer(args.progress))
+            try:
+                mism = verify_suite(name, progress=_progress_printer(args.progress))
+            except GoldenFileError as exc:
+                return _fail(str(exc))
             if mism:
                 suite_prime = int(name[1:])
                 for m in mism:
@@ -193,8 +197,7 @@ def main(argv=None) -> int:
         progress = _progress_printer(args.progress or ctx.p in PROGRESS_PRIMES)
         try:
             data = power_operation(ctx, x_cap=args.n)
-            result = mc(ctx, data, args.n, force_full=args.force_full,
-                        threads=args.threads, progress=progress)
+            result = mc(ctx, data, args.n, force_full=args.force_full, progress=progress)
         except (InsufficientTruncationError, ValueError) as exc:
             return _fail(str(exc))
         reduced = apply_ideal(result.reduced.series, ideal)

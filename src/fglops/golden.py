@@ -34,12 +34,19 @@ def golden_dir() -> Path:
     return Path(__file__).parent / "golden"
 
 
+class GoldenFileError(ValueError):
+    """A golden suite file is missing, unreadable or not valid JSON."""
+
+
 def load_suite(name: str) -> dict:
     path = golden_dir() / f"{name}.json"
-    if not path.exists():
-        raise FileNotFoundError(f"no golden suite {name!r} at {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise GoldenFileError(f"no golden suite {name!r} at {path}") from None
+    except (OSError, ValueError) as exc:
+        raise GoldenFileError(f"cannot read golden suite {name!r} at {path}: {exc}") from exc
 
 
 class Mismatch:
@@ -76,7 +83,7 @@ def compare_series(label: str, computed: Series, table: Series) -> list:
     return []
 
 
-def verify_suite(name: str, threads: int = 1, progress=None) -> list:
+def verify_suite(name: str, progress=None) -> list:
     """Run the computations a suite describes and compare; returns mismatches."""
     from .fgl import FglContext
     from .obstruction import mc
@@ -101,7 +108,7 @@ def verify_suite(name: str, threads: int = 1, progress=None) -> list:
             label = f"p={p} reduced-pseries"
         else:
             n = t["n"]
-            result = mc(ctx, data, n, threads=threads, progress=progress)
+            result = mc(ctx, data, n, progress=progress)
             got = result.reduced.series
             label = f"p={p} MC_{n}"
         mismatches.extend(compare_series(label, got, want))

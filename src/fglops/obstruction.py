@@ -1,32 +1,43 @@
-"""Obstruction series via the multi-index sum, with independent cross-checks.
+"""Obstruction series by a power recurrence, with independent cross-checks.
 
-The main route evaluates, for the multi-indices abar = (alpha_1, alpha_2, ...)
-with |abar| <= n, |abar|' <= n and n - |abar|' of the form p^m - 1,
+The paper defines, over the multi-indices abar = (alpha_1, alpha_2, ...) with
+|abar| <= n, |abar|' <= n and n - |abar|' of the form p^m - 1,
 
     raw(n) = sum  mu(-(n+1); abar) * cp(n - |abar|') * a_0^(n - |abar|)
                   * prod a_i^(alpha_i)
 
 where mu(n; abar) is the coefficient of b^abar in (1 + b_1 + b_2 + ...)^n and
 cp(i) is the image of the i-th projective-space class (p^m l_m at i = p^m - 1,
-zero otherwise).  The reduced form modulo the reduced p-series is the
-obstruction class; its lowest nonzero coefficient is the nonvanishing
-certificate.
+zero otherwise).  Grouping the summands by k = |abar|' gives
+
+    raw(n) = sum_k cp(n - k) * a_0^(n - k) * F_k,
+    F = (sum_i G_i w^i)^-(n+1),   G_0 = 1,  G_i = a_i * a_0^(i-1),
+
+and the main route computes F by J.C.P. Miller's power recurrence
+(Knuth, TAOCP vol. 2, 4.7)
+
+    k F_k = sum_{i=1..k} (-n*i - k) G_i F_(k-i),
+
+whose division by k is exact: O(n^2) series products, no division by a_0.
+The reduced form modulo the reduced p-series is the obstruction class; its
+lowest nonzero coefficient is the nonvanishing certificate.
 
 Cross-check routes (exact agreement within joint validity):
+  * the paper's multi-index sum, one product chain per summand,
   * a localized rearrangement through the inverse of sum a_i z^i, computed
     over Laurent series in xi, and
   * the closed form at n = 2(p-1):
       (2p-1) a_0^(2p-4) (-v_1 a_0 a_(p-1) - a_0 a_(2p-2) + p a_(p-1)^2).
 
 For odd p with n not divisible by p-1 the reduced class vanishes identically,
-and the sum is skipped unless a full computation is forced.
+and the recurrence is skipped unless a full computation is forced.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from collections import namedtuple
+from fractions import Fraction
 
 from .fgl import FglContext
 from .poly import GradedPoly
@@ -121,17 +132,11 @@ def _is_q_power_minus_one(n: int, p: int) -> bool:
     return q - 1 == n
 
 
-class _TermPlan:
-    __slots__ = ("abar", "scalar", "cp", "alpha0")
-
-    def __init__(self, abar, scalar, cp, alpha0):
-        self.abar = abar
-        self.scalar = scalar
-        self.cp = cp
-        self.alpha0 = alpha0
+_TermPlan = namedtuple("_TermPlan", "abar scalar cp alpha0")
 
 
-def _plan_terms(ctx: FglContext, n: int) -> list:
+def _plan_terms(ctx: FglContext, data: PowerOpData, n: int) -> list:
+    """The nonzero summands of the paper's sum; checks that a_0..a_n were computed."""
     plans = []
     for abar, _m in enumerate_indices(n, ctx.p):
         scalar = mu(-(n + 1), abar)
@@ -141,87 +146,48 @@ def _plan_terms(ctx: FglContext, n: int) -> list:
         if not cp:
             continue
         plans.append(_TermPlan(abar, scalar, cp, n - multi_size(abar)))
-    return plans
-
-
-def _term_validity(plan: _TermPlan, stats: list) -> int:
-    """Validity of one summand from the (validity, valuation) of each factor."""
-    total_val = 0
-    worst = None
-    slots = [(0, plan.alpha0)] + [(i, a) for i, a in enumerate(plan.abar, start=1) if a]
-    for i, count in slots:
-        if not count:
-            continue
-        v, d = stats[i]
-        total_val += count * d
-        head = v - d
-        worst = head if worst is None else min(worst, head)
-    if worst is None:  # empty product: the exact constant 1
-        return stats[0][0]
-    return worst + total_val
-
-
-class _PowerCache:
-    def __init__(self, a: list):
-        self.a = a
-        self.cache: dict = {}
-
-    def get(self, i: int, e: int) -> Series:
-        if e == 1:
-            return self.a[i]
-        got = self.cache.get((i, e))
-        if got is None:
-            half = self.get(i, e // 2)
-            got = half * half if e % 2 == 0 else half * half * self.a[i]
-            self.cache[(i, e)] = got
-        return got
-
-
-def _term_series(plan: _TermPlan, powers: _PowerCache) -> Series:
-    factors = []
-    if plan.alpha0:
-        factors.append(powers.get(0, plan.alpha0))
-    for i, a in enumerate(plan.abar, start=1):
-        if a:
-            factors.append(powers.get(i, a))
-    if not factors:
-        acc = Series.from_const(1, powers.a[0].prime, "v", powers.a[0].validity)
-    else:
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = acc * f
-    return acc.scale(plan.scalar).scale_poly(plan.cp)
-
-
-_WORKER: dict = {}
-
-
-def _worker_init(a_list):
-    _WORKER["powers"] = _PowerCache(a_list)
-
-
-def _worker_chunk(plans):
-    powers = _WORKER["powers"]
-    acc = None
-    for plan in plans:
-        t = _term_series(plan, powers)
-        acc = t if acc is None else acc + t
-    return acc
-
-
-def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
-       threads: int = 1, progress=None) -> ObstructionResult:
-    """The n-th obstruction series, raw and reduced modulo the reduced p-series."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    p = ctx.p
-    plans = _plan_terms(ctx, n)
     max_i = max((len(pl.abar) for pl in plans), default=0)
     if max_i >= len(data.a):
         raise ValueError(
             f"need a_{max_i} but only a_0..a_{len(data.a) - 1} were computed; "
             f"raise the x order of the power operation"
         )
+    return plans
+
+
+def _term_validity(plan: _TermPlan, stats: list) -> int:
+    """Validity of one summand from the (validity, valuation) of each factor."""
+    factors = [(i, c) for i, c in enumerate((plan.alpha0,) + plan.abar) if c]
+    if not factors:  # empty product: the exact constant 1
+        return stats[0][0]
+    return (min(stats[i][0] - stats[i][1] for i, _c in factors)
+            + sum(c * stats[i][1] for i, c in factors))
+
+
+def _mul(x: Series | None, y: Series | None) -> Series | None:
+    """Product where None stands for the exact constant 1."""
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return x * y
+
+
+def _one(ctx: FglContext, data: PowerOpData) -> Series:
+    """The empty product, known as far as a_0 is."""
+    return Series.from_const(1, ctx.p, "v", data.a[0].validity)
+
+
+def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
+       progress=None) -> ObstructionResult:
+    """The n-th obstruction series, raw and reduced modulo the reduced p-series.
+
+    `progress(k, n)` is called after each of the n recurrence steps.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    p = ctx.p
+    plans = _plan_terms(ctx, data, n)
     stats = [(ai.validity, ai.val()) for ai in data.a]
     predicted = min((_term_validity(pl, stats) for pl in plans), default=ctx.k + 1)
     pser = ctx.reduced_p_series("v")
@@ -237,9 +203,7 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
         reduced = ReducedSeries(Series.zero(p, "v", predicted, weight=-n * (p - 2)))
         return ObstructionResult(n, None, reduced, None, is_obstruction, True)
 
-    raw = _accumulate(plans, data.a, threads, progress)
-    if raw is None:
-        raw = Series.zero(p, "v", predicted, weight=-n * (p - 2))
+    raw = _power_recurrence(ctx, data, n, progress)
     if raw.validity != predicted:
         raise AssertionError(
             f"validity bookkeeping mismatch: {raw.validity} != predicted {predicted}"
@@ -258,39 +222,47 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
     return ObstructionResult(n, raw, reduced, cert, is_obstruction, False)
 
 
-def _accumulate(plans: list, a_list: list, threads: int, progress):
-    if not plans:
-        return None
-    if threads > 1 and len(plans) > 8:
-        try:
-            chunks = _chunk(plans, threads * 4)
-            acc = None
-            done = 0
-            with ProcessPoolExecutor(
-                max_workers=threads, initializer=_worker_init, initargs=(a_list,)
-            ) as pool:
-                for i, part in enumerate(pool.map(_worker_chunk, chunks)):
-                    if part is not None:
-                        acc = part if acc is None else acc + part
-                    done += len(chunks[i])
-                    if progress is not None:
-                        progress(done, len(plans))
-            return acc
-        except (OSError, BrokenProcessPool):
-            pass  # fall back to the sequential path
-    powers = _PowerCache(a_list)
-    acc = None
-    for idx, plan in enumerate(plans):
-        t = _term_series(plan, powers)
-        acc = t if acc is None else acc + t
+def _power_recurrence(ctx: FglContext, data: PowerOpData, n: int, progress) -> Series:
+    """raw(n) = sum_k cp(n-k) a_0^(n-k) F_k, with F_k from Miller's recurrence."""
+    a = data.a
+    a0_pow = [None]  # a0_pow[j] = a_0^j; None is the exact 1
+    for _ in range(n):
+        a0_pow.append(_mul(a0_pow[-1], a[0]))
+    g = [None] + [_mul(a[i], a0_pow[i - 1]) for i in range(1, n + 1)]
+    f = [None]  # f[0] = 1
+    for k in range(1, n + 1):
+        acc = None
+        for i in range(1, k + 1):
+            term = _mul(g[i], f[k - i]).scale(-n * i - k)
+            acc = term if acc is None else acc + term
+        f.append(acc.scale(Fraction(1, k)))
         if progress is not None:
-            progress(idx + 1, len(plans))
-    return acc
+            progress(k, n)
+    raw = None
+    for k in range(n + 1):
+        cp = ctx.cp_image(n - k)
+        if cp:
+            term = _mul(a0_pow[n - k], f[k])
+            if term is None:  # n = 0
+                term = _one(ctx, data)
+            term = term.scale_poly(cp)
+            raw = term if raw is None else raw + term
+    return raw
 
 
-def _chunk(items: list, parts: int) -> list:
-    size = max(1, (len(items) + parts - 1) // parts)
-    return [items[i:i + size] for i in range(0, len(items), size)]
+def mc_via_sum(ctx: FglContext, data: PowerOpData, n: int) -> Series:
+    """The paper's multi-index sum, one product chain per summand; cross-check route."""
+    raw = None
+    for plan in _plan_terms(ctx, data, n):
+        term = None
+        for i, e in enumerate((plan.alpha0,) + plan.abar):
+            if e:
+                term = _mul(term, data.a[i] ** e)
+        if term is None:
+            term = _one(ctx, data)
+        term = term.scale(plan.scalar).scale_poly(plan.cp)
+        raw = term if raw is None else raw + term
+    return raw
 
 
 def mc_via_inverse(ctx: FglContext, data: PowerOpData, n: int) -> Series:

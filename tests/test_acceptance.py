@@ -19,6 +19,7 @@ from fglops import (
     mc,
     mc_explicit_2p2,
     mc_via_inverse,
+    mc_via_sum,
     mu,
     power_operation,
     reduce_a_mod_p_series,
@@ -225,6 +226,7 @@ def test_criterion_8_route_equivalence(p, n, k, xcap):
         ctx = FglContext(p, k)
         data = power_operation(ctx, x_cap=xcap)
         res = mc(ctx, data, n, force_full=True)
+        assert res.raw == mc_via_sum(ctx, data, n)
         inv = mc_via_inverse(ctx, data, n)
         assert res.raw.agrees_with(inv)
         ex = mc_explicit_2p2(ctx, data)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing.process
 import shutil
 
 import pytest
@@ -136,6 +137,18 @@ def test_golden_dir_env_override(tmp_path, monkeypatch, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("present", [False, True], ids=["missing", "truncated"])
+def test_verify_bad_golden_file_is_one_error_line(tmp_path, monkeypatch, capsys, present):
+    if present:
+        text = (golden_dir() / "p2.json").read_text()
+        (tmp_path / "p2.json").write_text(text[: len(text) // 2])
+    monkeypatch.setenv(ENV_GOLDEN_DIR, str(tmp_path))
+    code, out, err = run(capsys, "verify", "--suite", "p2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "p2.json") in err
+
+
 def test_progress_goes_to_stderr_only(capsys):
     code, quiet_out, quiet_err = run(capsys, "mc", "-p", "3", "-k", "13", "--n", "2")
     code2, loud_out, loud_err = run(capsys, "mc", "-p", "3", "-k", "13", "--n", "2",
@@ -153,3 +166,12 @@ def test_threads_do_not_change_output(capsys):
         assert code == 0
         base = out if base is None else base
         assert out == base
+
+
+def test_threads_start_no_process(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("fglops must not start a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    code, _, _ = run(capsys, "mc", "-p", "5", "--n", "8", "--threads", "4")
+    assert code == 0

@@ -9,6 +9,7 @@ from fglops import (
     mc,
     mc_explicit_2p2,
     mc_via_inverse,
+    mc_via_sum,
     mu,
     power_operation,
 )
@@ -177,13 +178,26 @@ def test_sparseness_shortcut_and_full_route(ctx313, data313):
         assert quick.reduced.validity == full.raw.validity
 
 
-@pytest.mark.parametrize("p,n,k,xcap", [(2, 2, 9, 2), (3, 4, 13, 4), (5, 8, 30, 8)])
+# every table n of p = 2, 3, 5, 7 at small truncations, plus the seed's cases
+ROUTE_GRID = (
+    [(2, 2, 9, 2), (3, 4, 13, 4), (5, 8, 30, 8)]
+    + [(2, n, 14, n) for n in range(1, 6)]
+    + [(3, n, 20, n) for n in (2, 4, 8)]
+    + [(5, 8, 40, 8), (5, 12, 40, 12), (7, 12, 40, 12)]
+)
+
+
+@pytest.mark.parametrize("p,n,k,xcap", ROUTE_GRID)
 def test_route_equivalence(p, n, k, xcap):
     ctx = FglContext(p, k)
     data = power_operation(ctx, x_cap=xcap)
     r = mc(ctx, data, n, force_full=True)
+    # == compares validity too, so the recurrence loses no certified order
+    assert r.raw == mc_via_sum(ctx, data, n), "recurrence must equal the multi-index sum"
     inv = mc_via_inverse(ctx, data, n)
     assert r.raw.agrees_with(inv), "localized route must agree exactly on the raw series"
+    if n != 2 * (p - 1):
+        return
     ex = mc_explicit_2p2(ctx, data)
     if p == 2:
         assert r.raw.agrees_with(ex)
@@ -191,13 +205,6 @@ def test_route_equivalence(p, n, k, xcap):
     # the quotient, so compare canonical representatives
     pser = ctx.reduced_p_series("v")
     assert canonical_rep(ex, pser).series.agrees_with(r.reduced.series)
-
-
-def test_mc_threads_bit_identical(ctx214, data214):
-    seq = mc(ctx214, data214, 4, threads=1)
-    par = mc(ctx214, data214, 4, threads=4)
-    assert seq.raw == par.raw
-    assert seq.reduced.series == par.reduced.series
 
 
 def test_mc_progress_counts(ctx27, data27):
