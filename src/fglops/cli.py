@@ -178,7 +178,10 @@ def main(argv=None) -> int:
 
     if cmd == "power-op-coeffs":
         cap = args.max_i if args.max_i is not None else min(ctx.k, 16)
-        data = power_operation(ctx, x_cap=cap)
+        try:
+            data = power_operation(ctx, x_cap=cap)
+        except ValueError as exc:
+            return _fail(str(exc))
         entries = data.a if not args.reduced else [r.series for r in reduce_a_mod_p_series(data)]
         if args.max_i is not None:
             entries = entries[: args.max_i + 1]

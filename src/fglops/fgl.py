@@ -3,7 +3,9 @@
 FglContext(p, k) builds, exactly and truncated modulo degree k+1:
 
   log(xi)  = xi + sum over m with p^m <= k of l_m xi^(p^m)
-  exp      = compositional inverse of log
+  exp      = compositional inverse of log, by Lagrange inversion
+             [xi^j] exp = (1/j) [xi^(j-1)] (log/xi)^(-j)
+             (Stanley, Enumerative Combinatorics 2, 5.4)
   the generator table expressing each l_m as a rational polynomial in the
   integral generators, via the recursion  p*l_n = sum l_i v_(n-i)^(p^i)
 
@@ -11,10 +13,18 @@ from which it derives formal sums, n-series [n]xi = exp(n log xi), and the
 reduced p-series <p>xi = [p]xi / xi, whose integral-generator form must have
 integer coefficients (a denominator surviving the substitution signals a
 broken generator table and raises IntegralityError).
+
+Every power of log/xi = 1 + sum_m l_m xi^(p^m - 1) has the closed form
+
+  [xi^d] (log/xi)^r = sum over partitions b of d into parts p^m - 1
+                      of mu(r; b) * prod l_m^(b_m),
+
+mu being the generalized multinomial coefficient, for any integer r.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .poly import GradedPoly
@@ -42,6 +52,35 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def mu(n: int, abar) -> int:
+    """Coefficient of b^abar in (1 + b_1 + b_2 + ...)^n, any integer n."""
+    s = sum(abar)
+    multinom = math.factorial(s)
+    for a in abar:
+        multinom //= math.factorial(a)
+    if n >= 0:
+        if s > n:
+            return 0
+        return math.comb(n, s) * multinom
+    return (-1) ** s * multinom * math.comb(-n - 1 + s, s)
+
+
+def partitions(t: int, parts):
+    """Multiplicity tuples alpha, no trailing zeros, with sum alpha_i * parts[i] = t."""
+    def rec(n: int, rest: int):  # partitions of rest into parts[:n]
+        if rest == 0:
+            yield ()
+            return
+        if n == 0:
+            return
+        part = parts[n - 1]
+        for c in range(rest // part, -1, -1):
+            for head in rec(n - 1, rest - c * part):
+                yield head + (0,) * (n - 1 - len(head)) + (c,) if c else head
+
+    return rec(len(parts), t)
 
 
 def hazewinkel_ell(p: int, max_m: int) -> list:
@@ -79,6 +118,8 @@ class FglContext:
         self._check_ell_recursion()
 
         self.log = self._build_log()
+        self._log_parts = tuple(j - 1 for j, _z in sorted(self.log.coeffs) if j > 1)
+        self._log_ratio_powers: dict = {}
         self.exp = self._build_exp()
         ident = self.exp.compose(self.log)
         if not ident.agrees_with(Series.variable(p, "l", self.k + 1)):
@@ -111,42 +152,23 @@ class FglContext:
         return Series(p, "l", coeffs, k + 1, weight=-1)
 
     def _build_exp(self) -> Series:
-        # degree-by-degree reversion of log = xi + sum l_m xi^(p^m):
-        # e_j = -[xi^j] sum_m l_m exp^(p^m) and, writing exp = xi*u, the powers
-        # u^q are advanced coefficient-wise by the derivative recurrence
-        #   n (u^q)_n = sum_i ((q+1) i - n) u_i (u^q)_(n-i)
-        # so [xi^j] exp^q = (u^q)_(j-q) only involves e_i with i < j.
-        p, k = self.p, self.k
-        one = GradedPoly.const(1, "l")
-        coeffs = {(1, 0): one}
-        higher = [(p ** m, GradedPoly.gen(m, "l"))
-                  for m in range(1, self.horizon + 1) if p ** m <= k]
-        if not higher:
-            return Series(p, "l", coeffs, k + 1, weight=-1)
-        u = {0: one}  # u_i = e_(i+1)
-        upow = {q: {0: one} for q, _lm in higher}
-        for j in range(2, k + 1):
-            acc = GradedPoly.zero("l")
-            for q, lm in higher:
-                if q > j:
-                    continue
-                w = upow[q]
-                n = j - q
-                if n not in w:
-                    s = GradedPoly.zero("l")
-                    for i, ui in u.items():
-                        if 0 < i <= n:
-                            c = (q + 1) * i - n
-                            if c and (n - i) in w and w[n - i]:
-                                s = s + (ui * w[n - i]).scale(c)
-                    w[n] = s.scale(Fraction(1, n))
-                if w[n]:
-                    acc = acc + lm * w[n]
-            if acc:
-                ej = -acc
-                coeffs[(j, 0)] = ej
-                u[j - 1] = ej
-        return Series(p, "l", coeffs, k + 1, weight=-1)
+        # Lagrange inversion: [xi^j] exp = (1/j) [xi^(j-1)] (log/xi)^(-j)
+        coeffs = {(j, 0): self.log_ratio_power(-j, j - 1).scale(Fraction(1, j))
+                  for j in range(1, self.k + 1)}
+        return Series(self.p, "l", coeffs, self.k + 1, weight=-1)
+
+    def log_ratio_power(self, r: int, d: int) -> GradedPoly:
+        """[xi^d] (log(xi)/xi)^r for any integer r, straight from the partitions; cached.
+
+        log/xi = 1 + sum_m l_m xi^(p^m - 1), so the coefficient is
+        sum mu(r; b) l^b over the partitions b of d into parts p^m - 1 of the
+        stored log; it is the true coefficient for d < k.
+        """
+        got = self._log_ratio_powers.get((r, d))
+        if got is None:
+            got = GradedPoly({b: mu(r, b) for b in partitions(d, self._log_parts)}, "l")
+            self._log_ratio_powers[(r, d)] = got
+        return got
 
     # -- operations --------------------------------------------------------
 

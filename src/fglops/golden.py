@@ -35,18 +35,36 @@ def golden_dir() -> Path:
 
 
 class GoldenFileError(ValueError):
-    """A golden suite file is missing, unreadable or not valid JSON."""
+    """A golden suite file is missing, unreadable, not valid JSON or of the wrong shape."""
 
 
 def load_suite(name: str) -> dict:
     path = golden_dir() / f"{name}.json"
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            suite = json.load(fh)
     except FileNotFoundError:
         raise GoldenFileError(f"no golden suite {name!r} at {path}") from None
     except (OSError, ValueError) as exc:
         raise GoldenFileError(f"cannot read golden suite {name!r} at {path}: {exc}") from exc
+    if not _is_suite(suite):
+        raise GoldenFileError(
+            f"golden suite {name!r} at {path} is not an object with an integer prime "
+            f"and truncation and a list of tables with a kind, a series and, but for "
+            f"the reduced p-series, an n"
+        )
+    return suite
+
+
+def _is_suite(suite) -> bool:
+    """The shape verify_suite reads; every table but the p-series names its n."""
+    return (isinstance(suite, dict)
+            and isinstance(suite.get("prime"), int)
+            and isinstance(suite.get("truncation"), int)
+            and isinstance(suite.get("tables"), list)
+            and all(isinstance(t, dict) and {"kind", "series"} <= t.keys()
+                    and (t["kind"] == "reduced-pseries" or isinstance(t.get("n"), int))
+                    for t in suite["tables"]))
 
 
 class Mismatch:

@@ -39,7 +39,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .fgl import FglContext
+from .fgl import FglContext, mu, partitions
 from .poly import GradedPoly
 from .powerop import PowerOpData
 from .reduction import ReducedSeries, canonical_rep, nonvanishing_certificate
@@ -58,42 +58,6 @@ def multi_weighted_size(abar) -> int:
     return sum(i * a for i, a in enumerate(abar, start=1))
 
 
-def mu(n: int, abar) -> int:
-    """Coefficient of b^abar in (1 + b_1 + b_2 + ...)^n, any integer n."""
-    s = sum(abar)
-    multinom = math.factorial(s)
-    for a in abar:
-        multinom //= math.factorial(a)
-    if n >= 0:
-        if s > n:
-            return 0
-        return math.comb(n, s) * multinom
-    return (-1) ** s * multinom * math.comb(-n - 1 + s, s)
-
-
-def _partitions(t: int):
-    """Multiplicity tuples (alpha_1, ..., alpha_t) with sum i*alpha_i = t."""
-    if t == 0:
-        yield ()
-        return
-
-    def rec(remaining: int, largest: int):
-        if remaining == 0:
-            yield []
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield [part] + rest
-
-    for parts in rec(t, t):
-        alpha = [0] * t
-        for part in parts:
-            alpha[part - 1] += 1
-        while alpha and alpha[-1] == 0:
-            alpha.pop()
-        yield tuple(alpha)
-
-
 def enumerate_indices(n: int, p: int):
     """Stream (abar, m) with n - |abar|' = p^m - 1, |abar| <= n; (k, abar)-lex order."""
     if n < 0:
@@ -106,7 +70,7 @@ def enumerate_indices(n: int, p: int):
         q *= p
         m += 1
     for t, mm in sorted(targets):
-        batch = [ab for ab in _partitions(t) if sum(ab) <= n]
+        batch = [ab for ab in partitions(t, range(1, t + 1)) if sum(ab) <= n]
         for ab in sorted(batch):
             yield ab, mm
 
@@ -137,6 +101,11 @@ _TermPlan = namedtuple("_TermPlan", "abar scalar cp alpha0")
 
 def _plan_terms(ctx: FglContext, data: PowerOpData, n: int) -> list:
     """The nonzero summands of the paper's sum; checks that a_0..a_n were computed."""
+    if n > ctx.k:
+        # the summand with alpha_n = 1 needs a_n, which is valid mod xi^(k-n+1)
+        raise InsufficientTruncationError(
+            f"MC_{n} needs a_{n}, so the truncation must be k >= n = {n}; got k = {ctx.k}"
+        )
     plans = []
     for abar, _m in enumerate_indices(n, ctx.p):
         scalar = mu(-(n + 1), abar)

@@ -12,7 +12,13 @@ Factors are built from the splitting  exp(t1 + t2) = sum_r L(x2)^r U_r(t1)
 with  U_r(t) = sum_j binom(j, r) e_j t^(j-r),  which reduces the bivariate
 product to rows of univariate series: row s of  [i]xi +_F x  is
 
-    sum_r  [x^s] log(x)^r  *  U_r(i log xi).
+    sum_r  [x^s] L(x)^r  *  U_r(i L(xi)),      L = log.
+
+Both factors are closed forms in the powers of L(xi)/xi, which
+FglContext.log_ratio_power reads off partitions, so no series is composed:
+
+    [x^s] L(x)^r  = [x^(s-r)] (L(x)/x)^r,
+    U_r(i L(xi))  = sum_m binom(m+r, r) e_(m+r) i^m xi^m (L(xi)/xi)^m.
 
 The row pipeline stays in the l-basis where the series are sparsest; one
 substitution at the end lands in the v-basis, where every coefficient must
@@ -44,55 +50,33 @@ class PowerOpData:
         self.x_order = x_order
 
 
-def _log_x_powers(ctx: FglContext, x_cap: int) -> list:
-    """lp[r][s] = [x^s] log(x)^r as l-basis polynomials, for r, s <= x_cap."""
-    log_terms = {j: c for (j, _z), c in ctx.log.coeffs.items()}
-    lp = [{0: GradedPoly.const(1, "l")}]
-    for _r in range(x_cap):
-        prev = lp[-1]
-        nxt: dict = {}
-        for s1, c1 in prev.items():
-            for j, c2 in log_terms.items():
-                s = s1 + j
-                if s > x_cap:
-                    continue
-                q = c1 * c2
-                nxt[s] = nxt[s] + q if s in nxt else q
-        lp.append(nxt)
-    return lp
-
-
-def _exp_slices(ctx: FglContext, x_cap: int) -> list:
-    """U_r(t) = sum_j binom(j, r) e_j t^(j-r) as univariate series, r <= x_cap."""
-    k = ctx.k
-    e = {j: c for (j, _z), c in ctx.exp.coeffs.items()}
-    out = []
-    for r in range(x_cap + 1):
-        coeffs = {}
-        for j, c in e.items():
-            if j >= r:
-                b = comb(j, r)
-                if b:
-                    coeffs[(j - r, 0)] = c.scale(b)
-        out.append(Series(ctx.p, "l", coeffs, k + 1 - r))
-    return out
-
-
-def _factor_rows(ctx: FglContext, i: int, slices: list, lxp: list, x_cap: int) -> list:
+def _factor_rows(ctx: FglContext, i: int, x_cap: int) -> list:
     """Rows (in x) of the factor [i]xi +_F x, as l-basis series in xi."""
-    inner = ctx.log.scale(i)  # log([i]xi) = i log(xi)
-    cache: dict = {}
-    ws = [u.compose(inner, _pow_cache=cache) for u in slices]
+    k = ctx.k
+    ws = []  # ws[r] = U_r(i L(xi)), valid mod xi^(k+1-r)
+    for r in range(x_cap + 1):
+        coeffs: dict = {}
+        for (j, _z), e in ctx.exp.coeffs.items():
+            m = j - r
+            if m < 0:
+                continue
+            scaled = e.scale(comb(j, r) * i ** m)
+            # (L/xi)^m only has terms xi^t with p-1 | t
+            for t in range(0, k + 1 - j, ctx.p - 1):
+                c = ctx.log_ratio_power(m, t)
+                if c:
+                    q = scaled * c
+                    key = (m + t, 0)
+                    coeffs[key] = coeffs[key] + q if key in coeffs else q
+        ws.append(Series(ctx.p, "l", coeffs, k + 1 - r))
     rows = []
     for s in range(x_cap + 1):
-        acc = None
-        for r, lam in enumerate(lxp):
-            c = lam.get(s)
+        row = Series.zero(ctx.p, "l", k + 1 - s)
+        for r in range(s + 1):
+            c = ctx.log_ratio_power(r, s - r)  # [x^s] L(x)^r
             if c:
-                term = ws[r].scale_poly(c)
-                acc = term if acc is None else acc + term
-        row = acc if acc is not None else Series.zero(ctx.p, "l", ctx.k + 1 - s)
-        rows.append(row.truncate(ctx.k + 1 - s))
+                row = row + ws[r].scale_poly(c)
+        rows.append(row)
     return rows
 
 
@@ -112,13 +96,13 @@ def _row_product(ctx: FglContext, ra: list, rb: list, x_cap: int) -> list:
 def power_operation(ctx: FglContext, x_cap: int | None = None) -> PowerOpData:
     """Build the truncated power-operation product and extract every a_i."""
     p, k = ctx.p, ctx.k
+    if x_cap is not None and x_cap < 0:
+        raise ValueError(f"the largest i of a_i must be >= 0, got {x_cap}")
     cap = k if x_cap is None else min(x_cap, k)
 
-    lxp = _log_x_powers(ctx, cap)
-    slices = _exp_slices(ctx, cap)
-    rows = _factor_rows(ctx, 1, slices, lxp, cap)
+    rows = _factor_rows(ctx, 1, cap)
     for i in range(2, p):
-        rows = _row_product(ctx, rows, _factor_rows(ctx, i, slices, lxp, cap), cap)
+        rows = _row_product(ctx, rows, _factor_rows(ctx, i, cap), cap)
 
     coeffs = {}
     a = []

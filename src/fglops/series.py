@@ -281,7 +281,7 @@ class Series:
 
     # -- composition and reciprocal ---------------------------------------
 
-    def compose(self, inner: "Series", _pow_cache: dict | None = None) -> "Series":
+    def compose(self, inner: "Series") -> "Series":
         """self(inner) for univariate self; inner must have zero constant term."""
         if not self.is_univariate():
             raise ValueError("outer series of a composition must be univariate")
@@ -303,7 +303,7 @@ class Series:
         if not terms:
             out = Series(self.prime, self.basis, {}, v, None)
         else:
-            pow_cache = _pow_cache if _pow_cache is not None else {}
+            pow_cache: dict = {}
 
             def inner_pow(e: int) -> "Series":
                 pw = pow_cache.get(e)

@@ -89,8 +89,18 @@ def test_mc_rejects_bad_n(capsys):
 
 
 def test_mc_rejects_unreachable_n(capsys):
-    # truncation too small to carry any meaningful a_i that far
-    assert main(["mc", "-p", "2", "-k", "3", "--n", "5"]) == 1
+    # every MC_n needs a_n, which needs k >= n
+    for k, n in ((3, 5), (14, 15), (14, 40)):
+        code, out, err = run(capsys, "mc", "-p", "2", "-k", str(k), "--n", str(n))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"k >= n = {n}" in err
+
+
+def test_power_op_coeffs_rejects_negative_max_i(capsys):
+    code, out, err = run(capsys, "power-op-coeffs", "-p", "2", "-k", "7", "--max-i", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_non_prime_rejected(capsys):
@@ -137,11 +147,19 @@ def test_golden_dir_env_override(tmp_path, monkeypatch, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("present", [False, True], ids=["missing", "truncated"])
-def test_verify_bad_golden_file_is_one_error_line(tmp_path, monkeypatch, capsys, present):
-    if present:
+BAD_GOLDEN = {  # case -> the file's text made from the good one; None: no file
+    "missing": None,
+    "truncated": lambda text: text[: len(text) // 2],
+    "missing-keys": lambda text: '{"prime": 2}',
+    "not-an-object": lambda text: "[]",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GOLDEN))
+def test_verify_bad_golden_file_is_one_error_line(tmp_path, monkeypatch, capsys, case):
+    if BAD_GOLDEN[case] is not None:
         text = (golden_dir() / "p2.json").read_text()
-        (tmp_path / "p2.json").write_text(text[: len(text) // 2])
+        (tmp_path / "p2.json").write_text(BAD_GOLDEN[case](text))
     monkeypatch.setenv(ENV_GOLDEN_DIR, str(tmp_path))
     code, out, err = run(capsys, "verify", "--suite", "p2")
     assert code == 1 and out == ""

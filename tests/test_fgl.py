@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fglops import FglContext, HorizonError, IntegralityError, NotPrimeError
+from fglops import FglContext, HorizonError, IntegralityError, NotPrimeError, power_operation
 from fglops.series import Series
 
 from conftest import P, S, rand_series
@@ -56,6 +56,18 @@ def test_exp_log_are_mutually_inverse(p, k):
     ident = Series.variable(p, "l", k + 1)
     assert ctx.exp.compose(ctx.log).agrees_with(ident)
     assert ctx.log.compose(ctx.exp).agrees_with(ident)
+
+
+@pytest.mark.parametrize("p,k", [(2, 16), (3, 20), (5, 30), (7, 50)])
+def test_log_ratio_power_matches_series_powers(p, k):
+    ctx = FglContext(p, k)
+    ratio = ctx.log.shift_xi(-1)
+    inverse = ratio.reciprocal()
+    for r in range(-6, 7):
+        want = ratio ** r if r >= 0 else inverse ** -r
+        assert want.validity == k
+        for d in range(k):
+            assert ctx.log_ratio_power(r, d) == want.coefficient(d), (r, d)
 
 
 def test_hazewinkel_table_values():
@@ -208,8 +220,16 @@ def test_integrality_violation_detected(ctx27):
 
 
 def test_validity_soundness_across_truncations():
-    lo = FglContext(2, 9)
-    hi = FglContext(2, 13)
-    assert hi.log.agrees_with(lo.log)
-    assert hi.exp.agrees_with(lo.exp)
-    assert hi.reduced_p_series("v").agrees_with(lo.reduced_p_series("v"))
+    # a larger truncation never contradicts a smaller one below the smaller validity
+    for p, ks in ((2, (1, 5, 9, 13, 20)), (3, (2, 4, 9, 14, 20))):
+        for k_lo, k_hi in zip(ks, ks[1:]):
+            lo, hi = FglContext(p, k_lo), FglContext(p, k_hi)
+            assert hi.log.agrees_with(lo.log)
+            assert hi.exp.agrees_with(lo.exp)
+            assert hi.reduced_p_series("v").agrees_with(lo.reduced_p_series("v"))
+            a_lo = power_operation(lo).a
+            a_hi = power_operation(hi, x_cap=k_lo).a
+            assert len(a_lo) == len(a_hi) == k_lo + 1
+            for i, (x, y) in enumerate(zip(a_lo, a_hi)):
+                assert x.validity == k_lo + 1 - i < y.validity
+                assert y.agrees_with(x), (p, k_lo, k_hi, i)
