@@ -8,7 +8,7 @@ p-series, certifying nonvanishing by the lowest nonzero coefficient of the
 canonical representative.
 """
 
-from .fgl import FglContext, HorizonError, IntegralityError, NotPrimeError, build_context
+from .fgl import FglContext, HorizonError, IntegralityError, NotPrimeError
 from .obstruction import (
     InsufficientTruncationError,
     ObstructionResult,
@@ -20,7 +20,7 @@ from .obstruction import (
     mu,
 )
 from .poly import BasisMismatchError, GradedPoly
-from .powerop import PowerOpData, power_op_series, power_operation, reduce_a_mod_p_series
+from .powerop import PowerOpData, power_operation, reduce_a_mod_p_series
 from .reduction import (
     NonIntegralError,
     ReducedSeries,
@@ -46,7 +46,6 @@ __all__ = [
     "PowerOpData",
     "ReducedSeries",
     "Series",
-    "build_context",
     "canonical_rep",
     "divide",
     "divisible_by_full_p_series",
@@ -57,7 +56,6 @@ __all__ = [
     "mc_via_sum",
     "mu",
     "nonvanishing_certificate",
-    "power_op_series",
     "power_operation",
     "reduce_a_mod_p_series",
 ]

@@ -247,7 +247,3 @@ class FglContext:
         if not out.is_integral():
             raise IntegralityError(f"p^{m} l_{m} is not integral; generator table is broken")
         return out
-
-
-def build_context(p: int, k: int) -> FglContext:
-    return FglContext(p, k)

@@ -19,6 +19,7 @@ import json
 import os
 from pathlib import Path
 
+from .fgl import is_prime
 from .render import poly_text, series_from_obj
 from .series import Series
 
@@ -47,13 +48,33 @@ def load_suite(name: str) -> dict:
         raise GoldenFileError(f"no golden suite {name!r} at {path}") from None
     except (OSError, ValueError) as exc:
         raise GoldenFileError(f"cannot read golden suite {name!r} at {path}: {exc}") from exc
-    if not _is_suite(suite):
-        raise GoldenFileError(
-            f"golden suite {name!r} at {path} is not an object with an integer prime "
-            f"and truncation and a list of tables with a kind, a series and, but for "
-            f"the reduced p-series, an n"
-        )
+    problem = _suite_problem(suite)
+    if problem:
+        raise GoldenFileError(f"golden suite {name!r} at {path} {problem}")
     return suite
+
+
+def _suite_problem(suite) -> str | None:
+    """Why verify_suite cannot run on a parsed suite file, or None if it can."""
+    if not _is_suite(suite):
+        return ("is not an object with an integer prime and truncation and a list of "
+                "tables with a kind (mc or reduced-pseries), a series and, but for the "
+                "reduced p-series, an n")
+    p, k = suite["prime"], suite["truncation"]
+    if not is_prime(p):
+        return f"has prime {p}, which is not prime"
+    if k < 1:
+        return f"has truncation {k}, but it must be >= 1"
+    for t in suite["tables"]:
+        if t["kind"] == "mc" and not 0 <= t["n"] <= k:
+            return f"has an MC_{t['n']} table, but n must lie in 0..truncation = {k}"
+        try:
+            readable = isinstance(series_from_obj(t["series"]).validity, int)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            readable = False
+        if not readable:
+            return f"has a table of kind {t['kind']!r} whose series is not in the wire format"
+    return None
 
 
 def _is_suite(suite) -> bool:
@@ -63,7 +84,8 @@ def _is_suite(suite) -> bool:
             and isinstance(suite.get("truncation"), int)
             and isinstance(suite.get("tables"), list)
             and all(isinstance(t, dict) and {"kind", "series"} <= t.keys()
-                    and (t["kind"] == "reduced-pseries" or isinstance(t.get("n"), int))
+                    and (t["kind"] == "reduced-pseries"
+                         or t["kind"] == "mc" and isinstance(t.get("n"), int))
                     for t in suite["tables"]))
 
 
@@ -104,7 +126,7 @@ def compare_series(label: str, computed: Series, table: Series) -> list:
 def verify_suite(name: str, progress=None) -> list:
     """Run the computations a suite describes and compare; returns mismatches."""
     from .fgl import FglContext
-    from .obstruction import mc
+    from .obstruction import InsufficientTruncationError, mc
     from .powerop import power_operation
 
     suite = load_suite(name)
@@ -126,7 +148,13 @@ def verify_suite(name: str, progress=None) -> list:
             label = f"p={p} reduced-pseries"
         else:
             n = t["n"]
-            result = mc(ctx, data, n, progress=progress)
+            try:
+                result = mc(ctx, data, n, progress=progress)
+            except InsufficientTruncationError as exc:
+                raise GoldenFileError(
+                    f"golden suite {name!r} at {golden_dir() / f'{name}.json'}: "
+                    f"its truncation {k} is too small: {exc}"
+                ) from exc
             got = result.reduced.series
             label = f"p={p} MC_{n}"
         mismatches.extend(compare_series(label, got, want))

@@ -35,7 +35,9 @@ and the recurrence is skipped unless a full computation is forced.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -133,15 +135,6 @@ def _term_validity(plan: _TermPlan, stats: list) -> int:
             + sum(c * stats[i][1] for i, c in factors))
 
 
-def _mul(x: Series | None, y: Series | None) -> Series | None:
-    """Product where None stands for the exact constant 1."""
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return x * y
-
-
 def _one(ctx: FglContext, data: PowerOpData) -> Series:
     """The empty product, known as far as a_0 is."""
     return Series.from_const(1, ctx.p, "v", data.a[0].validity)
@@ -194,41 +187,31 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
 def _power_recurrence(ctx: FglContext, data: PowerOpData, n: int, progress) -> Series:
     """raw(n) = sum_k cp(n-k) a_0^(n-k) F_k, with F_k from Miller's recurrence."""
     a = data.a
-    a0_pow = [None]  # a0_pow[j] = a_0^j; None is the exact 1
-    for _ in range(n):
-        a0_pow.append(_mul(a0_pow[-1], a[0]))
-    g = [None] + [_mul(a[i], a0_pow[i - 1]) for i in range(1, n + 1)]
-    f = [None]  # f[0] = 1
+    one = _one(ctx, data)
+    a0_pow = [one, a[0]]  # a0_pow[j] = a_0^j
+    for _ in range(2, n + 1):
+        a0_pow.append(a0_pow[-1] * a[0])
+    g = [None] + [a[1] if i == 1 else a[i] * a0_pow[i - 1] for i in range(1, n + 1)]
+    f = [one]
     for k in range(1, n + 1):
-        acc = None
-        for i in range(1, k + 1):
-            term = _mul(g[i], f[k - i]).scale(-n * i - k)
-            acc = term if acc is None else acc + term
-        f.append(acc.scale(Fraction(1, k)))
+        fk = Series.sum_of_products((-n * i - k, g[i], f[k - i]) for i in range(1, k + 1))
+        f.append(fk.scale(Fraction(1, k)))
         if progress is not None:
             progress(k, n)
-    raw = None
+    terms = []
     for k in range(n + 1):
         cp = ctx.cp_image(n - k)
         if cp:
-            term = _mul(a0_pow[n - k], f[k])
-            if term is None:  # n = 0
-                term = _one(ctx, data)
-            term = term.scale_poly(cp)
-            raw = term if raw is None else raw + term
-    return raw
+            terms.append((1, a0_pow[n - k].scale_poly(cp), f[k]))
+    return Series.sum_of_products(terms)
 
 
 def mc_via_sum(ctx: FglContext, data: PowerOpData, n: int) -> Series:
     """The paper's multi-index sum, one product chain per summand; cross-check route."""
     raw = None
     for plan in _plan_terms(ctx, data, n):
-        term = None
-        for i, e in enumerate((plan.alpha0,) + plan.abar):
-            if e:
-                term = _mul(term, data.a[i] ** e)
-        if term is None:
-            term = _one(ctx, data)
+        factors = [data.a[i] ** e for i, e in enumerate((plan.alpha0,) + plan.abar) if e]
+        term = functools.reduce(operator.mul, factors) if factors else _one(ctx, data)
         term = term.scale(plan.scalar).scale_poly(plan.cp)
         raw = term if raw is None else raw + term
     return raw

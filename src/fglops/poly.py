@@ -23,6 +23,7 @@ from fractions import Fraction
 Mono = tuple  # exponent tuple, no trailing zeros; coefficients are int | Fraction
 
 UNIT_MONO: Mono = ()
+_UNIT_TERMS = {UNIT_MONO: 1}
 
 
 class BasisMismatchError(ValueError):
@@ -70,6 +71,28 @@ def _norm_coef(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def add_products(tgt: dict, t1: dict, t2: dict, c=1) -> dict:
+    """tgt += c * t1 * t2 on term dicts, in place; cancelled terms are removed.
+
+    This is the one monomial product loop: every product of polynomials and
+    series ends here.  Coefficients are left unnormalized (a Fraction may have
+    denominator 1); GradedPoly(tgt, basis) normalizes them.
+    """
+    if not c:  # the del below relies on a nonzero product
+        return tgt
+    if c != 1:
+        t1 = {m1: c1 * c for m1, c1 in t1.items()}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            m = mono_mul(m1, m2)
+            s = tgt.get(m, 0) + c1 * c2
+            if s:
+                tgt[m] = s
+            else:
+                del tgt[m]
+    return tgt
 
 
 def mono_sort_key(mono: Mono, p: int, pad: int):
@@ -170,17 +193,7 @@ class GradedPoly:
         return r
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        r = GradedPoly.zero(self.basis)
-        r.terms = {m: _norm_coef(c) for m, c in out.items()}
-        return r
+        return self + -other
 
     def __neg__(self) -> "GradedPoly":
         r = GradedPoly.zero(self.basis)
@@ -189,18 +202,7 @@ class GradedPoly:
 
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
         self._check(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        r = GradedPoly.zero(self.basis)
-        r.terms = {m: _norm_coef(c) for m, c in out.items()}
-        return r
+        return GradedPoly(add_products({}, self.terms, other.terms), self.basis)
 
     def scale(self, c) -> "GradedPoly":
         if not c:
@@ -243,10 +245,10 @@ class GradedPoly:
 
     def substitute(self, table: dict, basis: str, _powcache: dict | None = None) -> "GradedPoly":
         """Replace generator m by table[m] (a GradedPoly in `basis`) in every monomial."""
-        out = GradedPoly.zero(basis)
+        out: dict = {}
         cache = _powcache if _powcache is not None else {}
         for mono, c in self.terms.items():
-            acc = GradedPoly.const(1, basis)
+            acc = _UNIT_TERMS
             for i, e in enumerate(mono):
                 if not e:
                     continue
@@ -258,9 +260,9 @@ class GradedPoly:
                 if pw is None:
                     pw = table[m] ** e
                     cache[key] = pw
-                acc = acc * pw
-            out = out + acc.scale(c)
-        return out
+                acc = pw.terms if acc is _UNIT_TERMS else add_products({}, acc, pw.terms)
+            add_products(out, _UNIT_TERMS, acc, c)
+        return GradedPoly(out, basis)
 
     def divmod_int(self, p: int) -> tuple:
         """Coefficient-wise floor divmod by p; remainders land in {0, ..., p-1}.

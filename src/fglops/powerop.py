@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .fgl import FglContext
-from .poly import GradedPoly
+from .poly import GradedPoly, add_products
 from .series import Series
 
 
@@ -53,44 +53,31 @@ class PowerOpData:
 def _factor_rows(ctx: FglContext, i: int, x_cap: int) -> list:
     """Rows (in x) of the factor [i]xi +_F x, as l-basis series in xi."""
     k = ctx.k
-    ws = []  # ws[r] = U_r(i L(xi)), valid mod xi^(k+1-r)
+    ws = []  # ws[r] = U_r(i L(xi)) as {xi degree: terms}, valid mod xi^(k+1-r)
     for r in range(x_cap + 1):
-        coeffs: dict = {}
+        w: dict = {}
         for (j, _z), e in ctx.exp.coeffs.items():
             m = j - r
             if m < 0:
                 continue
-            scaled = e.scale(comb(j, r) * i ** m)
             # (L/xi)^m only has terms xi^t with p-1 | t
             for t in range(0, k + 1 - j, ctx.p - 1):
                 c = ctx.log_ratio_power(m, t)
                 if c:
-                    q = scaled * c
-                    key = (m + t, 0)
-                    coeffs[key] = coeffs[key] + q if key in coeffs else q
-        ws.append(Series(ctx.p, "l", coeffs, k + 1 - r))
+                    add_products(w.setdefault(m + t, {}), e.terms, c.terms, comb(j, r) * i ** m)
+        ws.append(w)
     rows = []
     for s in range(x_cap + 1):
-        row = Series.zero(ctx.p, "l", k + 1 - s)
+        row: dict = {}
         for r in range(s + 1):
             c = ctx.log_ratio_power(r, s - r)  # [x^s] L(x)^r
             if c:
-                row = row + ws[r].scale_poly(c)
-        rows.append(row)
+                for d, terms in ws[r].items():
+                    if d < k + 1 - s:
+                        add_products(row.setdefault(d, {}), terms, c.terms)
+        rows.append(Series(ctx.p, "l", {(d, 0): GradedPoly(t, "l") for d, t in row.items()},
+                           k + 1 - s))
     return rows
-
-
-def _row_product(ctx: FglContext, ra: list, rb: list, x_cap: int) -> list:
-    out = []
-    for s in range(x_cap + 1):
-        acc = None
-        for t in range(s + 1):
-            if t < len(ra) and s - t < len(rb):
-                term = ra[t] * rb[s - t]
-                acc = term if acc is None else acc + term
-        acc = acc if acc is not None else Series.zero(ctx.p, "l", ctx.k + 1 - s)
-        out.append(acc.truncate(ctx.k + 1 - s))
-    return out
 
 
 def power_operation(ctx: FglContext, x_cap: int | None = None) -> PowerOpData:
@@ -102,7 +89,9 @@ def power_operation(ctx: FglContext, x_cap: int | None = None) -> PowerOpData:
 
     rows = _factor_rows(ctx, 1, cap)
     for i in range(2, p):
-        rows = _row_product(ctx, rows, _factor_rows(ctx, i, cap), cap)
+        rb = _factor_rows(ctx, i, cap)
+        rows = [Series.sum_of_products((1, rows[t], rb[s - t]) for t in range(s + 1))
+                .truncate(k + 1 - s) for s in range(cap + 1)]
 
     coeffs = {}
     a = []
@@ -126,11 +115,6 @@ def _check_euler_class(a0: Series, p: int, fact: int):
         want = GradedPoly.const(fact, "v") if j == p - 1 else GradedPoly.zero("v")
         if c != want:
             raise EulerClassError(f"a_0 has coefficient {c!r} at xi^{j}")
-
-
-def power_op_series(ctx: FglContext, x_cap: int | None = None) -> Series:
-    """The truncated product with the i = 0 factor included (so divisible by x)."""
-    return power_operation(ctx, x_cap).product
 
 
 def reduce_a_mod_p_series(data: PowerOpData):

@@ -29,11 +29,10 @@ class NonIntegralError(ValueError):
 class ReducedSeries:
     """A canonical representative modulo the reduced p-series."""
 
-    __slots__ = ("series", "normal")
+    __slots__ = ("series",)
 
-    def __init__(self, series: Series, normal: bool = True):
+    def __init__(self, series: Series):
         self.series = series
-        self.normal = normal
 
     @property
     def validity(self) -> int:
@@ -121,8 +120,6 @@ def nonvanishing_certificate(s: ReducedSeries):
 
     None is inconclusive: the class may still be nonzero beyond the validity.
     """
-    if not s.normal:
-        raise ValueError("certificate requires a canonical representative")
     if s.is_zero():
         return None
     j = min(e[0] for e in s.series.coeffs)

@@ -14,6 +14,9 @@ Validity propagates through arithmetic:
 
   add/sub:  min(V_A, V_B)
   mul:      min(V_A + val(B), V_B + val(A))      val = lowest total degree
+  sum of products  sum_i c_i A_i B_i  (one pass, one degree cutoff):
+            min over i of min(V_Ai + val(B_i), V_Bi + val(A_i)),
+            a pair with c_i = 0 included
   compose:  min(V_B + (val(A) - 1) val(B), V_A val(B))
 
 where the valuation of a series with no stored terms is its validity (a zero
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import BasisMismatchError, GradedPoly, UNIT_MONO, mono_mul, _norm_coef
+from .poly import BasisMismatchError, GradedPoly, UNIT_MONO, _norm_coef, add_products
 
 
 class OutsideValidityError(ValueError):
@@ -191,52 +194,46 @@ class Series:
                       self.laurent or other.laurent)
 
     def __sub__(self, other: "Series") -> "Series":
-        self._check(other)
-        v = min(self.validity, other.validity)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            out[e] = -c if s is None else s - c
-        return Series(self.prime, self.basis, out, v, self._merge_weight(other),
-                      self.laurent or other.laurent)
+        return self + -other
 
     def __neg__(self) -> "Series":
         return self.map_polys(lambda c: -c)
 
     def __mul__(self, other: "Series") -> "Series":
-        self._check(other)
-        v = min(self.validity + other.val(), other.validity + self.val())
+        return Series.sum_of_products([(1, self, other)])
+
+    @staticmethod
+    def sum_of_products(terms) -> "Series":
+        """sum of c * A * B over (c, A, B) triples, built in one dict with one degree cutoff.
+
+        The scalars c are ints or Fractions.  Validity follows the module
+        docstring; the weight is the products' common weight (None if they
+        differ or one is undeclared); the sum is Laurent if any operand is.
+        """
+        terms = list(terms)
+        first = terms[0][1]
+        for _c, a, b in terms:
+            first._check(a)
+            a._check(b)
+        v = min(min(a.validity + b.val(), b.validity + a.val()) for _c, a, b in terms)
+        weights = {None if a.weight is None or b.weight is None else a.weight + b.weight
+                   for _c, a, b in terms}
         out: dict = {}
-        items2 = list(other.coeffs.items())
-        for (j1, m1), p1 in self.coeffs.items():
-            d1 = j1 + m1
-            t1 = p1.terms
-            for (j2, m2), p2 in items2:
-                if d1 + j2 + m2 >= v:
-                    continue
-                key = (j1 + j2, m1 + m2)
-                tgt = out.get(key)
-                if tgt is None:
-                    tgt = out[key] = {}
-                for mo1, c1 in t1.items():
-                    for mo2, c2 in p2.terms.items():
-                        mo = mono_mul(mo1, mo2)
-                        s = tgt.get(mo, 0) + c1 * c2
-                        if s:
-                            tgt[mo] = s
-                        else:
-                            del tgt[mo]
-        coeffs = {}
-        for e, terms in out.items():
-            if terms:
-                pl = GradedPoly.zero(self.basis)
-                pl.terms = {m: _norm_coef(c) for m, c in terms.items()}
-                coeffs[e] = pl
-        w = None
-        if self.weight is not None and other.weight is not None:
-            w = self.weight + other.weight
-        return Series(self.prime, self.basis, coeffs, v, w,
-                      self.laurent or other.laurent)
+        for c, a, b in terms:
+            items2 = list(b.coeffs.items())
+            for (j1, m1), p1 in a.coeffs.items():
+                d1 = j1 + m1
+                for (j2, m2), p2 in items2:
+                    if d1 + j2 + m2 < v:
+                        key = (j1 + j2, m1 + m2)
+                        tgt = out.get(key)
+                        if tgt is None:
+                            tgt = out[key] = {}
+                        add_products(tgt, p1.terms, p2.terms, c)
+        coeffs = {e: GradedPoly(t, first.basis) for e, t in out.items()}
+        w = weights.pop() if len(weights) == 1 else None
+        return Series(first.prime, first.basis, coeffs, v, w,
+                      any(a.laurent or b.laurent for _c, a, b in terms))
 
     def scale(self, c) -> "Series":
         if not c:
@@ -346,14 +343,14 @@ class Series:
         out = {(0, 0): GradedPoly.const(_norm_coef(inv0), self.basis)}
         src = unit.coeffs
         for j in range(1, vu):
-            acc = GradedPoly.zero(self.basis)
+            acc: dict = {}
             for i in range(1, j + 1):
                 ui = src.get((i, 0))
                 rj = out.get((j - i, 0))
                 if ui is not None and rj is not None:
-                    acc = acc + ui * rj
+                    add_products(acc, ui.terms, rj.terms, _norm_coef(-inv0))
             if acc:
-                out[(j, 0)] = acc.scale(_norm_coef(-inv0))
+                out[(j, 0)] = GradedPoly(acc, self.basis)
         w = None if self.weight is None else -self.weight
         res = Series(self.prime, self.basis, out, vu, None, self.laurent).shift_xi(-d)
         res.weight = w

@@ -147,11 +147,26 @@ def test_golden_dir_env_override(tmp_path, monkeypatch, capsys):
     assert code == 0
 
 
+def _edited(change):
+    """The good file's text with `change` applied to its parsed suite."""
+    def make(text):
+        suite = json.loads(text)
+        change(suite)
+        return json.dumps(suite)
+    return make
+
+
 BAD_GOLDEN = {  # case -> the file's text made from the good one; None: no file
     "missing": None,
     "truncated": lambda text: text[: len(text) // 2],
     "missing-keys": lambda text: '{"prime": 2}',
     "not-an-object": lambda text: "[]",
+    "not-prime": _edited(lambda s: s.update(prime=4)),
+    "zero-truncation": _edited(lambda s: s.update(truncation=0)),
+    "empty-series": _edited(lambda s: s["tables"][0].update(series={})),
+    "n-beyond-truncation": _edited(lambda s: s["tables"][-1].update(n=s["truncation"] + 1)),
+    "truncation-too-small": _edited(lambda s: s.update(truncation=1, tables=[
+        {**s["tables"][1], "n": 1}])),
 }
 
 

@@ -1,6 +1,8 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fglops import (
     FglContext,
@@ -234,5 +236,33 @@ def test_validity_soundness_across_truncations():
     hi_ctx = FglContext(3, 25)
     hi = mc(hi_ctx, power_operation(hi_ctx, x_cap=4), 4)
     assert lo.raw.validity == 17 + 3 * 1
+    assert hi.raw.agrees_with(lo.raw)
+    assert hi.reduced.series.agrees_with(lo.reduced.series)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_data(p, k):
+    return power_operation(FglContext(p, k))
+
+
+@st.composite
+def _retruncation_cases(draw):
+    p = draw(st.sampled_from([2, 3]))
+    k_hi = draw(st.integers(2, 20))
+    k_lo = draw(st.integers(1, k_hi - 1))
+    return p, k_lo, k_hi, draw(st.integers(1, k_lo))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_retruncation_cases())
+def test_mc_retruncation_property(case):
+    # MC_n at a larger truncation never contradicts a smaller one below the
+    # smaller validity, for the raw series and for its canonical form
+    p, k_lo, k_hi, n = case
+    try:
+        lo, hi = (mc(d.ctx, d, n, force_full=True)
+                  for d in (_full_data(p, k_lo), _full_data(p, k_hi)))
+    except InsufficientTruncationError:
+        return
     assert hi.raw.agrees_with(lo.raw)
     assert hi.reduced.series.agrees_with(lo.reduced.series)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fglops.poly import BasisMismatchError, GradedPoly, mono_from_exps
+from fglops.poly import BasisMismatchError, GradedPoly, add_products, mono_from_exps, mono_mul
 from fglops.render import parse_poly, poly_from_obj, poly_text, poly_to_obj
 
 from conftest import P, rand_poly
@@ -82,6 +82,43 @@ def test_exactness_randomized():
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
+
+
+def _products_by_pairs(a, b, c) -> GradedPoly:
+    """c * a * b summed one monomial pair at a time, with no shared loop."""
+    out = GradedPoly.zero(a.basis)
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            out = out + GradedPoly({mono_mul(m1, m2): c * c1 * c2}, a.basis)
+    return out
+
+
+def test_add_products_accumulates_scaled_product():
+    rng = random.Random(20261018)
+    for _ in range(100):
+        tgt, a, b = (rand_poly(rng, rationals=True) for _ in range(3))
+        c = rng.choice([1, -1, 5, Fraction(-3, 4)])
+        terms = dict(tgt.terms)
+        assert add_products(terms, a.terms, b.terms, c) is terms
+        assert GradedPoly(terms, "v") == tgt + _products_by_pairs(a, b, c)
+
+
+def test_add_products_removes_cancelled_terms():
+    rng = random.Random(7)
+    for _ in range(20):
+        a, b = rand_poly(rng, rationals=True), rand_poly(rng, rationals=True)
+        terms = dict((a * b).terms)
+        add_products(terms, a.terms, b.terms, -1)
+        assert terms == {}
+
+
+def test_add_products_zero_scalar_leaves_target_unchanged():
+    a = P("v1 + 2*v2")
+    b = P("v1 - 3")
+    for tgt in (P("0"), P("v1^2 + 5"), -(a * b)):
+        terms = dict(tgt.terms)
+        add_products(terms, a.terms, b.terms, 0)
+        assert terms == tgt.terms
 
 
 def test_pow():

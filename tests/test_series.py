@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,63 @@ def test_mul_empty_series_valuation_is_validity():
     z = Series.zero(2, "v", 3)  # only known to vanish below degree 3
     a = S("1 + v1*xi", 2, "v", validity=10)
     assert (z * a).validity == min(3 + a.val(), 10 + 3) == 3
+
+
+def _product_chain(terms) -> Series:
+    """sum of c * A * B as separate products, scalings and additions."""
+    acc = None
+    for c, a, b in terms:
+        t = (a * b).scale(c)
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def _weighted(s: Series, w) -> Series:
+    s.weight = w
+    return s
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sum_of_products_matches_product_chain(seed):
+    rng = random.Random(seed)
+    weight = rng.randrange(-3, 4)
+    terms = []
+    for _ in range(rng.randrange(1, 5)):
+        a, b = (rand_series(rng, validity=rng.randrange(1, 10), integral=rng.random() < 0.7)
+                for _ in range(2))
+        if rng.random() < 0.3:
+            a = a.shift_xi(-rng.randrange(1, 3))  # Laurent operand
+        wa = rng.randrange(-4, 5)
+        c = rng.choice([1, -1, 3, Fraction(2, 3), 0])
+        terms.append((c, _weighted(a, wa), _weighted(b, weight - wa)))
+    if rng.random() < 0.3:
+        c, a, b = terms[-1]
+        terms.append((-c, a, b))  # cancels the last pair
+    got = Series.sum_of_products(terms)
+    want = _product_chain(terms)
+    assert got == want
+    assert (got.weight, got.laurent) == (want.weight, want.laurent)
+
+
+def test_sum_of_products_cancelling_pairs_keep_validity():
+    a = S("1 + v1*xi", 2, "v", validity=6)
+    b = S("xi^2 + v2*xi^3", 2, "v", validity=5)
+    got = Series.sum_of_products([(2, a, b), (-1, b, a), (-1, a, b)])
+    assert got.coeffs == {}
+    assert got.validity == (a * b).validity == 5
+
+
+def test_sum_of_products_weight_and_laurent():
+    a = S("xi + v1*xi^2", 2, "v", validity=6, weight=-1)
+    b = S("1 + v1*xi", 2, "v", validity=6, weight=0)
+    single = Series.sum_of_products([(1, a, b)])
+    assert single == a * b and single.weight == -1 and not single.laurent
+    assert Series.sum_of_products([(1, a, b), (1, a, a)]).weight is None
+    assert Series.sum_of_products([(1, a, b), (1, b, Series.variable(2, "v", 6))]).weight == -1
+    b.weight = None
+    assert Series.sum_of_products([(1, a, b), (1, b, a)]).weight is None
+    lau = Series.sum_of_products([(1, a, b), (1, a.shift_xi(-2), b)])
+    assert lau.laurent and lau == a * b + a.shift_xi(-2) * b
 
 
 def test_compose_identity():
