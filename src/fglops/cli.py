@@ -15,6 +15,7 @@ import sys
 from .fgl import FglContext, is_prime
 from .golden import SUITES, GoldenFileError, verify_suite
 from .obstruction import mc, InsufficientTruncationError
+from .poly import MAX_TRUNCATION
 from .powerop import power_operation, reduce_a_mod_p_series
 from .render import poly_text, series_text, series_to_obj
 from .series import Series
@@ -36,7 +37,8 @@ def _add_common(sub, need_prime=True):
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--threads", type=int, help=THREADS_HELP)
     sub.add_argument("--ideal", default=None,
-                     help="comma-separated generators to kill, e.g. 'v2,v3'")
+                     help="comma-separated generators to kill, e.g. 'v2,v3'; a letter "
+                          "must match the printed basis, bare digits mean that basis")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_ideal(text: str | None) -> list:
+def _parse_ideal(text: str | None, basis: str) -> list:
+    """Generator indices to kill; a letter, if given, must name the printed basis."""
     if not text:
         return []
     out = []
@@ -90,6 +93,9 @@ def _parse_ideal(text: str | None) -> list:
         if not chunk:
             continue
         if chunk[0] in ("v", "l"):
+            if chunk[0] != basis:
+                raise SystemExit(_fail(f"ideal generator {chunk!r} is not in the "
+                                       f"{basis}-basis of the printed series"))
             chunk = chunk[1:]
         if not chunk.isdigit() or int(chunk) < 1:
             raise SystemExit(_fail(f"bad ideal generator {chunk!r}"))
@@ -123,8 +129,8 @@ def _context(args) -> FglContext:
         k = DEFAULT_TRUNCATION.get(p)
         if k is None:
             raise SystemExit(_fail(f"no default truncation for p={p}; pass --truncation"))
-    if k < 1:
-        raise SystemExit(_fail("truncation must be >= 1"))
+    if not 1 <= k <= MAX_TRUNCATION:
+        raise SystemExit(_fail(f"truncation order must be in 1..{MAX_TRUNCATION}"))
     return FglContext(p, k)
 
 
@@ -161,8 +167,9 @@ def main(argv=None) -> int:
                 print(f"suite {name}: ok")
         return 2 if failures else 0
 
+    printed_basis = "l" if cmd in ("log", "exp") else getattr(args, "basis", "v")
+    ideal = _parse_ideal(args.ideal, printed_basis)
     ctx = _context(args)
-    ideal = _parse_ideal(args.ideal)
 
     if cmd in ("log", "exp", "pseries", "reduced-pseries"):
         if cmd == "log":

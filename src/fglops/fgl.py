@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import GradedPoly
+from .poly import MAX_TRUNCATION, GradedPoly, mono_pack
 from .series import Series
 
 
@@ -103,8 +103,8 @@ class FglContext:
     def __init__(self, p: int, k: int):
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
-        if k < 1:
-            raise ValueError("truncation order must be >= 1")
+        if not 1 <= k <= MAX_TRUNCATION:
+            raise ValueError(f"truncation order must be in 1..{MAX_TRUNCATION}")
         self.p = p
         self.k = k
 
@@ -166,7 +166,7 @@ class FglContext:
         """
         got = self._log_ratio_powers.get((r, d))
         if got is None:
-            got = GradedPoly({b: mu(r, b) for b in partitions(d, self._log_parts)}, "l")
+            got = GradedPoly({mono_pack(b): mu(r, b) for b in partitions(d, self._log_parts)}, "l")
             self._log_ratio_powers[(r, d)] = got
         return got
 

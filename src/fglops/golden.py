@@ -20,6 +20,7 @@ import os
 from pathlib import Path
 
 from .fgl import is_prime
+from .poly import MAX_TRUNCATION
 from .render import poly_text, series_from_obj
 from .series import Series
 
@@ -63,8 +64,8 @@ def _suite_problem(suite) -> str | None:
     p, k = suite["prime"], suite["truncation"]
     if not is_prime(p):
         return f"has prime {p}, which is not prime"
-    if k < 1:
-        return f"has truncation {k}, but it must be >= 1"
+    if not 1 <= k <= MAX_TRUNCATION:
+        return f"has truncation {k}, but it must lie in 1..{MAX_TRUNCATION}"
     for t in suite["tables"]:
         if t["kind"] == "mc" and not 0 <= t["n"] <= k:
             return f"has an MC_{t['n']} table, but n must lie in 0..truncation = {k}"

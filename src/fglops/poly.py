@@ -1,11 +1,28 @@
 """Exact sparse polynomials in the graded generators v_1, v_2, ... (or l_1, l_2, ...).
 
-A monomial is a tuple of exponents, entry m-1 holding the exponent of the
-m-th generator, with no trailing zeros.  The unit monomial is ().  Examples:
+A monomial is one non-negative int: the exponent of the m-th generator sits
+in the W-bit field at offset W*(m-1), so v_1 is in the lowest bits and the
+unit monomial is 0.  Examples (W = 15):
 
-    v_1^3       -> (3,)
-    v_2         -> (0, 1)
-    v_1^4 * v_2 -> (4, 1)
+    v_1^3       -> 3
+    v_2         -> 1 << 15
+    v_1^4 * v_2 -> 4 + (1 << 15)
+
+Multiplying monomials adds their ints, and no field carries into the next
+as long as every exponent stays below 2^W.  mono_pack / mono_from_exps
+refuse an exponent outside 0..2^W-1; products do not check.  The pipeline
+stays below the bound: every polynomial it builds is a coefficient of a
+homogeneous series, so a monomial's weight is at most the series' degree
+span, about 2k for truncation k (the largest seen is 1.6k, at p=3, k=40),
+and the exponent of v_m is at most that weight over p^m - 1.  FglContext
+therefore accepts k <= MAX_TRUNCATION = 4095, where even a weight of
+8k = 32760, five times the largest seen, stays below 2^15.
+
+Comparing packed ints compares the exponent vectors from the highest
+generator down; mono_sort_key orders by weight first, so within a weight
+pure v_1 powers come first and higher generators later.  mono_exps decodes
+a monomial into its exponent tuple (no trailing zeros) for the edges that
+need the exponents: weights, rendering, substitution.
 
 A GradedPoly maps monomials to nonzero coefficients (int, or Fraction when a
 denominator is genuinely present) and carries a basis tag: "v" for the
@@ -19,10 +36,15 @@ so weights depend on p and are supplied at the call sites that need them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 
-Mono = tuple  # exponent tuple, no trailing zeros; coefficients are int | Fraction
+Mono = int  # packed exponents, W bits per generator; coefficients are int | Fraction
 
-UNIT_MONO: Mono = ()
+W = 15
+MAX_EXP = (1 << W) - 1
+MAX_TRUNCATION = 4095  # keeps every exponent far below 2^W (module docstring)
+
+UNIT_MONO: Mono = 0
 _UNIT_TERMS = {UNIT_MONO: 1}
 
 
@@ -30,41 +52,47 @@ class BasisMismatchError(ValueError):
     """Raised when polynomials or series over different bases are combined."""
 
 
+def mono_pack(exps) -> Mono:
+    """Pack an exponent sequence, entry m-1 the exponent of generator m."""
+    mono = 0
+    for i, e in enumerate(exps):
+        if not 0 <= e <= MAX_EXP:
+            raise ValueError(f"exponent {e} of generator {i + 1} is outside 0..{MAX_EXP}")
+        mono |= e << (W * i)
+    return mono
+
+
+def mono_exps(mono: Mono) -> tuple:
+    """Exponent tuple of a monomial, entry m-1 for generator m, no trailing zeros."""
+    out = []
+    while mono:
+        out.append(mono & MAX_EXP)
+        mono >>= W
+    return tuple(out)
+
+
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    nb = len(b)
-    return tuple(a[i] + b[i] if i < nb else a[i] for i in range(len(a)))
+    return a + b
 
 
 def mono_weight(mono: Mono, p: int) -> int:
     w = 0
     q = 1
-    for e in mono:
+    while mono:
         q *= p
-        if e:
-            w += e * (q - 1)
+        w += (mono & MAX_EXP) * (q - 1)
+        mono >>= W
     return w
 
 
 def mono_from_exps(exps: dict) -> Mono:
     """Build a monomial from a {generator index: exponent} map (1-based)."""
-    if not exps:
-        return UNIT_MONO
-    top = max(exps)
-    out = [0] * top
+    out = [0] * max(exps, default=0)
     for m, e in exps.items():
         if m < 1 or e < 0:
             raise ValueError(f"bad generator/exponent pair {m}:{e}")
-        if e:
-            out[m - 1] = e
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+        out[m - 1] = e
+    return mono_pack(out)
 
 
 def _norm_coef(c):
@@ -84,10 +112,12 @@ def add_products(tgt: dict, t1: dict, t2: dict, c=1) -> dict:
         return tgt
     if c != 1:
         t1 = {m1: c1 * c for m1, c1 in t1.items()}
+    items2 = t2.items()
+    get = tgt.get
     for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            m = mono_mul(m1, m2)
-            s = tgt.get(m, 0) + c1 * c2
+        for m2, c2 in items2:
+            m = m1 + m2
+            s = get(m, 0) + c1 * c2
             if s:
                 tgt[m] = s
             else:
@@ -95,11 +125,10 @@ def add_products(tgt: dict, t1: dict, t2: dict, c=1) -> dict:
     return tgt
 
 
-def mono_sort_key(mono: Mono, p: int, pad: int):
-    # graded first, then lexicographic on the reversed exponent vector; this
-    # puts pure v_1 powers first and higher generators later within a weight
-    rev = tuple(mono[i] if i < len(mono) else 0 for i in range(pad - 1, -1, -1))
-    return (mono_weight(mono, p), rev)
+def mono_sort_key(mono: Mono, p: int):
+    # graded first, then the packed int: the exponent vector compared from the
+    # highest generator down, which puts pure v_1 powers first within a weight
+    return (mono_weight(mono, p), mono)
 
 
 class GradedPoly:
@@ -226,42 +255,55 @@ class GradedPoly:
     # -- structure ---------------------------------------------------------
 
     def sorted_terms(self, p: int) -> list:
-        pad = max((len(m) for m in self.terms), default=0)
-        return sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0], p, pad))
+        return sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0], p))
 
     def max_gen_index(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
+        return -(-max(self.terms, default=0).bit_length() // W)
 
     def kill_generators(self, indices) -> "GradedPoly":
         """Drop every monomial with a positive exponent on any listed generator."""
-        kill = set(indices)
+        mask = 0
+        for i in set(indices):
+            mask |= MAX_EXP << (W * (i - 1))
         r = GradedPoly.zero(self.basis)
-        r.terms = {
-            m: c
-            for m, c in self.terms.items()
-            if not any(m[i - 1] for i in kill if i <= len(m))
-        }
+        r.terms = {m: c for m, c in self.terms.items() if not m & mask}
         return r
 
     def substitute(self, table: dict, basis: str, _powcache: dict | None = None) -> "GradedPoly":
-        """Replace generator m by table[m] (a GradedPoly in `basis`) in every monomial."""
-        out: dict = {}
+        """Replace generator m by table[m] (a GradedPoly in `basis`) in every monomial.
+
+        Each power table[m]**e is cached as (integral terms, denominator), and
+        the sum runs in ints over one common denominator D, divided out at the
+        end: an int where D divides, a Fraction otherwise.
+        """
         cache = _powcache if _powcache is not None else {}
-        for mono, c in self.terms.items():
-            acc = _UNIT_TERMS
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                m = i + 1
+
+        def power(m: int, e: int) -> tuple:
+            got = cache.get((m, e))
+            if got is None:
                 if m not in table:
                     raise KeyError(f"no substitution for generator {m}")
-                key = (m, e)
-                pw = cache.get(key)
-                if pw is None:
-                    pw = table[m] ** e
-                    cache[key] = pw
-                acc = pw.terms if acc is _UNIT_TERMS else add_products({}, acc, pw.terms)
-            add_products(out, _UNIT_TERMS, acc, c)
+                terms = table[m].terms
+                d = lcm(*(c.denominator for c in terms.values()))
+                base = GradedPoly({b: c.numerator * (d // c.denominator) for b, c in terms.items()},
+                                  basis)
+                got = cache[(m, e)] = ((base ** e).terms, d ** e)
+            return got
+
+        plan = []
+        for mono, c in self.terms.items():
+            powers = [power(m, e) for m, e in enumerate(mono_exps(mono), 1) if e]
+            den = c.denominator * prod(d for _t, d in powers)
+            g = gcd(c.numerator, den)
+            plan.append((powers, c.numerator // g, den // g))
+        big_d = lcm(*(den for _p, _n, den in plan))
+        out: dict = {}
+        for powers, num, den in plan:
+            acc = _UNIT_TERMS
+            for t, _d in powers:
+                acc = t if acc is _UNIT_TERMS else add_products({}, acc, t)
+            add_products(out, _UNIT_TERMS, acc, num * (big_d // den))
+        out = {m: c // big_d if c % big_d == 0 else Fraction(c, big_d) for m, c in out.items()}
         return GradedPoly(out, basis)
 
     def divmod_int(self, p: int) -> tuple:

@@ -19,7 +19,7 @@ import json
 import re
 from fractions import Fraction
 
-from .poly import GradedPoly, mono_from_exps, mono_sort_key
+from .poly import GradedPoly, mono_exps, mono_from_exps
 from .series import Series
 
 _GEN_LETTER = {"v": "v", "l": "l"}
@@ -38,7 +38,7 @@ def _parse_coef(s: str):
 def _mono_text(mono, basis: str) -> str:
     letter = _GEN_LETTER[basis]
     parts = []
-    for i, e in enumerate(mono):
+    for i, e in enumerate(mono_exps(mono)):
         if e == 1:
             parts.append(f"{letter}{i + 1}")
         elif e > 1:
@@ -53,8 +53,7 @@ def poly_text(poly: GradedPoly, prime: int) -> str:
     if prime:
         items = poly.sorted_terms(prime)
     else:
-        pad = max(len(m) for m in poly.terms)
-        items = sorted(poly.terms.items(), key=lambda kv: mono_sort_key(kv[0], 2, pad)[1])
+        items = sorted(poly.terms.items())
     chunks = []
     for mono, c in items:
         mt = _mono_text(mono, poly.basis)
@@ -230,7 +229,7 @@ def parse_series(text: str, prime: int, basis: str, validity: int | None = None,
 def poly_to_obj(poly: GradedPoly, prime: int) -> list:
     out = []
     for mono, c in poly.sorted_terms(prime):
-        exps = {str(i + 1): e for i, e in enumerate(mono) if e}
+        exps = {str(i): e for i, e in enumerate(mono_exps(mono), 1) if e}
         out.append({"coef": _coef_str(c), "exps": exps})
     return out
 

@@ -55,6 +55,49 @@ def test_ideal_validation(capsys):
         run(capsys, "reduced-pseries", "-p", "2", "-k", "7", "--ideal", "bogus")
 
 
+@pytest.mark.parametrize("argv", [
+    ("log", "-p", "2", "-k", "7", "--ideal", "v1"),
+    ("exp", "-p", "2", "-k", "7", "--ideal", "l2,v1"),
+    ("reduced-pseries", "-p", "2", "-k", "14", "--basis", "v", "--ideal", "l2"),
+    ("pseries", "-p", "3", "-k", "9", "--basis", "l", "--ideal", "v1"),
+    ("mc", "-p", "2", "-k", "7", "--n", "2", "--ideal", "l2"),
+])
+def test_ideal_letter_must_match_the_printed_basis(capsys, argv):
+    # killing l_m is not reduction mod (v_m): a generator of the other basis is refused
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: ideal generator ")
+
+
+@pytest.mark.parametrize("cmd,basis,ideals,want", [
+    ("log", "l", ("l1", "1"), "xi + l2*xi^4 + O(xi)^8"),
+    ("reduced-pseries", "v", ("v2,v3", "2,3", "v2, 3"),
+     "2 - v1*xi + 2*v1^2*xi^2 - 8*v1^3*xi^3 + 26*v1^4*xi^4 - 84*v1^5*xi^5"
+     " + 300*v1^6*xi^6 + O(xi)^7"),
+    ("reduced-pseries", "l", ("l2,l3", "2,3"),
+     "2 - 2*l1*xi + 8*l1^2*xi^2 - 36*l1^3*xi^3 + 176*l1^4*xi^4 - 912*l1^5*xi^5"
+     " + 4928*l1^6*xi^6 + O(xi)^7"),
+])
+def test_ideal_accepts_the_printed_basis_and_bare_digits(capsys, cmd, basis, ideals, want):
+    extra = () if cmd == "log" else ("--basis", basis)
+    for ideal in ideals:
+        code, out, _ = run(capsys, cmd, "-p", "2", "-k", "7", *extra, "--ideal", ideal)
+        assert code == 0
+        assert out.strip() == want
+
+
+def test_truncation_beyond_the_exponent_bound_is_one_error_line(capsys):
+    for k in ("4096", "0"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "log", "-p", "2", "-k", k)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err == "error: truncation order must be in 1..4095\n"
+
+
 def test_power_op_coeffs_reduced(capsys):
     code, out, _ = run(capsys, "power-op-coeffs", "-p", "2", "-k", "7",
                        "--max-i", "2", "--reduced", "--ideal", "v2,v3")
@@ -163,6 +206,7 @@ BAD_GOLDEN = {  # case -> the file's text made from the good one; None: no file
     "not-an-object": lambda text: "[]",
     "not-prime": _edited(lambda s: s.update(prime=4)),
     "zero-truncation": _edited(lambda s: s.update(truncation=0)),
+    "huge-truncation": _edited(lambda s: s.update(truncation=4096)),
     "empty-series": _edited(lambda s: s["tables"][0].update(series={})),
     "n-beyond-truncation": _edited(lambda s: s["tables"][-1].update(n=s["truncation"] + 1)),
     "truncation-too-small": _edited(lambda s: s.update(truncation=1, tables=[

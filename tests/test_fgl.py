@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from fglops import FglContext, HorizonError, IntegralityError, NotPrimeError, power_operation
+from fglops import FglContext, HorizonError, IntegralityError, NotPrimeError, mc, power_operation
+from fglops.poly import MAX_EXP, MAX_TRUNCATION, mono_weight
 from fglops.series import Series
 
 from conftest import P, S, rand_series
@@ -233,3 +234,21 @@ def test_validity_soundness_across_truncations():
             for i, (x, y) in enumerate(zip(a_lo, a_hi)):
                 assert x.validity == k_lo + 1 - i < y.validity
                 assert y.agrees_with(x), (p, k_lo, k_hi, i)
+
+
+def test_truncation_beyond_the_exponent_bound_is_refused():
+    # the packed-monomial bound: a weight of 8k must still fit in one field
+    assert 8 * MAX_TRUNCATION <= MAX_EXP
+    with pytest.raises(ValueError, match=str(MAX_TRUNCATION)):
+        FglContext(2, MAX_TRUNCATION + 1)
+
+
+@pytest.mark.parametrize("p,k,ns", [(2, 14, range(1, 7)), (3, 13, range(1, 7))])
+def test_monomial_weights_stay_within_twice_the_truncation(p, k, ns):
+    # the premise of MAX_TRUNCATION: no monomial the pipeline builds weighs 2k or more
+    ctx = FglContext(p, k)
+    data = power_operation(ctx, x_cap=max(ns))
+    series = [ctx.exp, ctx.reduced_p_series("v"), *data.a]
+    series += [mc(ctx, data, n, force_full=True).raw for n in ns]
+    heaviest = max(mono_weight(m, p) for s in series for c in s.coeffs.values() for m in c.terms)
+    assert 0 < heaviest < 2 * k

@@ -1,9 +1,23 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fglops.poly import BasisMismatchError, GradedPoly, add_products, mono_from_exps, mono_mul
+from fglops.poly import (
+    MAX_EXP,
+    UNIT_MONO,
+    BasisMismatchError,
+    GradedPoly,
+    add_products,
+    mono_exps,
+    mono_from_exps,
+    mono_mul,
+    mono_pack,
+    mono_sort_key,
+    mono_weight,
+)
 from fglops.render import parse_poly, poly_from_obj, poly_text, poly_to_obj
 
 from conftest import P, rand_poly
@@ -133,6 +147,114 @@ def test_substitute():
     assert got == P("v1")
     got = parse_poly("4*l2", "l").substitute(table, "v")
     assert got == P("v1^3 + 2*v2")
+
+
+def _rand_l_terms(rng) -> list:
+    """(exponent map, coefficient) pairs of a random l-polynomial, some rational."""
+    out = []
+    for _ in range(rng.randrange(1, 6)):
+        exps = {m: rng.randrange(4) for m in range(1, 4)}
+        c = rng.choice([1, -2, 3, Fraction(1, 3), Fraction(-5, 4), Fraction(7, 6)])
+        out.append(({m: e for m, e in exps.items() if e}, c))
+    return out
+
+
+def _naive_substitute(l_terms, table) -> GradedPoly:
+    """Each monomial expanded on its own in Fraction arithmetic, then summed."""
+    out = GradedPoly.zero("v")
+    for exps, c in l_terms:
+        term = GradedPoly.const(c, "v")
+        for m, e in exps.items():
+            for _ in range(e):
+                term = term * table[m]
+        out = out + term
+    return out
+
+
+def test_substitute_matches_naive_fraction_substitution():
+    rng = random.Random(20261018)
+    cache: dict = {}
+    table = {1: P("1/2*v1"), 2: P("1/4*v1^3 + 1/2*v2"), 3: P("-2/9*v1*v2 + 5/3*v3 + 1")}
+    for _ in range(60):
+        l_terms = _rand_l_terms(rng)
+        poly = GradedPoly.zero("l")
+        for exps, c in l_terms:
+            poly = poly + GradedPoly({mono_from_exps(exps): c}, "l")
+        want = _naive_substitute(l_terms, table)
+        got = poly.substitute(table, "v")
+        assert got == want
+        assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+        assert poly.substitute(table, "v", cache) == want  # cache shared as in to_v
+
+
+def test_substitute_keeps_a_non_integral_result(ctx27):
+    # exp has rational v-basis coefficients: the integral=False path of to_v
+    got = ctx27.to_v(ctx27.exp)
+    assert not got.is_integral()
+    for e, c in ctx27.exp.coeffs.items():
+        l_terms = [(dict(enumerate(mono_exps(m), 1)), a) for m, a in c.terms.items()]
+        assert got.coefficient(*e) == _naive_substitute(l_terms, ctx27._ell_table)
+    assert parse_poly("l1", "l").substitute({1: P("1/2*v1")}, "v") == P("1/2*v1")
+
+
+def test_substitute_missing_generator_raises():
+    with pytest.raises(KeyError):
+        parse_poly("l1 + l2^2", "l").substitute({1: P("v1")}, "v")
+
+
+def test_mono_pack_round_trip():
+    for exps in [(), (3,), (0, 1), (4, 1), (0, 0, 2), (MAX_EXP,), (1, 0, MAX_EXP)]:
+        mono = mono_pack(exps)
+        assert mono_exps(mono) == exps
+        assert mono_from_exps({m: e for m, e in enumerate(exps, 1)}) == mono
+    assert mono_pack(()) == mono_from_exps({}) == UNIT_MONO == 0
+    assert mono_pack((3, 0, 0)) == mono_from_exps({1: 3, 4: 0}) == mono_pack((3,))
+    assert mono_exps(mono_pack((0, 2, 0, 0))) == (0, 2)
+
+
+def test_exponent_outside_the_field_is_refused():
+    for bad in (MAX_EXP + 1, -1):
+        with pytest.raises(ValueError):
+            mono_pack((0, bad))
+        with pytest.raises(ValueError):
+            mono_from_exps({2: bad})
+        with pytest.raises(ValueError):
+            GradedPoly.gen(1, exp=bad)
+
+
+def _old_sort_key(exps: tuple, p: int, pad: int):
+    """The order of the former tuple monomials: weight, then the reversed padded vector."""
+    weight = sum(e * (p ** (i + 1) - 1) for i, e in enumerate(exps))
+    return weight, tuple(exps[i] if i < len(exps) else 0 for i in range(pad - 1, -1, -1))
+
+
+@given(st.lists(st.lists(st.integers(0, MAX_EXP // 2), max_size=5), min_size=1, max_size=8),
+       st.sampled_from([2, 3, 5, 13]))
+def test_mono_sort_key_matches_the_tuple_order(exps_list, p):
+    monos = [mono_pack(e) for e in exps_list]
+    pad = max(len(e) for e in exps_list)
+    idx = range(len(monos))
+    assert (sorted(idx, key=lambda i: mono_sort_key(monos[i], p))
+            == sorted(idx, key=lambda i: _old_sort_key(tuple(exps_list[i]), p, pad)))
+    for e, mono in zip(exps_list, monos):
+        assert mono_weight(mono, p) == _old_sort_key(tuple(e), p, pad)[0]
+    a, b = exps_list[0], exps_list[-1]
+    total = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    assert mono_mul(monos[0], monos[-1]) == mono_pack(total)
+
+
+def test_kill_generators_and_max_gen_index_on_packed_monomials():
+    a = P("v1^3 + v2*v5 + 7*v4^2 + v1*v3")
+    assert a.max_gen_index() == 5
+    assert a.kill_generators([5]) == P("v1^3 + 7*v4^2 + v1*v3")
+    assert a.kill_generators([2, 3]) == P("v1^3 + 7*v4^2")
+    assert a.kill_generators([6]) == a
+    full = P(f"v1^{MAX_EXP} + v1^{MAX_EXP}*v2")  # a full field spills into no other
+    assert full.max_gen_index() == 2
+    assert full.kill_generators([2]) == P(f"v1^{MAX_EXP}")
+    assert full.kill_generators([1]) == 0
+    assert P(f"v1^{MAX_EXP}").max_gen_index() == 1
+    assert P("5").max_gen_index() == GradedPoly.zero().max_gen_index() == 0
 
 
 def test_kill_generators():

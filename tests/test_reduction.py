@@ -140,3 +140,23 @@ def test_division_validity_uses_dividend_valuation():
     g = S("48*v1*xi^2", 3, "v", validity=26, weight=0)
     d, s = divide(g, pser)
     assert s.validity == min(26, 2 + pser.validity) == 26
+
+
+@pytest.mark.parametrize("g_text,m0", [("3", 0), ("2*xi^3 + v1*xi^4", 3), ("xi + 5*v1^2*xi^2", 2)])
+def test_divide_caps_validity_at_first_subtraction(ctx27, g_text, m0):
+    # g is known far beyond the divisor: the first nonzero quotient digit, at
+    # xi^m0, brings in pser's error term, so d and s are only valid below m0 + V
+    pser = _pser(ctx27)
+    g = S(g_text, 2, "v", validity=pser.validity + m0 + 9)
+    d, s = divide(g, pser)
+    assert min(d.coeffs)[0] == m0
+    assert d.validity == s.validity == m0 + pser.validity
+    assert (d * pser + s.series).agrees_with(g)
+
+
+def test_divide_without_subtraction_keeps_validity(ctx27):
+    g = S("1 + v1*xi + v2*xi^3", 2, "v", validity=30)
+    d, s = divide(g, _pser(ctx27))
+    assert not d.coeffs
+    assert d.validity == s.validity == 30
+    assert s.series == g
