@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .fgl import FglContext, is_prime
+from .fgl import MR_BOUND, FglContext, is_prime
 from .golden import SUITES, GoldenFileError, verify_suite
 from .obstruction import mc, InsufficientTruncationError
 from .poly import MAX_TRUNCATION
@@ -122,6 +122,8 @@ def _emit_series(series: Series, args, truncation: int) -> None:
 
 def _context(args) -> FglContext:
     p = args.prime
+    if p >= MR_BOUND:
+        raise SystemExit(_fail(f"p must be below {MR_BOUND}, where primality is decided"))
     if not is_prime(p):
         raise SystemExit(_fail(f"{p} is not prime"))
     k = args.truncation

@@ -40,17 +40,37 @@ class HorizonError(ValueError):
 
 
 class IntegralityError(ArithmeticError):
-    """A series that must have integer coefficients in the v-basis does not."""
+    """A series that must have integer coefficients (v-basis, power-operation product) does not."""
+
+
+# Miller-Rabin to the prime bases 2..41 decides primality for every n below
+# this bound (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError for n >= MR_BOUND, which it cannot decide."""
+    if n >= MR_BOUND:
+        raise ValueError(f"primality is only decided below {MR_BOUND}, got {n}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

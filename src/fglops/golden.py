@@ -19,7 +19,7 @@ import json
 import os
 from pathlib import Path
 
-from .fgl import is_prime
+from .fgl import MR_BOUND, is_prime
 from .poly import MAX_TRUNCATION
 from .render import poly_text, series_from_obj
 from .series import Series
@@ -62,6 +62,8 @@ def _suite_problem(suite) -> str | None:
                 "tables with a kind (mc or reduced-pseries), a series and, but for the "
                 "reduced p-series, an n")
     p, k = suite["prime"], suite["truncation"]
+    if p >= MR_BOUND:
+        return f"has prime {p}, but primality is only decided below {MR_BOUND}"
     if not is_prime(p):
         return f"has prime {p}, which is not prime"
     if not 1 <= k <= MAX_TRUNCATION:

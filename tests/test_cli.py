@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 from fglops.cli import DEFAULT_TRUNCATION, main
+from fglops.fgl import MR_BOUND
 from fglops.golden import ENV_GOLDEN_DIR, golden_dir
 from fglops.render import parse_series, series_from_obj
 
@@ -151,6 +152,23 @@ def test_non_prime_rejected(capsys):
         run(capsys, "log", "-p", "6", "-k", "5")
 
 
+def test_large_primes_are_decided_at_once(capsys):
+    code, out, _ = run(capsys, "log", "-p", str(10**18 + 3), "-k", "5")
+    assert code == 0 and out == "xi + O(xi)^6\n"
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "log", "-p", str(MR_BOUND), "-k", "5")
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_power_op_coeffs_below_the_euler_degree_are_zero(capsys):
+    # p - 1 > k: the product of the p - 1 factors vanishes modulo (xi, x)^(k+1)
+    code, out, _ = run(capsys, "power-op-coeffs", "-p", "100003", "-k", "5")
+    assert code == 0
+    assert out == "".join(f"a_{i} = 0 + O(xi)^{6 - i}\n" for i in range(6))
+
+
 def test_default_truncations():
     assert DEFAULT_TRUNCATION[2] == 14
     assert DEFAULT_TRUNCATION[3] == 25
@@ -205,6 +223,7 @@ BAD_GOLDEN = {  # case -> the file's text made from the good one; None: no file
     "missing-keys": lambda text: '{"prime": 2}',
     "not-an-object": lambda text: "[]",
     "not-prime": _edited(lambda s: s.update(prime=4)),
+    "undecided-prime": _edited(lambda s: s.update(prime=MR_BOUND)),
     "zero-truncation": _edited(lambda s: s.update(truncation=0)),
     "huge-truncation": _edited(lambda s: s.update(truncation=4096)),
     "empty-series": _edited(lambda s: s["tables"][0].update(series={})),

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
 from fglops import FglContext, HorizonError, IntegralityError, NotPrimeError, mc, power_operation
+from fglops.fgl import MR_BOUND, is_prime
 from fglops.poly import MAX_EXP, MAX_TRUNCATION, mono_weight
 from fglops.series import Series
 
@@ -31,6 +33,19 @@ def test_not_prime_rejected():
         FglContext(4, 5)
     with pytest.raises(NotPrimeError):
         FglContext(1, 5)
+
+
+def test_is_prime_matches_trial_division_and_refuses_undecided_n():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(-3, 3000))
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    # strong pseudoprimes to every prime base up to 23 and up to 37
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValueError):
+        is_prime(MR_BOUND)
 
 
 def test_exp_display_p2(ctx27):

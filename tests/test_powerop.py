@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from fglops import FglContext, power_operation, reduce_a_mod_p_series
-from fglops.powerop import EulerClassError, _check_euler_class
+from fglops import FglContext, IntegralityError, power_operation, reduce_a_mod_p_series
+from fglops import powerop
+from fglops.powerop import EulerClassError, _check_euler_class, product_rows, product_rows_by_fold
 from fglops.reduction import divisible_by_full_p_series
 from fglops.series import Series
 
@@ -152,3 +153,23 @@ def test_validity_soundness_across_truncations():
     hi = power_operation(FglContext(3, 13), x_cap=4)
     for alo, ahi in zip(lo.a, hi.a):
         assert ahi.agrees_with(alo)
+
+
+# k < p - 1 at (5, 3) and (7, 4): every row vanishes below its validity
+FOLD_GRID = [(2, 9), (3, 13), (5, 3), (5, 20), (7, 4), (7, 18)]
+
+
+@pytest.mark.parametrize("p,k", FOLD_GRID)
+def test_power_sum_exponential_matches_the_fold(p, k):
+    ctx = FglContext(p, k)
+    for cap in (0, k // 2, k):
+        rows = product_rows(ctx, cap)
+        assert len(rows) == cap + 1
+        assert rows == product_rows_by_fold(ctx, cap)  # coefficients and validity
+
+
+def test_inexact_division_raises(monkeypatch):
+    # a wrong binomial in the power-sum forms B_d leaves a remainder mod q^j j!
+    monkeypatch.setattr(powerop, "comb", lambda n, r: math.comb(n, r) + (r == 1))
+    with pytest.raises(IntegralityError):
+        product_rows(FglContext(3, 13), 6)
