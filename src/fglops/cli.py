@@ -149,6 +149,8 @@ def _progress_printer(enabled: bool):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cmd = args.command
+    if args.threads is not None and args.threads < 1:
+        return _fail(f"--threads must be >= 1, got {args.threads}")
 
     if cmd == "verify":
         failures = []

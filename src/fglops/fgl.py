@@ -148,6 +148,7 @@ class FglContext:
         self._n_series: dict = {1: Series.variable(p, "l", k + 1)}
         self._pser: dict = {}
         self._subcache: dict = {}
+        self._cp_images: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -249,7 +250,7 @@ class FglContext:
         return out
 
     def cp_image(self, i: int) -> GradedPoly:
-        """Image of the i-th projective-space class: p^m l_m if i = p^m - 1, else 0."""
+        """Image of the i-th projective-space class: p^m l_m if i = p^m - 1, else 0; cached."""
         if i < 0:
             raise ValueError("negative dimension")
         if i == 0:
@@ -263,7 +264,10 @@ class FglContext:
             return GradedPoly.zero("v")
         if m > self.horizon:
             raise HorizonError(f"l_{m} is beyond the horizon {self.horizon} for k={self.k}")
-        out = self.ell[m].scale(self.p ** m)
-        if not out.is_integral():
-            raise IntegralityError(f"p^{m} l_{m} is not integral; generator table is broken")
+        out = self._cp_images.get(m)
+        if out is None:
+            out = self.ell[m].scale(self.p ** m)
+            if not out.is_integral():
+                raise IntegralityError(f"p^{m} l_{m} is not integral; generator table is broken")
+            self._cp_images[m] = out
         return out

@@ -18,7 +18,8 @@ and the main route computes F by J.C.P. Miller's power recurrence
 
     k F_k = sum_{i=1..k} (-n*i - k) G_i F_(k-i),
 
-whose division by k is exact: O(n^2) series products, no division by a_0.
+whose division by k is exact and runs in integers (a remainder raises
+IntegralityError): O(n^2) series products, no division by a_0.
 The reduced form modulo the reduced p-series is the obstruction class; its
 lowest nonzero coefficient is the nonvanishing certificate.
 
@@ -39,9 +40,8 @@ import functools
 import math
 import operator
 from collections import namedtuple
-from fractions import Fraction
 
-from .fgl import FglContext, mu, partitions
+from .fgl import FglContext, IntegralityError, mu, partitions
 from .poly import GradedPoly
 from .powerop import PowerOpData
 from .reduction import ReducedSeries, canonical_rep, nonvanishing_certificate
@@ -98,25 +98,23 @@ def _is_q_power_minus_one(n: int, p: int) -> bool:
     return q - 1 == n
 
 
-_TermPlan = namedtuple("_TermPlan", "abar scalar cp alpha0")
+_TermPlan = namedtuple("_TermPlan", "abar alpha0")
 
 
 def _plan_terms(ctx: FglContext, data: PowerOpData, n: int) -> list:
-    """The nonzero summands of the paper's sum; checks that a_0..a_n were computed."""
+    """The summands of the paper's sum; checks that a_0..a_n were computed.
+
+    Every index enumerate_indices yields is a summand: mu(-(n+1); abar) and
+    cp(p^m - 1) = p^m l_m never vanish, and m is within the horizon since
+    p^m - 1 <= n <= k.  mc needs only the validities, so both factors are
+    left to mc_via_sum, the one route that multiplies by them.
+    """
     if n > ctx.k:
         # the summand with alpha_n = 1 needs a_n, which is valid mod xi^(k-n+1)
         raise InsufficientTruncationError(
             f"MC_{n} needs a_{n}, so the truncation must be k >= n = {n}; got k = {ctx.k}"
         )
-    plans = []
-    for abar, _m in enumerate_indices(n, ctx.p):
-        scalar = mu(-(n + 1), abar)
-        if not scalar:
-            continue
-        cp = ctx.cp_image(n - multi_weighted_size(abar))
-        if not cp:
-            continue
-        plans.append(_TermPlan(abar, scalar, cp, n - multi_size(abar)))
+    plans = [_TermPlan(abar, n - multi_size(abar)) for abar, _m in enumerate_indices(n, ctx.p)]
     max_i = max((len(pl.abar) for pl in plans), default=0)
     if max_i >= len(data.a):
         raise ValueError(
@@ -195,7 +193,7 @@ def _power_recurrence(ctx: FglContext, data: PowerOpData, n: int, progress) -> S
     f = [one]
     for k in range(1, n + 1):
         fk = Series.sum_of_products((-n * i - k, g[i], f[k - i]) for i in range(1, k + 1))
-        f.append(fk.scale(Fraction(1, k)))
+        f.append(fk.map_polys(lambda c: _divide_exactly(c, k)))
         if progress is not None:
             progress(k, n)
     terms = []
@@ -206,13 +204,22 @@ def _power_recurrence(ctx: FglContext, data: PowerOpData, n: int, progress) -> S
     return Series.sum_of_products(terms)
 
 
+def _divide_exactly(c: GradedPoly, k: int) -> GradedPoly:
+    """c / k for a coefficient of k F_k, which the recurrence makes divisible by k."""
+    q, r = c.divmod_int(k)
+    if r:
+        raise IntegralityError(f"step {k} of the power recurrence is not divisible by {k}")
+    return q
+
+
 def mc_via_sum(ctx: FglContext, data: PowerOpData, n: int) -> Series:
     """The paper's multi-index sum, one product chain per summand; cross-check route."""
     raw = None
     for plan in _plan_terms(ctx, data, n):
         factors = [data.a[i] ** e for i, e in enumerate((plan.alpha0,) + plan.abar) if e]
         term = functools.reduce(operator.mul, factors) if factors else _one(ctx, data)
-        term = term.scale(plan.scalar).scale_poly(plan.cp)
+        cp = ctx.cp_image(n - multi_weighted_size(plan.abar))
+        term = term.scale(mu(-(n + 1), plan.abar)).scale_poly(cp)
         raw = term if raw is None else raw + term
     return raw
 

@@ -102,26 +102,33 @@ def _norm_coef(c):
 
 
 def add_products(tgt: dict, t1: dict, t2: dict, c=1) -> dict:
-    """tgt += c * t1 * t2 on term dicts, in place; cancelled terms are removed.
-
-    This is the one monomial product loop: every product of polynomials and
-    series ends here.  Coefficients are left unnormalized (a Fraction may have
-    denominator 1); GradedPoly(tgt, basis) normalizes them.
-    """
-    if not c:  # the del below relies on a nonzero product
+    """tgt += c * t1 * t2 on term dicts, in place; the one-pair case of sum_products."""
+    if not c:  # sum_products' del relies on nonzero coefficients
         return tgt
     if c != 1:
         t1 = {m1: c1 * c for m1, c1 in t1.items()}
-    items2 = t2.items()
+    return sum_products(tgt, ((t1, t2),))
+
+
+def sum_products(tgt: dict, pairs) -> dict:
+    """tgt += sum of t1 * t2 over (t1, t2) pairs of term dicts, in place.
+
+    This is the one monomial product loop: every product of polynomials and
+    series ends here.  Cancelled terms are removed, so every coefficient of
+    the operands must be nonzero.  Coefficients are left unnormalized (a
+    Fraction may have denominator 1); GradedPoly(tgt, basis) normalizes them.
+    """
     get = tgt.get
-    for m1, c1 in t1.items():
-        for m2, c2 in items2:
-            m = m1 + m2
-            s = get(m, 0) + c1 * c2
-            if s:
-                tgt[m] = s
-            else:
-                del tgt[m]
+    for t1, t2 in pairs:
+        items2 = t2.items()
+        for m1, c1 in t1.items():
+            for m2, c2 in items2:
+                m = m1 + m2
+                s = get(m, 0) + c1 * c2
+                if s:
+                    tgt[m] = s
+                else:
+                    del tgt[m]
     return tgt
 
 

@@ -23,13 +23,21 @@ where the valuation of a series with no stored terms is its validity (a zero
 series is only known to vanish below its validity).  Negative xi exponents
 are permitted on Laurent series, used by the localized cross-check route;
 those never flow into the integral pipeline.
+
+Every product is a sum of products, built in two passes.  The first walks
+each triple's coefficient pairs: each coefficient of A is scaled by c once,
+B's coefficients are taken in degree order up to the cutoff, and each pair
+(c * A_e, B_f) is filed under its output exponent e + f.  The second runs
+the monomial loop (poly.sum_products) once per output exponent over the
+pairs filed there, so the per-call cost is paid per output coefficient,
+not per coefficient pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import BasisMismatchError, GradedPoly, UNIT_MONO, _norm_coef, add_products
+from .poly import BasisMismatchError, GradedPoly, UNIT_MONO, _norm_coef, add_products, sum_products
 
 
 class OutsideValidityError(ValueError):
@@ -204,11 +212,14 @@ class Series:
 
     @staticmethod
     def sum_of_products(terms) -> "Series":
-        """sum of c * A * B over (c, A, B) triples, built in one dict with one degree cutoff.
+        """sum of c * A * B over (c, A, B) triples, with one degree cutoff.
 
-        The scalars c are ints or Fractions.  Validity follows the module
-        docstring; the weight is the products' common weight (None if they
-        differ or one is undeclared); the sum is Laurent if any operand is.
+        The coefficient pairs below the cutoff are gathered by output
+        exponent first (module docstring), then each output coefficient is
+        one sum_products call.  The scalars c are ints or Fractions.  Validity
+        follows the module docstring; the weight is the products' common
+        weight (None if they differ or one is undeclared); the sum is Laurent
+        if any operand is.
         """
         terms = list(terms)
         first = terms[0][1]
@@ -218,19 +229,27 @@ class Series:
         v = min(min(a.validity + b.val(), b.validity + a.val()) for _c, a, b in terms)
         weights = {None if a.weight is None or b.weight is None else a.weight + b.weight
                    for _c, a, b in terms}
-        out: dict = {}
+        pairs: dict = {}  # output exponent -> [(scaled A terms, B terms)]
         for c, a, b in terms:
-            items2 = list(b.coeffs.items())
+            if not c or not b.coeffs:
+                continue
+            right = sorted((j2 + m2, j2, m2, p2.terms) for (j2, m2), p2 in b.coeffs.items())
+            low = right[0][0]
             for (j1, m1), p1 in a.coeffs.items():
-                d1 = j1 + m1
-                for (j2, m2), p2 in items2:
-                    if d1 + j2 + m2 < v:
-                        key = (j1 + j2, m1 + m2)
-                        tgt = out.get(key)
-                        if tgt is None:
-                            tgt = out[key] = {}
-                        add_products(tgt, p1.terms, p2.terms, c)
-        coeffs = {e: GradedPoly(t, first.basis) for e, t in out.items()}
+                cut = v - j1 - m1
+                if low >= cut:
+                    continue
+                left = p1.terms if c == 1 else {m: x * c for m, x in p1.terms.items()}
+                for d2, j2, m2, t2 in right:
+                    if d2 >= cut:
+                        break
+                    key = (j1 + j2, m1 + m2)
+                    got = pairs.get(key)
+                    if got is None:
+                        pairs[key] = [(left, t2)]
+                    else:
+                        got.append((left, t2))
+        coeffs = {e: GradedPoly(sum_products({}, ps), first.basis) for e, ps in pairs.items()}
         w = weights.pop() if len(weights) == 1 else None
         return Series(first.prime, first.basis, coeffs, v, w,
                       any(a.laurent or b.laurent for _c, a, b in terms))

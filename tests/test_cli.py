@@ -271,3 +271,13 @@ def test_threads_start_no_process(monkeypatch, capsys):
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     code, _, _ = run(capsys, "mc", "-p", "5", "--n", "8", "--threads", "4")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["mc", "-p", "2", "-k", "9", "--n", "2"],
+                                  ["verify", "--suite", "p2"]],
+                         ids=["mc", "verify"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_one_error_line(capsys, argv, threads):
+    code, out, err = run(capsys, *argv, "--threads", threads)
+    assert code == 1 and out == ""
+    assert err == f"error: --threads must be >= 1, got {threads}\n"

@@ -15,7 +15,10 @@ from fglops import (
     mu,
     power_operation,
 )
+from fglops.fgl import IntegralityError
+from fglops.obstruction import multi_weighted_size
 from fglops.reduction import canonical_rep
+from fglops.series import Series
 
 from conftest import P
 
@@ -213,6 +216,30 @@ def test_mc_progress_counts(ctx27, data27):
     seen = []
     mc(ctx27, data27, 2, progress=lambda done, total: seen.append((done, total)))
     assert seen and seen[-1][0] == seen[-1][1] == len(seen)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 9), (3, 8), (5, 24), (7, 14)])
+def test_every_index_is_a_summand(p, n):
+    # mc's validity plan takes every index without evaluating mu or cp
+    ctx = FglContext(p, max(n, 2 * p))
+    nonzero = [abar for abar, _m in enumerate_indices(n, p)
+               if mu(-(n + 1), abar) and ctx.cp_image(n - multi_weighted_size(abar))]
+    assert nonzero == [abar for abar, _m in enumerate_indices(n, p)]
+
+
+def test_inexact_recurrence_step_raises(monkeypatch, ctx313, data313):
+    # from here on every series product is one too large in its constant
+    # term, which leaves an odd constant in 2 F_2
+    ctx313.reduced_p_series("v")  # cached before the products go wrong
+    exact = Series.sum_of_products
+
+    def off_by_one(terms):
+        got = exact(terms)
+        return got + Series.from_const(1, got.prime, got.basis, got.validity)
+
+    monkeypatch.setattr(Series, "sum_of_products", staticmethod(off_by_one))
+    with pytest.raises(IntegralityError, match="step 2 of the power recurrence"):
+        mc(ctx313, data313, 4)
 
 
 def test_insufficient_truncation():

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
-from fglops.poly import GradedPoly
+from fglops.poly import GradedPoly, mono_exps, mono_pack
 from fglops.render import parse_series, series_from_json, series_text, series_to_json
 from fglops.series import NonUnitError, OutsideValidityError, Series
 
-from conftest import P, S, rand_series
+from conftest import P, S, rand_poly, rand_series
 
 
 def test_add_validity_min():
@@ -78,6 +79,76 @@ def test_sum_of_products_matches_product_chain(seed):
     want = _product_chain(terms)
     assert got == want
     assert (got.weight, got.laurent) == (want.weight, want.laurent)
+
+
+def _naive_sum_of_products(terms) -> Series:
+    """sum of c * A * B term by term, from the exponent tuples of every monomial pair."""
+    def val(s):
+        return min((j + jx for j, jx in s.coeffs), default=s.validity)
+
+    v = min(min(a.validity + val(b), b.validity + val(a)) for _c, a, b in terms)
+    acc = {}
+    for c, a, b in terms:
+        for (j1, x1), p1 in a.coeffs.items():
+            for (j2, x2), p2 in b.coeffs.items():
+                if j1 + x1 + j2 + x2 >= v:
+                    continue
+                for m1, c1 in p1.terms.items():
+                    for m2, c2 in p2.terms.items():
+                        exps = [e1 + e2 for e1, e2 in
+                                zip_longest(mono_exps(m1), mono_exps(m2), fillvalue=0)]
+                        key = (j1 + j2, x1 + x2, mono_pack(exps))
+                        acc[key] = acc.get(key, 0) + c * c1 * c2
+    coeffs = {}
+    for (j, jx, m), coef in acc.items():
+        if coef:
+            coeffs.setdefault((j, jx), {})[m] = coef
+    basis = terms[0][1].basis
+    return Series(terms[0][1].prime, basis,
+                  {e: GradedPoly(t, basis) for e, t in coeffs.items()}, v, laurent=True)
+
+
+def _rand_bivariate(rng: random.Random) -> Series:
+    validity = rng.randrange(1, 9)
+    coeffs = {}
+    for _ in range(rng.randrange(6)):
+        jx = rng.randrange(validity)
+        poly = rand_poly(rng, rationals=rng.random() < 0.3)
+        if poly:
+            coeffs[(rng.randrange(validity - jx), jx)] = poly
+    s = Series(2, "v", coeffs, validity)
+    return s.shift_xi(-rng.randrange(1, 3)) if rng.random() < 0.25 else s
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sum_of_products_matches_naive_reference(seed):
+    # operands recur across triples with different scalars, as in the power recurrence
+    rng = random.Random(seed)
+    pool = [_rand_bivariate(rng) for _ in range(4)]
+    terms = [(rng.choice([1, -1, 5, Fraction(2, 3), Fraction(-1, 4), 0]),
+              rng.choice(pool), rng.choice(pool))
+             for _ in range(rng.randrange(1, 6))]
+    if rng.random() < 0.3:
+        c, a, b = terms[-1]
+        terms.append((-c, b, a))  # cancels the last pair
+    assert Series.sum_of_products(terms) == _naive_sum_of_products(terms)
+
+
+def test_sum_of_products_reference_edge_cases():
+    a = S("xi + v2*xi^2 + v1*xi^3", 2, "v", validity=6)
+    b = Series(2, "v", {(0, 1): P("1"), (3, 1): P("2")}, 6)  # x + 2*xi^3*x
+    assert min(a.validity + b.val(), b.validity + a.val()) == 7
+    got = Series.sum_of_products([(1, a, b)])
+    assert got == _naive_sum_of_products([(1, a, b)])
+    assert got.coeffs[(5, 1)] == P("2*v2")  # degree 6, just below the cutoff
+    assert (6, 1) not in got.coeffs  # degree 7, at the cutoff
+    lau = a.shift_xi(-2)
+    for terms in ([(0, a, b)],
+                  [(Fraction(3, 2), a, b), (Fraction(-3, 2), b, a)],
+                  [(Fraction(-1, 3), lau, b), (4, b, b), (1, a, lau)]):
+        assert Series.sum_of_products(terms) == _naive_sum_of_products(terms)
+    assert Series.sum_of_products([(0, a, b)]).coeffs == {}
+    assert Series.sum_of_products([(2, a, b), (-2, b, a)]).coeffs == {}
 
 
 def test_sum_of_products_cancelling_pairs_keep_validity():
