@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_ideal(text: str | None, basis: str) -> list:
     """Generator indices to kill; a letter, if given, must name the printed basis."""
-    if not text:
+    if text is None:
         return []
     out = []
     for chunk in text.split(","):
@@ -100,6 +100,8 @@ def _parse_ideal(text: str | None, basis: str) -> list:
         if not chunk.isdigit() or int(chunk) < 1:
             raise SystemExit(_fail(f"bad ideal generator {chunk!r}"))
         out.append(int(chunk))
+    if not out:
+        raise SystemExit(_fail(f"ideal {text!r} names no generator"))
     return out
 
 

@@ -20,6 +20,19 @@ Every power of log/xi = 1 + sum_m l_m xi^(p^m - 1) has the closed form
                       of mu(r; b) * prod l_m^(b_m),
 
 mu being the generalized multinomial coefficient, for any integer r.
+
+n-series and the identity check are one pass, no composition: with
+e_j = [xi^j] exp and R = log/xi,
+
+  [xi^N] exp(t log xi) = sum over j <= N of t^j e_j [xi^(N-j)] R^j,
+
+and every product e_j [xi^d] R^j (j + d <= k) is formed once and added into
+the output of each multiplier t with scalar t^j.  The context runs it for
+t = 1 and t = p together: the t = 1 output must be xi (else "exp is not
+inverse to log"), the t = p output is [p]xi.  e_j vanishes unless
+j = 1 mod p-1, so the powers step by p-1, R^(j+p-1) = R^j R^(p-1), as
+Series products; since exp comes from the partitions above, the check
+crosses two independent routes.  Series.compose remains for formal sums.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import MAX_TRUNCATION, GradedPoly, mono_pack
+from .poly import _UNIT_TERMS, MAX_TRUNCATION, GradedPoly, add_products, mono_pack, sum_products
 from .series import Series
 
 
@@ -141,11 +154,13 @@ class FglContext:
         self._log_parts = tuple(j - 1 for j, _z in sorted(self.log.coeffs) if j > 1)
         self._log_ratio_powers: dict = {}
         self.exp = self._build_exp()
-        ident = self.exp.compose(self.log)
-        if not ident.agrees_with(Series.variable(p, "l", self.k + 1)):
+        ident, pser = self._exp_of_log_multiples((1, p))
+        # the pass reads exp only at xi^j with j = 1 mod p-1, where the inverse of log lives
+        if (any((j - 1) % (p - 1) for j, _z in self.exp.coeffs)
+                or not ident.agrees_with(Series.variable(p, "l", self.k + 1))):
             raise AssertionError("exp is not inverse to log within validity")
 
-        self._n_series: dict = {1: Series.variable(p, "l", k + 1)}
+        self._n_series: dict = {1: Series.variable(p, "l", k + 1), p: pser}
         self._pser: dict = {}
         self._subcache: dict = {}
         self._cp_images: dict = {}
@@ -191,6 +206,32 @@ class FglContext:
             self._log_ratio_powers[(r, d)] = got
         return got
 
+    def _exp_of_log_multiples(self, ts: tuple) -> list:
+        """exp(t log xi) for each multiplier t in ts, sharing every product (module docstring).
+
+        R^j is truncated to validity k+1-j, which is the pass's degree bound
+        j + d <= k; only exp's coefficients at j = 1 mod p-1 are read.
+        """
+        p, k = self.p, self.k
+        q = p - 1
+        ratio = self.log.shift_xi(-1)  # valid mod xi^k
+        step = ratio.truncate(k - q) ** q if q < k else None
+        power = ratio
+        outs = [{} for _t in ts]  # per multiplier: xi-degree -> terms
+        for j in range(1, k + 1, q):
+            if j > 1:
+                power = power.truncate(k + 1 - j) * step
+            e = self.exp.coeffs.get((j, 0))
+            if e is None:
+                continue
+            scales = [t ** j for t in ts]
+            for (d, _z), r in power.coeffs.items():
+                prod = sum_products({}, ((e.terms, r.terms),))
+                for out, c in zip(outs, scales):
+                    add_products(out.setdefault(j + d, {}), _UNIT_TERMS, prod, c)
+        return [Series(p, "l", {(n, 0): GradedPoly(t, "l") for n, t in out.items()},
+                       k + 1, weight=-1) for out in outs]
+
     # -- operations --------------------------------------------------------
 
     def formal_sum(self, s: Series, t: Series) -> Series:
@@ -209,7 +250,7 @@ class FglContext:
             if n == 0:
                 got = Series.zero(self.p, "l", self.k + 1, weight=-1)
             else:
-                got = self.exp.compose(self.log.scale(n))
+                got, = self._exp_of_log_multiples((n,))
             self._n_series[n] = got
         return got
 

@@ -90,6 +90,25 @@ def test_ideal_accepts_the_printed_basis_and_bare_digits(capsys, cmd, basis, ide
         assert out.strip() == want
 
 
+@pytest.mark.parametrize("ideal", [",", " , ", ""])
+def test_ideal_naming_no_generator_is_one_error_line(capsys, ideal):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "reduced-pseries", "-p", "2", "-k", "7", "--ideal", ideal)
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: ideal {ideal!r} names no generator\n"
+
+
+def test_ideal_trailing_comma_and_omitted_ideal_are_kept(capsys):
+    argv = ("reduced-pseries", "-p", "2", "-k", "7", "--basis", "v")
+    _, reduced, _ = run(capsys, *argv, "--ideal", "v2,v3")
+    code, trailing, _ = run(capsys, *argv, "--ideal", "v2,v3,")
+    assert code == 0 and trailing == reduced
+    code, whole, _ = run(capsys, *argv)
+    assert code == 0 and whole != reduced and "v2" in whole
+
+
 def test_truncation_beyond_the_exponent_bound_is_one_error_line(capsys):
     for k in ("4096", "0"):
         with pytest.raises(SystemExit) as exc:

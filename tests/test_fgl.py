@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import fglops.fgl
 from fglops import FglContext, HorizonError, IntegralityError, NotPrimeError, mc, power_operation
+from fglops.cli import DEFAULT_TRUNCATION
 from fglops.fgl import MR_BOUND, is_prime
 from fglops.poly import MAX_EXP, MAX_TRUNCATION, mono_weight
 from fglops.series import Series
@@ -72,6 +74,61 @@ def test_exp_log_are_mutually_inverse(p, k):
     ident = Series.variable(p, "l", k + 1)
     assert ctx.exp.compose(ctx.log).agrees_with(ident)
     assert ctx.log.compose(ctx.exp).agrees_with(ident)
+
+
+@pytest.mark.parametrize("p,k,j", [(2, 9, 1), (2, 9, 5), (2, 9, 9),
+                                   (3, 10, 1), (3, 10, 4), (3, 10, 9)])
+def test_identity_check_fires_on_a_corrupted_exp(monkeypatch, p, k, j):
+    # j = 4 at p = 3 is off the support j = 1 mod p-1 that the shared pass reads
+    build = FglContext._build_exp
+
+    def corrupted(self):
+        exp = build(self)
+        coeffs = dict(exp.coeffs)
+        coeffs[(j, 0)] = coeffs.get((j, 0), P("0", "l")) + P("1", "l")
+        return Series(p, "l", coeffs, exp.validity, exp.weight)
+
+    monkeypatch.setattr(FglContext, "_build_exp", corrupted)
+    with pytest.raises(AssertionError, match="exp is not inverse to log"):
+        FglContext(p, k)
+
+
+@pytest.mark.parametrize("p,k", [(2, 12), (2, 13), (3, 14), (3, 15), (5, 20)])
+def test_shared_pass_forms_each_product_below_the_truncation_once(monkeypatch, p, k):
+    # one product e_j [xi^d] R^j per j + d <= k, for both multipliers 1 and p;
+    # R^j is read here from the partitions, in the pass from Series products
+    handed = []
+    real = fglops.fgl.sum_products
+
+    def counting(tgt, pairs):
+        pairs = list(pairs)
+        handed.extend(len(t1) * len(t2) for t1, t2 in pairs)
+        return real(tgt, pairs)
+
+    monkeypatch.setattr(fglops.fgl, "sum_products", counting)
+    ctx = FglContext(p, k)
+    want = sum(len(e.terms) * len(ctx.log_ratio_power(j, d).terms)
+               for (j, _z), e in ctx.exp.coeffs.items() for d in range(k + 1 - j))
+    assert sum(handed) == want
+    ctx.n_series(p)  # cached by the construction pass
+    assert sum(handed) == want
+
+
+N_SERIES_GRID = sorted(
+    {(p, k, n) for p in (2, 3, 5, 7) for k in (1, p - 2, p - 1, 2 * p, 20) if k >= 1
+     for n in (2, 3, p, p + 1)}
+    | {(p, DEFAULT_TRUNCATION[p], p) for p in (11, 13)})
+
+
+@pytest.mark.parametrize("p,k,n", N_SERIES_GRID)
+def test_n_series_matches_composition(p, k, n):
+    # the shared pass against the Horner composition of the library
+    ctx = FglContext(p, k)
+    got = ctx.n_series(n)
+    want = ctx.exp.compose(ctx.log.scale(n))
+    assert got == want
+    assert got.validity == want.validity == k + 1
+    assert got.weight == want.weight == -1
 
 
 @pytest.mark.parametrize("p,k", [(2, 16), (3, 20), (5, 30), (7, 50)])

@@ -4,7 +4,8 @@ from itertools import zip_longest
 
 import pytest
 
-from fglops.poly import GradedPoly, mono_exps, mono_pack
+import fglops.series
+from fglops.poly import GradedPoly, mono_exps, mono_pack, sum_products
 from fglops.render import parse_series, series_from_json, series_text, series_to_json
 from fglops.series import NonUnitError, OutsideValidityError, Series
 
@@ -149,6 +150,30 @@ def test_sum_of_products_reference_edge_cases():
         assert Series.sum_of_products(terms) == _naive_sum_of_products(terms)
     assert Series.sum_of_products([(0, a, b)]).coeffs == {}
     assert Series.sum_of_products([(2, a, b), (-2, b, a)]).coeffs == {}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sum_of_products_hands_the_kernel_only_pairs_below_the_validity(monkeypatch, seed):
+    # Series() drops every coefficient at or above validity, so a cutoff that
+    # lets the pairs at degree v through changes no output, only this count
+    rng = random.Random(seed)
+    pool = [_rand_bivariate(rng) for _ in range(4)]
+    terms = [(rng.choice([1, -1, 5, Fraction(2, 3), 0]), rng.choice(pool), rng.choice(pool))
+             for _ in range(rng.randrange(1, 6))]
+    handed = []
+
+    def counting(tgt, pairs):
+        pairs = list(pairs)
+        handed.extend(len(t1) * len(t2) for t1, t2 in pairs)
+        return sum_products(tgt, pairs)
+
+    monkeypatch.setattr(fglops.series, "sum_products", counting)
+    v = Series.sum_of_products(terms).validity
+    want = sum(len(p1.terms) * len(p2.terms)
+               for c, a, b in terms if c
+               for (j1, x1), p1 in a.coeffs.items()
+               for (j2, x2), p2 in b.coeffs.items() if j1 + x1 + j2 + x2 < v)
+    assert sum(handed) == want
 
 
 def test_sum_of_products_cancelling_pairs_keep_validity():
