@@ -19,7 +19,9 @@ Every power of log/xi = 1 + sum_m l_m xi^(p^m - 1) has the closed form
   [xi^d] (log/xi)^r = sum over partitions b of d into parts p^m - 1
                       of mu(r; b) * prod l_m^(b_m),
 
-mu being the generalized multinomial coefficient, for any integer r.
+mu being the generalized multinomial coefficient, for any integer r.  The
+package reads it only at negative r (Lagrange inversion, and d h_d in the
+power operation); nonnegative powers are Series products.
 
 n-series and the identity check are one pass, no composition: with
 e_j = [xi^j] exp and R = log/xi,
@@ -152,7 +154,6 @@ class FglContext:
 
         self.log = self._build_log()
         self._log_parts = tuple(j - 1 for j, _z in sorted(self.log.coeffs) if j > 1)
-        self._log_ratio_powers: dict = {}
         self.exp = self._build_exp()
         ident, pser = self._exp_of_log_multiples((1, p))
         # the pass reads exp only at xi^j with j = 1 mod p-1, where the inverse of log lives
@@ -194,17 +195,13 @@ class FglContext:
         return Series(self.p, "l", coeffs, self.k + 1, weight=-1)
 
     def log_ratio_power(self, r: int, d: int) -> GradedPoly:
-        """[xi^d] (log(xi)/xi)^r for any integer r, straight from the partitions; cached.
+        """[xi^d] (log(xi)/xi)^r for any integer r, straight from the partitions.
 
         log/xi = 1 + sum_m l_m xi^(p^m - 1), so the coefficient is
         sum mu(r; b) l^b over the partitions b of d into parts p^m - 1 of the
         stored log; it is the true coefficient for d < k.
         """
-        got = self._log_ratio_powers.get((r, d))
-        if got is None:
-            got = GradedPoly({mono_pack(b): mu(r, b) for b in partitions(d, self._log_parts)}, "l")
-            self._log_ratio_powers[(r, d)] = got
-        return got
+        return GradedPoly({mono_pack(b): mu(r, b) for b in partitions(d, self._log_parts)}, "l")
 
     def _exp_of_log_multiples(self, ts: tuple) -> list:
         """exp(t log xi) for each multiplier t in ts, sharing every product (module docstring).

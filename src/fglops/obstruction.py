@@ -61,7 +61,11 @@ def multi_weighted_size(abar) -> int:
 
 
 def enumerate_indices(n: int, p: int):
-    """Stream (abar, m) with n - |abar|' = p^m - 1, |abar| <= n; (k, abar)-lex order."""
+    """Stream (abar, m) with n - |abar|' = p^m - 1, by ascending |abar|'.
+
+    Within one |abar|' the partitions come in the order fgl.partitions makes
+    them.  |abar| <= n holds without a filter, as |abar| <= |abar|' <= n.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     targets = []
@@ -72,8 +76,7 @@ def enumerate_indices(n: int, p: int):
         q *= p
         m += 1
     for t, mm in sorted(targets):
-        batch = [ab for ab in partitions(t, range(1, t + 1)) if sum(ab) <= n]
-        for ab in sorted(batch):
+        for ab in partitions(t, range(1, t + 1)):
             yield ab, mm
 
 
@@ -101,8 +104,8 @@ def _is_q_power_minus_one(n: int, p: int) -> bool:
 _TermPlan = namedtuple("_TermPlan", "abar alpha0")
 
 
-def _plan_terms(ctx: FglContext, data: PowerOpData, n: int) -> list:
-    """The summands of the paper's sum; checks that a_0..a_n were computed.
+def _plan_terms(ctx: FglContext, data: PowerOpData, n: int):
+    """Stream the summands of the paper's sum; checks first that a_0..a_n were computed.
 
     Every index enumerate_indices yields is a summand: mu(-(n+1); abar) and
     cp(p^m - 1) = p^m l_m never vanish, and m is within the horizon since
@@ -114,14 +117,12 @@ def _plan_terms(ctx: FglContext, data: PowerOpData, n: int) -> list:
         raise InsufficientTruncationError(
             f"MC_{n} needs a_{n}, so the truncation must be k >= n = {n}; got k = {ctx.k}"
         )
-    plans = [_TermPlan(abar, n - multi_size(abar)) for abar, _m in enumerate_indices(n, ctx.p)]
-    max_i = max((len(pl.abar) for pl in plans), default=0)
-    if max_i >= len(data.a):
+    if n >= len(data.a):  # for n >= 1 the summand with alpha_n = 1 needs a_n
         raise ValueError(
-            f"need a_{max_i} but only a_0..a_{len(data.a) - 1} were computed; "
+            f"need a_{n} but only a_0..a_{len(data.a) - 1} were computed; "
             f"raise the x order of the power operation"
         )
-    return plans
+    return (_TermPlan(abar, n - multi_size(abar)) for abar, _m in enumerate_indices(n, ctx.p))
 
 
 def _term_validity(plan: _TermPlan, stats: list) -> int:
@@ -147,9 +148,9 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
     if n < 0:
         raise ValueError("n must be nonnegative")
     p = ctx.p
-    plans = _plan_terms(ctx, data, n)
     stats = [(ai.validity, ai.val()) for ai in data.a]
-    predicted = min((_term_validity(pl, stats) for pl in plans), default=ctx.k + 1)
+    predicted = min((_term_validity(pl, stats) for pl in _plan_terms(ctx, data, n)),
+                    default=ctx.k + 1)
     pser = ctx.reduced_p_series("v")
     is_obstruction = not _is_q_power_minus_one(n, p)
 

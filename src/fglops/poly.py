@@ -43,6 +43,7 @@ Mono = int  # packed exponents, W bits per generator; coefficients are int | Fra
 W = 15
 MAX_EXP = (1 << W) - 1
 MAX_TRUNCATION = 4095  # keeps every exponent far below 2^W (module docstring)
+MAX_GENERATOR = 12  # the horizon at p = 2, k = MAX_TRUNCATION: 2^12 - 1 <= 4095
 
 UNIT_MONO: Mono = 0
 _UNIT_TERMS = {UNIT_MONO: 1}
@@ -86,11 +87,12 @@ def mono_weight(mono: Mono, p: int) -> int:
 
 
 def mono_from_exps(exps: dict) -> Mono:
-    """Build a monomial from a {generator index: exponent} map (1-based)."""
+    """Build a monomial from a {generator index: exponent} map (1-based, at most MAX_GENERATOR)."""
+    if any(not 1 <= m <= MAX_GENERATOR or e < 0 for m, e in exps.items()):
+        raise ValueError(f"bad generator/exponent pair in {exps}; "
+                         f"generators run 1..{MAX_GENERATOR}")
     out = [0] * max(exps, default=0)
     for m, e in exps.items():
-        if m < 1 or e < 0:
-            raise ValueError(f"bad generator/exponent pair {m}:{e}")
         out[m - 1] = e
     return mono_pack(out)
 
@@ -269,9 +271,11 @@ class GradedPoly:
 
     def kill_generators(self, indices) -> "GradedPoly":
         """Drop every monomial with a positive exponent on any listed generator."""
+        top = self.max_gen_index()
         mask = 0
         for i in set(indices):
-            mask |= MAX_EXP << (W * (i - 1))
+            if i <= top:  # a generator above the highest present kills nothing
+                mask |= MAX_EXP << (W * (i - 1))
         r = GradedPoly.zero(self.basis)
         r.terms = {m: c for m, c in self.terms.items() if not m & mask}
         return r

@@ -25,14 +25,14 @@ with leading coefficient 1); a remainder raises IntegralityError.
 Truncation mod (X, L)^(k+1) is truncation mod (xi, x)^(k+1), and X^a feeds
 only x^s with s >= a, so X-degrees above the largest i asked for are dropped.
 
-Forms sum C[a][b] X^a L^b become rows in xi by closed forms from
-FglContext.log_ratio_power, so no series is composed:
-row s = sum_a [x^s] log(x)^a * sum_b C[a][b] xi^b (log(xi)/xi)^b.  One factor has
-C[a][b] = binom(a+b, a) e_(a+b) i^b for exp = sum e_j xi^j; at p = 2 it is
-the whole product, and the left fold of the p - 2 products of single-factor
-rows is the cross-check route product_rows_by_fold.  Rows stay in the
-l-basis; one substitution lands in the v-basis, where every coefficient
-must be an integer.
+Forms sum C[a][b] X^a L^b become rows in xi with no series composed: with
+R = log(xi)/xi, row s = sum_a [xi^(s-a)] R^a W_a, W_a = sum_b C[a][b] xi^b R^b,
+and the powers R^b, the sums W_a and the rows are all Series products.  One
+factor has C[a][b] = binom(a+b, a) e_(a+b) i^b for exp = sum e_j xi^j; at
+p = 2 it is the whole product, and the left fold of the p - 2 products of
+single-factor rows is the cross-check route product_rows_by_fold.  Rows
+stay in the l-basis; one substitution lands in the v-basis, where every
+coefficient must be an integer.
 """
 
 from __future__ import annotations
@@ -60,29 +60,29 @@ class PowerOpData:
 
 
 def _rows(ctx: FglContext, forms: list, cap: int) -> list:
-    """Rows 0..cap (in x) of the forms forms[a][b] X^a L^b, as l-basis series in xi."""
-    k, q = ctx.k, ctx.p - 1
-    ws = []  # ws[a] = sum_b forms[a][b] xi^b (L/xi)^b as {xi degree: terms}, valid mod xi^(k+1-a)
-    for a in range(cap + 1):
-        w: dict = {}
-        for b, c in forms[a].items():
-            # (L/xi)^b only has terms xi^t with q | t
-            for t in range(0, k + 1 - a - b, q):
-                r = ctx.log_ratio_power(b, t)
-                if r:
-                    add_products(w.setdefault(b + t, {}), c, r.terms)
-        ws.append(w)
+    """Rows 0..cap (in x) of the forms forms[a][b] X^a L^b, a + b <= k, as l-basis series in xi.
+
+    R^(b-1) is truncated before each step, so every product's cutoff is its
+    validity: k+1-b for R^b, k+1-a for W_a, and k+1-s for row s, which its
+    term a = s fixes, [xi^0] R^s being 1 (module docstring).
+    """
+    p, k = ctx.p, ctx.k
+    ratio = ctx.log.shift_xi(-1)  # valid mod xi^k
+    powers = [Series.from_const(1, p, "l", k + 1), ratio]
+    for b in range(2, max([cap] + [b for f in forms for b in f]) + 1):
+        powers.append(powers[-1].truncate(k + 1 - b) * ratio)
+    ws = []
+    for a, form in enumerate(forms):
+        v = k + 1 - a
+        terms = [(1, powers[b], Series(p, "l", {(b, 0): GradedPoly(c, "l")}, v))
+                 for b, c in form.items()]
+        ws.append(Series.sum_of_products(terms) if terms else Series.zero(p, "l", v))
     rows = []
     for s in range(cap + 1):
-        row: dict = {}
-        for a in range(s + 1):
-            c = ctx.log_ratio_power(a, s - a)  # [x^s] L(x)^a
-            if c:
-                for d, terms in ws[a].items():
-                    if d < k + 1 - s:
-                        add_products(row.setdefault(d, {}), terms, c.terms)
-        rows.append(Series(ctx.p, "l", {(d, 0): GradedPoly(t, "l") for d, t in row.items()},
-                           k + 1 - s))
+        v = k + 1 - s
+        rows.append(Series.sum_of_products(
+            (1, Series(p, "l", {(0, 0): c}, v), ws[a])
+            for a in range(s + 1) if (c := powers[a].coeffs.get((s - a, 0)))))
     return rows
 
 
@@ -102,7 +102,9 @@ def product_rows(ctx: FglContext, cap: int) -> list:
     if q == 1:
         return _rows(ctx, _factor_forms(ctx, 1, cap), cap)
     forms = [{} for _ in range(cap + 1)]  # forms[a][b]: X^a L^b
-    if q > k:  # P has degree >= q: every row vanishes below its validity
+    # P has degree >= q, so for q > k every row vanishes below its validity;
+    # returning here also skips the Stirling product, O(q^2) big-int work
+    if q > k:
         return _rows(ctx, forms, cap)
     top = k // q - 1  # P_(q(j+1)) is needed for j <= top
     g = {d: ctx.log_ratio_power(-d, d).terms for d in range(q, q * top + 1, q)}  # d h_d

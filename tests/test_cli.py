@@ -246,6 +246,8 @@ BAD_GOLDEN = {  # case -> the file's text made from the good one; None: no file
     "zero-truncation": _edited(lambda s: s.update(truncation=0)),
     "huge-truncation": _edited(lambda s: s.update(truncation=4096)),
     "empty-series": _edited(lambda s: s["tables"][0].update(series={})),
+    "generator-beyond-horizon": _edited(
+        lambda s: s["tables"][0]["series"]["terms"][1]["poly"][0]["exps"].update({"13": 1})),
     "n-beyond-truncation": _edited(lambda s: s["tables"][-1].update(n=s["truncation"] + 1)),
     "truncation-too-small": _edited(lambda s: s.update(truncation=1, tables=[
         {**s["tables"][1], "n": 1}])),

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +126,19 @@ def test_enumerate_indices_against_brute_force(n, p):
     # the cp power matches the defect n - |abar|'
     for ab, m in enumerate_indices(n, p):
         assert p ** m - 1 == n - sum(i * a for i, a in enumerate(ab, start=1))
+
+
+def test_enumerate_indices_streams():
+    # 14,610 indices at n = 30; holding them, as a sorted batch per target
+    # did, peaks above 1 MB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_indices(30, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 14610
+    assert peak < 200_000
 
 
 def test_enumeration_order_is_deterministic():

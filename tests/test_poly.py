@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from fglops.poly import (
     MAX_EXP,
+    MAX_GENERATOR,
     UNIT_MONO,
     BasisMismatchError,
     GradedPoly,
@@ -255,6 +257,28 @@ def test_kill_generators_and_max_gen_index_on_packed_monomials():
     assert full.kill_generators([1]) == 0
     assert P(f"v1^{MAX_EXP}").max_gen_index() == 1
     assert P("5").max_gen_index() == GradedPoly.zero().max_gen_index() == 0
+
+
+def test_kill_generators_above_the_highest_generator_cost_no_memory():
+    # a mask for v_(10^7) alone would be a 150-million-bit integer
+    a = P("v1^3 + v2*v5")
+    tracemalloc.start()
+    try:
+        got = a.kill_generators([10 ** 7, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == P("v1^3")
+    assert peak < 100_000
+
+
+def test_generator_beyond_the_largest_horizon_is_refused():
+    assert mono_from_exps({MAX_GENERATOR: 1}) == mono_pack((0,) * (MAX_GENERATOR - 1) + (1,))
+    for bad in (MAX_GENERATOR + 1, 10 ** 7, 0):
+        with pytest.raises(ValueError):
+            mono_from_exps({bad: 1})
+    with pytest.raises(ValueError):
+        parse_poly(f"v{MAX_GENERATOR + 1}")
 
 
 def test_kill_generators():

@@ -2,9 +2,12 @@ import math
 
 import pytest
 
+import fglops.series
 from fglops import FglContext, IntegralityError, power_operation, reduce_a_mod_p_series
 from fglops import powerop
-from fglops.powerop import EulerClassError, _check_euler_class, product_rows, product_rows_by_fold
+from fglops.poly import GradedPoly, add_products, sum_products
+from fglops.powerop import (EulerClassError, _check_euler_class, _factor_forms, _rows,
+                            product_rows, product_rows_by_fold)
 from fglops.reduction import divisible_by_full_p_series
 from fglops.series import Series
 
@@ -173,3 +176,79 @@ def test_inexact_division_raises(monkeypatch):
     monkeypatch.setattr(powerop, "comb", lambda n, r: math.comb(n, r) + (r == 1))
     with pytest.raises(IntegralityError):
         product_rows(FglContext(3, 13), 6)
+
+
+def _rows_by_closed_form(ctx, forms, cap):
+    """Rows and inner sums W_a from the partition closed form of [xi^d] (log/xi)^r.
+
+    Independent of the series kernel: term dicts and add_products only.
+    """
+    k, q = ctx.k, ctx.p - 1
+    ws = []  # ws[a] = sum_b forms[a][b] xi^b R^b as {xi degree: terms}, valid mod xi^(k+1-a)
+    for a in range(cap + 1):
+        w = {}
+        for b, c in forms[a].items():
+            for t in range(0, k + 1 - a - b, q):  # R^b only has terms xi^t with q | t
+                add_products(w.setdefault(b + t, {}), c, ctx.log_ratio_power(b, t).terms)
+        ws.append(w)
+    rows = []
+    for s in range(cap + 1):
+        row = {}
+        for a in range(s + 1):
+            c = ctx.log_ratio_power(a, s - a).terms  # [x^s] L(x)^a
+            for d, terms in ws[a].items():
+                if d < k + 1 - s:
+                    add_products(row.setdefault(d, {}), terms, c)
+        rows.append(Series(ctx.p, "l", {(d, 0): GradedPoly(t, "l") for d, t in row.items()},
+                           k + 1 - s))
+    return rows, ws
+
+
+ROWS_GRID = [(2, 20, 8), (3, 25, 6), (5, 40, 10)]
+
+
+def _forms_of(ctx, cap):
+    """The forms product_rows converts, and those of the single factor i = 2 if p > 2."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powerop, "_rows", lambda ctx, forms, cap: seen.append(forms))
+        product_rows(ctx, cap)
+    return seen + ([_factor_forms(ctx, 2, cap)] if ctx.p > 2 else [])
+
+
+@pytest.mark.parametrize("p,k,cap", ROWS_GRID)
+def test_rows_match_the_closed_form(p, k, cap):
+    ctx = FglContext(p, k)
+    for forms in _forms_of(ctx, cap):
+        assert _rows(ctx, forms, cap) == _rows_by_closed_form(ctx, forms, cap)[0]
+
+
+@pytest.mark.parametrize("p,k,cap", ROWS_GRID)
+def test_rows_hand_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, cap):
+    # R^b = R^(b-1) R mod xi^(k+1-b), W_a mod xi^(k+1-a), row s mod xi^(k+1-s):
+    # a factor left above the validity of its product changes no row, only this count
+    ctx = FglContext(p, k)
+    handed = []
+
+    def counting(tgt, pairs):
+        pairs = list(pairs)
+        handed.extend(len(t1) * len(t2) for t1, t2 in pairs)
+        return sum_products(tgt, pairs)
+
+    monkeypatch.setattr(fglops.series, "sum_products", counting)
+
+    def size(r, d):  # terms of [xi^d] R^r
+        return len(ctx.log_ratio_power(r, d).terms)
+
+    for forms in _forms_of(ctx, cap):
+        handed.clear()
+        _rows(ctx, forms, cap)
+        ws = _rows_by_closed_form(ctx, forms, cap)[1]
+        top = max([cap] + [b for f in forms for b in f])
+        want = sum(size(b - 1, e) * size(1, f) for b in range(2, top + 1)
+                   for e in range(k + 1 - b) for f in range(k + 1 - b - e))
+        want += sum(size(b, e) * len(c) for a, f in enumerate(forms) for b, c in f.items()
+                    for e in range(k + 1 - a - b))
+        want += sum(size(a, s - a) * len(t) for s in range(cap + 1) for a in range(s + 1)
+                    for d, t in ws[a].items() if d < k + 1 - s)
+        assert sum(handed) == want
