@@ -5,7 +5,10 @@ FglContext(p, k) builds, exactly and truncated modulo degree k+1:
   log(xi)  = xi + sum over m with p^m <= k of l_m xi^(p^m)
   exp      = compositional inverse of log, by Lagrange inversion
              [xi^j] exp = (1/j) [xi^(j-1)] (log/xi)^(-j)
-             (Stanley, Enumerative Combinatorics 2, 5.4)
+             (Stanley, Enumerative Combinatorics 2, 5.4); the division by j
+             is exact in integers, since the inverse of a series
+             xi + ... with coefficients in Z[l] has them in Z[l] too, so a
+             remainder raises IntegralityError
   the generator table expressing each l_m as a rational polynomial in the
   integral generators, via the recursion  p*l_n = sum l_i v_(n-i)^(p^i)
 
@@ -103,19 +106,29 @@ def mu(n: int, abar) -> int:
 
 
 def partitions(t: int, parts):
-    """Multiplicity tuples alpha, no trailing zeros, with sum alpha_i * parts[i] = t."""
-    def rec(n: int, rest: int):  # partitions of rest into parts[:n]
-        if rest == 0:
-            yield ()
-            return
-        if n == 0:
-            return
-        part = parts[n - 1]
-        for c in range(rest // part, -1, -1):
-            for head in rec(n - 1, rest - c * part):
-                yield head + (0,) * (n - 1 - len(head)) + (c,) if c else head
+    """Multiplicity tuples alpha, no trailing zeros, with sum alpha_i * parts[i] = t.
 
-    return rec(len(parts), t)
+    The last part's multiplicity runs from its largest value down to 0, then
+    the next part's, and so on; one generator frame per nonzero multiplicity.
+    """
+    parts = tuple(parts)
+    alpha = [0] * len(parts)
+
+    def rec(n: int, rest: int, top: int):  # complete alpha[:n]; alpha[top:] is zero
+        if rest == 0:
+            yield tuple(alpha[:top])
+            return
+        while n:
+            n -= 1
+            part = parts[n]
+            if part > rest:
+                continue
+            for c in range(rest // part, 0, -1):
+                alpha[n] = c
+                yield from rec(n, rest - c * part, top or n + 1)
+            alpha[n] = 0
+
+    return rec(len(parts), t, 0)
 
 
 def hazewinkel_ell(p: int, max_m: int) -> list:
@@ -189,9 +202,16 @@ class FglContext:
         return Series(p, "l", coeffs, k + 1, weight=-1)
 
     def _build_exp(self) -> Series:
-        # Lagrange inversion: [xi^j] exp = (1/j) [xi^(j-1)] (log/xi)^(-j)
-        coeffs = {(j, 0): self.log_ratio_power(-j, j - 1).scale(Fraction(1, j))
-                  for j in range(1, self.k + 1)}
+        # Lagrange inversion: [xi^j] exp = (1/j) [xi^(j-1)] (log/xi)^(-j), exact in Z[l]
+        coeffs = {}
+        for j in range(1, self.k + 1):
+            terms = {}
+            for mono, c in self.log_ratio_power(-j, j - 1).terms.items():
+                terms[mono], rem = divmod(c, j)
+                if rem:
+                    raise IntegralityError(f"[xi^{j}] exp has the non-integral coefficient "
+                                           f"{Fraction(c, j)}; Lagrange inversion is broken")
+            coeffs[(j, 0)] = GradedPoly(terms, "l")
         return Series(self.p, "l", coeffs, self.k + 1, weight=-1)
 
     def log_ratio_power(self, r: int, d: int) -> GradedPoly:

@@ -71,12 +71,13 @@ def _suite_problem(suite) -> str | None:
     for t in suite["tables"]:
         if t["kind"] == "mc" and not 0 <= t["n"] <= k:
             return f"has an MC_{t['n']} table, but n must lie in 0..truncation = {k}"
+        bad = f"has a table of kind {t['kind']!r} whose series is not in the wire format"
         try:
-            readable = isinstance(series_from_obj(t["series"]).validity, int)
-        except (AttributeError, KeyError, TypeError, ValueError):
-            readable = False
-        if not readable:
-            return f"has a table of kind {t['kind']!r} whose series is not in the wire format"
+            validity = series_from_obj(t["series"]).validity
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            return f"{bad} ({type(exc).__name__}: {exc})"
+        if not isinstance(validity, int):
+            return f"{bad} (validity {validity!r} is not an integer)"
     return None
 
 

@@ -22,7 +22,7 @@ Comparing packed ints compares the exponent vectors from the highest
 generator down; mono_sort_key orders by weight first, so within a weight
 pure v_1 powers come first and higher generators later.  mono_exps decodes
 a monomial into its exponent tuple (no trailing zeros) for the edges that
-need the exponents: weights, rendering, substitution.
+need the exponents: weights and rendering.
 
 A GradedPoly maps monomials to nonzero coefficients (int, or Fraction when a
 denominator is genuinely present) and carries a basis tag: "v" for the
@@ -36,7 +36,7 @@ so weights depend on p and are supplied at the call sites that need them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 Mono = int  # packed exponents, W bits per generator; coefficients are int | Fraction
 
@@ -280,40 +280,57 @@ class GradedPoly:
         r.terms = {m: c for m, c in self.terms.items() if not m & mask}
         return r
 
-    def substitute(self, table: dict, basis: str, _powcache: dict | None = None) -> "GradedPoly":
+    def substitute(self, table: dict, basis: str, _cache: dict | None = None) -> "GradedPoly":
         """Replace generator m by table[m] (a GradedPoly in `basis`) in every monomial.
 
-        Each power table[m]**e is cached as (integral terms, denominator), and
-        the sum runs in ints over one common denominator D, divided out at the
-        end: an int where D divides, a Fraction otherwise.
+        A monomial l_1^a * t is substituted as head times tail: the head is
+        the image of l_1^a, the tail the image of t = l_2^b ... l_h^e, keyed
+        by the monomial with its l_1 field cleared.  Images are cached as
+        (integral terms, denominator) by l-monomial, in `_cache` when given
+        (FglContext.to_v passes one per context), so a tail shared by many
+        monomials, coefficients or series is formed once.  A missing image
+        is one product: the image of the monomial one factor of its lowest
+        generator shorter, times that generator's image.  In the generator
+        table l_1 = v_1/p is one monomial, so every head is one term and each
+        monomial of self costs one pass over its tail's image.  The sum runs
+        in ints over one common denominator D, divided out at the end: an
+        int where D divides, a Fraction otherwise.
         """
-        cache = _powcache if _powcache is not None else {}
+        cache = _cache if _cache is not None else {}
+        cache.setdefault(UNIT_MONO, (_UNIT_TERMS, 1))
 
-        def power(m: int, e: int) -> tuple:
-            got = cache.get((m, e))
-            if got is None:
-                if m not in table:
-                    raise KeyError(f"no substitution for generator {m}")
-                terms = table[m].terms
-                d = lcm(*(c.denominator for c in terms.values()))
-                base = GradedPoly({b: c.numerator * (d // c.denominator) for b, c in terms.items()},
-                                  basis)
-                got = cache[(m, e)] = ((base ** e).terms, d ** e)
+        def generator_image(m: int) -> tuple:
+            if m not in table:
+                raise KeyError(f"no substitution for generator {m}")
+            terms = table[m].terms
+            d = lcm(*(c.denominator for c in terms.values()))
+            return {b: c.numerator * (d // c.denominator) for b, c in terms.items()}, d
+
+        def image(mono: Mono) -> tuple:
+            chain = []  # monomials still to form, each one factor longer than the next
+            while (got := cache.get(mono)) is None:
+                g = ((mono & -mono).bit_length() - 1) // W  # lowest generator present, from 0
+                unit = 1 << W * g
+                if mono == unit:
+                    got = cache[mono] = generator_image(g + 1)
+                    break
+                chain.append((mono, unit))
+                mono -= unit
+            for mono, unit in reversed(chain):
+                terms, den = image(unit)
+                got = cache[mono] = (add_products({}, got[0], terms), got[1] * den)
             return got
 
         plan = []
         for mono, c in self.terms.items():
-            powers = [power(m, e) for m, e in enumerate(mono_exps(mono), 1) if e]
-            den = c.denominator * prod(d for _t, d in powers)
+            head, tail = image(mono & MAX_EXP), image(mono & ~MAX_EXP)
+            den = c.denominator * head[1] * tail[1]
             g = gcd(c.numerator, den)
-            plan.append((powers, c.numerator // g, den // g))
-        big_d = lcm(*(den for _p, _n, den in plan))
+            plan.append((head[0], tail[0], c.numerator // g, den // g))
+        big_d = lcm(*(den for _h, _t, _n, den in plan))
         out: dict = {}
-        for powers, num, den in plan:
-            acc = _UNIT_TERMS
-            for t, _d in powers:
-                acc = t if acc is _UNIT_TERMS else add_products({}, acc, t)
-            add_products(out, _UNIT_TERMS, acc, num * (big_d // den))
+        for head, tail, num, den in plan:
+            add_products(out, head, tail, num * (big_d // den))
         out = {m: c // big_d if c % big_d == 0 else Fraction(c, big_d) for m, c in out.items()}
         return GradedPoly(out, basis)
 

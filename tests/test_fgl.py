@@ -4,6 +4,7 @@ import random
 import pytest
 
 import fglops.fgl
+import fglops.poly
 from fglops import FglContext, HorizonError, IntegralityError, NotPrimeError, mc, power_operation
 from fglops.cli import DEFAULT_TRUNCATION
 from fglops.fgl import MR_BOUND, is_prime
@@ -290,6 +291,62 @@ def test_integrality_violation_detected(ctx27):
         ctx27.to_v(bad, integral=True)
     # without the flag the substitution succeeds with rational output
     assert not ctx27.to_v(bad).is_integral()
+
+
+def test_to_v_forms_each_tail_once_per_context(monkeypatch):
+    # p=2, k=56: one product per cached image, then one head-by-tail pass
+    # per monomial; the per-monomial power chain took 360,973 pairs
+    handed = []
+    real = fglops.poly.sum_products
+
+    def counting(tgt, pairs):
+        pairs = list(pairs)
+        handed.extend(len(t1) * len(t2) for t1, t2 in pairs)
+        return real(tgt, pairs)
+
+    ctx = FglContext(2, 56)
+    pser = ctx.reduced_p_series("l")
+    monkeypatch.setattr(fglops.poly, "sum_products", counting)
+    first = ctx.to_v(pser, integral=True)
+    assert sum(handed) <= 140_000
+    images = dict(ctx._subcache)
+    handed.clear()
+    assert ctx.to_v(pser, integral=True) == first
+    assert ctx._subcache.keys() == images.keys()
+    assert all(ctx._subcache[m] is got for m, got in images.items())
+    # the second call's only products are the head-by-tail passes
+    assert sum(handed) == sum(len(images[m & MAX_EXP][0]) * len(images[m & ~MAX_EXP][0])
+                              for c in pser.coeffs.values() for m in c.terms)
+
+
+def test_exp_refuses_an_indivisible_lagrange_coefficient(monkeypatch):
+    # [xi^2] exp = (1/2) [xi] (log/xi)^(-2); a coefficient 1 there leaves a remainder
+    monkeypatch.setattr(FglContext, "log_ratio_power", lambda self, r, d: P("1", "l"))
+    with pytest.raises(IntegralityError, match=r"xi\^2"):
+        FglContext(2, 7)
+
+
+def _partitions_by_nested_generators(t, parts):
+    """The reference enumerator: one generator frame per part, padded on the way out."""
+    def rec(n, rest):
+        if rest == 0:
+            yield ()
+            return
+        if n == 0:
+            return
+        part = parts[n - 1]
+        for c in range(rest // part, -1, -1):
+            for head in rec(n - 1, rest - c * part):
+                yield head + (0,) * (n - 1 - len(head)) + (c,) if c else head
+
+    return rec(len(parts), t)
+
+
+@pytest.mark.parametrize("t", range(0, 19))
+def test_partitions_match_the_nested_generator_enumerator(t):
+    for parts in [(2,), (4, 24), (1, 3, 7, 15, 31), (3, 1, 2), tuple(range(1, t + 1))]:
+        assert (list(fglops.fgl.partitions(t, parts))
+                == list(_partitions_by_nested_generators(t, parts)))
 
 
 def test_validity_soundness_across_truncations():

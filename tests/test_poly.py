@@ -151,11 +151,14 @@ def test_substitute():
     assert got == P("v1^3 + 2*v2")
 
 
-def _rand_l_terms(rng) -> list:
-    """(exponent map, coefficient) pairs of a random l-polynomial, some rational."""
+def _rand_l_terms(rng, tails) -> list:
+    """(exponent map, coefficient) pairs of a random l-polynomial, some rational.
+
+    Each monomial is a random power of l_1 times one of the given tails.
+    """
     out = []
     for _ in range(rng.randrange(1, 6)):
-        exps = {m: rng.randrange(4) for m in range(1, 4)}
+        exps = {1: rng.randrange(4), **rng.choice(tails)}
         c = rng.choice([1, -2, 3, Fraction(1, 3), Fraction(-5, 4), Fraction(7, 6)])
         out.append(({m: e for m, e in exps.items() if e}, c))
     return out
@@ -175,18 +178,33 @@ def _naive_substitute(l_terms, table) -> GradedPoly:
 
 def test_substitute_matches_naive_fraction_substitution():
     rng = random.Random(20261018)
-    cache: dict = {}
-    table = {1: P("1/2*v1"), 2: P("1/4*v1^3 + 1/2*v2"), 3: P("-2/9*v1*v2 + 5/3*v3 + 1")}
-    for _ in range(60):
-        l_terms = _rand_l_terms(rng)
-        poly = GradedPoly.zero("l")
-        for exps, c in l_terms:
-            poly = poly + GradedPoly({mono_from_exps(exps): c}, "l")
-        want = _naive_substitute(l_terms, table)
-        got = poly.substitute(table, "v")
-        assert got == want
-        assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
-        assert poly.substitute(table, "v", cache) == want  # cache shared as in to_v
+    # few tails, so polynomials share them through one cache, as the
+    # coefficients of a series do in to_v
+    tails = [{}, {2: 1}, {2: 2, 3: 1}, {3: 1, 5: 2}, {2: 1, 4: 1, 5: 1}, {4: 3}]
+    tables = [
+        # l_1 one monomial, as in the generator table: every head is one term
+        {1: P("1/2*v1"), 2: P("1/4*v1^3 + 1/2*v2"), 3: P("-2/9*v1*v2 + 5/3*v3 + 1"),
+         4: P("1/3*v4 - v1*v3 + 1/8*v2^2"), 5: P("1/5*v5 + 3/4*v1^2*v4 - 1/6*v3")},
+        # a head of several terms still substitutes exactly
+        {1: P("1/2*v1 - 1/3*v2"), 2: P("1/4*v1^3 + 1/2*v2"), 3: P("v3"),
+         4: P("-1/7*v4 + v1"), 5: P("2*v5 - 1/9")},
+    ]
+    for table in tables:
+        cache: dict = {}
+        non_integral = 0
+        for _ in range(60):
+            l_terms = _rand_l_terms(rng, tails)
+            poly = GradedPoly.zero("l")
+            for exps, c in l_terms:
+                poly = poly + GradedPoly({mono_from_exps(exps): c}, "l")
+            want = _naive_substitute(l_terms, table)
+            got = poly.substitute(table, "v")
+            assert got == want
+            assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+            assert poly.substitute(table, "v", cache) == want  # cache shared as in to_v
+            non_integral += not got.is_integral()
+        assert non_integral > 10
+        assert {mono_from_exps(t) for t in tails} <= cache.keys()  # tails keyed without l_1
 
 
 def test_substitute_keeps_a_non_integral_result(ctx27):
