@@ -196,8 +196,6 @@ def main(argv=None) -> int:
         except ValueError as exc:
             return _fail(str(exc))
         entries = data.a if not args.reduced else [r.series for r in reduce_a_mod_p_series(data)]
-        if args.max_i is not None:
-            entries = entries[: args.max_i + 1]
         if args.format == "json":
             obj = {"prime": ctx.p, "truncation": ctx.k,
                    "a": [series_to_obj(apply_ideal(s, ideal), ctx.k) for s in entries]}

@@ -23,8 +23,15 @@ IntegralityError): O(n^2) series products, no division by a_0.
 The reduced form modulo the reduced p-series is the obstruction class; its
 lowest nonzero coefficient is the nonvanishing certificate.
 
+The validity the recurrence must reach is the least validity of a summand,
+min over its factors of (V_i - v_i) plus sum alpha_i v_i, for (V_i, v_i) the
+validity and valuation of a_i.  It comes from the same grouping by k, as a
+min-plus knapsack over the parts of k with weights v_i - v_0: O(n^2)
+integer steps, no summand enumerated.
+
 Cross-check routes (exact agreement within joint validity):
-  * the paper's multi-index sum, one product chain per summand,
+  * the paper's multi-index sum, one product chain per summand (the only
+    route that enumerates the multi-indices),
   * a localized rearrangement through the inverse of sum a_i z^i, computed
     over Laurent series in xi, and
   * the closed form at n = 2(p-1):
@@ -39,7 +46,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import namedtuple
 
 from .fgl import FglContext, IntegralityError, mu, partitions
 from .poly import GradedPoly
@@ -50,10 +56,6 @@ from .series import Series
 
 class InsufficientTruncationError(ValueError):
     """The requested result has too little validity to mean anything."""
-
-
-def multi_size(abar) -> int:
-    return sum(abar)
 
 
 def multi_weighted_size(abar) -> int:
@@ -94,24 +96,10 @@ class ObstructionResult:
         self.used_shortcut = used_shortcut
 
 
-def _is_q_power_minus_one(n: int, p: int) -> bool:
-    q = 1
-    while q - 1 < n:
-        q *= p
-    return q - 1 == n
-
-
-_TermPlan = namedtuple("_TermPlan", "abar alpha0")
-
-
-def _plan_terms(ctx: FglContext, data: PowerOpData, n: int):
-    """Stream the summands of the paper's sum; checks first that a_0..a_n were computed.
-
-    Every index enumerate_indices yields is a summand: mu(-(n+1); abar) and
-    cp(p^m - 1) = p^m l_m never vanish, and m is within the horizon since
-    p^m - 1 <= n <= k.  mc needs only the validities, so both factors are
-    left to mc_via_sum, the one route that multiplies by them.
-    """
+def _check_inputs(ctx: FglContext, data: PowerOpData, n: int) -> None:
+    """Refuse an n that no route can sum: negative, beyond k, or beyond the computed a_i."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n > ctx.k:
         # the summand with alpha_n = 1 needs a_n, which is valid mod xi^(k-n+1)
         raise InsufficientTruncationError(
@@ -122,16 +110,35 @@ def _plan_terms(ctx: FglContext, data: PowerOpData, n: int):
             f"need a_{n} but only a_0..a_{len(data.a) - 1} were computed; "
             f"raise the x order of the power operation"
         )
-    return (_TermPlan(abar, n - multi_size(abar)) for abar, _m in enumerate_indices(n, ctx.p))
 
 
-def _term_validity(plan: _TermPlan, stats: list) -> int:
-    """Validity of one summand from the (validity, valuation) of each factor."""
-    factors = [(i, c) for i, c in enumerate((plan.alpha0,) + plan.abar) if c]
-    if not factors:  # empty product: the exact constant 1
-        return stats[0][0]
-    return (min(stats[i][0] - stats[i][1] for i, _c in factors)
-            + sum(c * stats[i][1] for i, c in factors))
+def _sum_validity(ctx: FglContext, data: PowerOpData, n: int) -> int:
+    """Least validity of a summand of the paper's sum, by a min-plus knapsack.
+
+    With (V_i, v_i) the validity and valuation of a_i and alpha_0 = n - |abar|,
+    the summand prod a_i^(alpha_i) is valid to the least V_i - v_i of its
+    factors plus sum alpha_i v_i = n v_0 + sum_{i>=1} alpha_i w_i, where
+    w_i = v_i - v_0.  best[t] is the least sum alpha_i w_i over the partitions
+    of t.  Each t = |abar|' with cp(n - t) != 0 takes as the factor that sets
+    the least V_i - v_i a part f, or a_0, which only the all-ones partition
+    of n lacks.  Every index is a summand, since mu(-(n+1); abar) never vanishes.
+    """
+    if n == 0:  # the empty product, known as far as a_0 is
+        return data.a[0].validity
+    big_v = [ai.validity for ai in data.a[:n + 1]]
+    v = [ai.val() for ai in data.a[:n + 1]]
+    w = [vi - v[0] for vi in v]
+    best = [0]
+    for t in range(1, n + 1):
+        best.append(min(w[i] + best[t - i] for i in range(1, t + 1)))
+    least = math.inf
+    for t in range(n + 1):
+        if ctx.cp_image(n - t):
+            rest = best[t] if t < n else min((w[f] + best[n - f] for f in range(2, n + 1)),
+                                             default=math.inf)
+            least = min(least, big_v[0] - v[0] + rest,
+                        *(big_v[f] - v[f] + w[f] + best[t - f] for f in range(1, t + 1)))
+    return n * v[0] + least
 
 
 def _one(ctx: FglContext, data: PowerOpData) -> Series:
@@ -145,14 +152,11 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
 
     `progress(k, n)` is called after each of the n recurrence steps.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_inputs(ctx, data, n)
     p = ctx.p
-    stats = [(ai.validity, ai.val()) for ai in data.a]
-    predicted = min((_term_validity(pl, stats) for pl in _plan_terms(ctx, data, n)),
-                    default=ctx.k + 1)
+    predicted = _sum_validity(ctx, data, n)
     pser = ctx.reduced_p_series("v")
-    is_obstruction = not _is_q_power_minus_one(n, p)
+    is_obstruction = not ctx.cp_image(n)
 
     if p > 2 and n % (p - 1) != 0 and not force_full:
         if predicted < p:
@@ -215,12 +219,13 @@ def _divide_exactly(c: GradedPoly, k: int) -> GradedPoly:
 
 def mc_via_sum(ctx: FglContext, data: PowerOpData, n: int) -> Series:
     """The paper's multi-index sum, one product chain per summand; cross-check route."""
+    _check_inputs(ctx, data, n)
     raw = None
-    for plan in _plan_terms(ctx, data, n):
-        factors = [data.a[i] ** e for i, e in enumerate((plan.alpha0,) + plan.abar) if e]
+    for abar, _m in enumerate_indices(n, ctx.p):
+        factors = [data.a[i] ** e for i, e in enumerate((n - sum(abar),) + abar) if e]
         term = functools.reduce(operator.mul, factors) if factors else _one(ctx, data)
-        cp = ctx.cp_image(n - multi_weighted_size(plan.abar))
-        term = term.scale(mu(-(n + 1), plan.abar)).scale_poly(cp)
+        cp = ctx.cp_image(n - multi_weighted_size(abar))
+        term = term.scale(mu(-(n + 1), abar)).scale_poly(cp)
         raw = term if raw is None else raw + term
     return raw
 
@@ -231,10 +236,7 @@ def mc_via_inverse(ctx: FglContext, data: PowerOpData, n: int) -> Series:
     Evaluated over Laurent series where a_0 is invertible; agrees exactly with
     the raw sum within joint validity.  Cross-check route only.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n >= len(data.a):
-        raise ValueError(f"need a_{n} but only a_0..a_{len(data.a) - 1} were computed")
+    _check_inputs(ctx, data, n)
     p = ctx.p
     a0 = data.a[0]
     inv0 = a0.reciprocal()
@@ -262,17 +264,14 @@ def mc_via_inverse(ctx: FglContext, data: PowerOpData, n: int) -> Series:
             cur = nxt
         upow.append(list(cur))
     acc = None
-    a0n = a0 ** n if n else None
+    a0n = a0 ** n if n else _one(ctx, data)
     for kk in range(0, n + 1):
         cp = ctx.cp_image(n - kk)
         if not cp:
             continue
         if kk == 0:
             # [z^0] (1+U)^-(n+1) = 1
-            term = a0n.scale_poly(cp) if a0n is not None else None
-            if term is None:
-                from_c = Series.from_const(1, p, "v", a0.validity)
-                term = from_c.scale_poly(cp)
+            term = a0n.scale_poly(cp)
         else:
             # [z^kk] (1+U)^-(n+1) = sum_t binom(-(n+1), t) U^t [z^kk]
             wk = None
@@ -285,7 +284,7 @@ def mc_via_inverse(ctx: FglContext, data: PowerOpData, n: int) -> Series:
                 wk = term_t if wk is None else wk + term_t
             if wk is None:
                 continue
-            term = (a0n * wk).scale_poly(cp) if a0n is not None else wk.scale_poly(cp)
+            term = (a0n * wk).scale_poly(cp)
         acc = term if acc is None else acc + term
     if acc is None:
         return Series.zero(p, "v", data.a[0].validity, weight=-n * (p - 2))

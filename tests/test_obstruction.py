@@ -1,6 +1,7 @@
 import functools
 import itertools
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,10 @@ from fglops import (
     mu,
     power_operation,
 )
+import fglops.obstruction
 from fglops.fgl import IntegralityError
-from fglops.obstruction import multi_weighted_size
+from fglops.obstruction import _sum_validity, multi_weighted_size
+from fglops.poly import GradedPoly
 from fglops.reduction import canonical_rep
 from fglops.series import Series
 
@@ -186,15 +189,21 @@ def test_mc_zero_index_degenerate(ctx27, data27):
     assert inv.agrees_with(r.raw)
 
 
-def test_sparseness_shortcut_and_full_route(ctx313, data313):
-    for n in (1, 3, 5):
-        quick = mc(ctx313, data313, n)
-        assert quick.used_shortcut and quick.reduced.is_zero()
-        full = mc(ctx313, data313, n, force_full=True)
-        assert not full.used_shortcut
-        assert full.reduced.is_zero(), f"MC_{n} must vanish mod the reduced p-series"
-        assert full.raw.coeffs, "the raw sum itself is nonzero"
-        assert quick.reduced.validity == full.raw.validity
+def test_sparseness_shortcut_and_full_route():
+    # every n of the shortcut (p - 1 not dividing n) at three odd primes
+    for p, k, ns in [(3, 13, (1, 3, 5)), (5, 20, (1, 2, 3, 5, 6, 7)),
+                     (7, 24, (1, 2, 3, 4, 5, 7, 8))]:
+        ctx = FglContext(p, k)
+        data = power_operation(ctx, x_cap=max(ns))
+        for n in ns:
+            quick = mc(ctx, data, n)
+            assert quick.used_shortcut and quick.reduced.is_zero()
+            full = mc(ctx, data, n, force_full=True)
+            assert not full.used_shortcut
+            assert full.reduced.is_zero(), f"MC_{n} must vanish mod the reduced p-series"
+            assert full.raw.coeffs, "the raw sum itself is nonzero"
+            # the shortcut's zero series carries the validity of the full raw sum
+            assert quick.reduced.validity == full.raw.validity, (p, n)
 
 
 # every table n of p = 2, 3, 5, 7 at small truncations, plus the seed's cases
@@ -234,11 +243,109 @@ def test_mc_progress_counts(ctx27, data27):
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 9), (3, 8), (5, 24), (7, 14)])
 def test_every_index_is_a_summand(p, n):
-    # mc's validity plan takes every index without evaluating mu or cp
+    # _sum_validity counts every partition of every |abar|' with a nonzero cp
+    # as a summand, so no mu(-(n+1); abar) and no cp of an index may vanish
     ctx = FglContext(p, max(n, 2 * p))
     nonzero = [abar for abar, _m in enumerate_indices(n, p)
                if mu(-(n + 1), abar) and ctx.cp_image(n - multi_weighted_size(abar))]
     assert nonzero == [abar for abar, _m in enumerate_indices(n, p)]
+
+
+def _enumerated_validity(data, n, p):
+    """Least validity of a summand, one multi-index at a time; the reference for _sum_validity.
+
+    A summand prod a_i^(alpha_i), alpha_0 = n - |abar|, is valid to
+    min over its factors of (validity - valuation), plus its valuation; the
+    empty product (n = 0) is the constant 1, known as far as a_0 is.
+    """
+    stats = [(ai.validity, ai.val()) for ai in data.a]
+    least = None
+    for abar, _m in enumerate_indices(n, p):
+        factors = [(i, c) for i, c in enumerate((n - sum(abar),) + abar) if c]
+        if factors:
+            term = (min(stats[i][0] - stats[i][1] for i, _c in factors)
+                    + sum(c * stats[i][1] for i, c in factors))
+        else:
+            term = stats[0][0]
+        least = term if least is None else min(least, term)
+    return least
+
+
+@functools.lru_cache(maxsize=None)
+def _capped_data(p, k):
+    return power_operation(FglContext(p, k), x_cap=min(k, 20))
+
+
+# every n <= min(k, 14), so n = 0, n = 1 at p = 2 and, at odd p, every n of
+# the sparseness shortcut (p - 1 not dividing n) are among them
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 9), (2, 27), (3, 4), (3, 20), (5, 2), (5, 8),
+                                  (5, 30), (7, 6), (7, 40)])
+def test_sum_validity_equals_the_enumeration(p, k):
+    data = _capped_data(p, k)
+    for n in range(min(k, 14) + 1):
+        assert _sum_validity(data.ctx, data, n) == _enumerated_validity(data, n, p), n
+
+
+@st.composite
+def _validity_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(1, 40))
+    return p, k, draw(st.integers(0, min(k, 20)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_validity_cases())
+def test_sum_validity_property(case):
+    p, k, n = case
+    data = _capped_data(p, k)
+    assert _sum_validity(data.ctx, data, n) == _enumerated_validity(data, n, p)
+
+
+@st.composite
+def _drawn_factors(draw):
+    """a_0..a_n as one-term series of drawn validity and valuation; some are zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    a = []
+    for _ in range(draw(st.integers(0, 12)) + 1):
+        validity = draw(st.integers(1, 30))
+        val = draw(st.integers(0, validity))  # at the validity the series is zero
+        a.append(Series(p, "v", {(val, 0): GradedPoly.const(1, "v")}, validity))
+    return p, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_factors())
+def test_sum_validity_property_on_drawn_factors(case):
+    # on the real a_i some factors never set the minimum (a_0, for one), so
+    # the knapsack is also held to the enumeration on arbitrary factors
+    p, a = case
+    n = len(a) - 1
+    data = types.SimpleNamespace(a=a)
+    assert _sum_validity(FglContext(p, 12), data, n) == _enumerated_validity(data, n, p)
+
+
+def test_mc_enumerates_no_index(monkeypatch, ctx313, data313):
+    def refuse(n, p):
+        raise AssertionError("the multi-indices were enumerated")
+
+    monkeypatch.setattr(fglops.obstruction, "enumerate_indices", refuse)
+    assert mc(ctx313, data313, 3).used_shortcut
+    assert not mc(ctx313, data313, 4).used_shortcut
+    assert not mc(ctx313, data313, 3, force_full=True).used_shortcut
+    with pytest.raises(AssertionError, match="enumerated"):  # the patch is in force
+        mc_via_sum(ctx313, data313, 4)
+
+
+@pytest.mark.parametrize("route", [mc, mc_via_sum, mc_via_inverse])
+def test_routes_refuse_the_same_bad_n(route, ctx27):
+    data = power_operation(ctx27, x_cap=3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        route(ctx27, data, -1)
+    with pytest.raises(InsufficientTruncationError, match="k >= n = 8; got k = 7"):
+        route(ctx27, data, 8)
+    with pytest.raises(ValueError, match=r"only a_0\.\.a_3 were computed") as info:
+        route(ctx27, data, 4)
+    assert not isinstance(info.value, InsufficientTruncationError)
 
 
 def test_inexact_recurrence_step_raises(monkeypatch, ctx313, data313):
