@@ -9,15 +9,14 @@ bytes.  Exit codes: 0 success, 1 invalid configuration, 2 golden mismatch.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .fgl import MR_BOUND, FglContext, is_prime
 from .golden import SUITES, GoldenFileError, verify_suite
-from .obstruction import mc, InsufficientTruncationError
+from .obstruction import InsufficientTruncationError, check_truncation, mc
 from .poly import MAX_TRUNCATION
 from .powerop import power_operation, reduce_a_mod_p_series
-from .render import poly_text, series_text, series_to_obj
+from .render import poly_text, series_text, series_to_obj, to_json
 from .series import Series
 
 # smallest truncation orders that make every published table coefficient valid
@@ -117,12 +116,13 @@ def apply_ideal(series: Series, ideal: list) -> Series:
 
 def _emit_series(series: Series, args, truncation: int) -> None:
     if args.format == "json":
-        print(json.dumps(series_to_obj(series, truncation), indent=2))
+        print(to_json(series_to_obj(series, truncation)))
     else:
         print(series_text(series))
 
 
-def _context(args) -> FglContext:
+def _truncation(args) -> int:
+    """The truncation order k for a checked prime, defaulted from the tables."""
     p = args.prime
     if p >= MR_BOUND:
         raise SystemExit(_fail(f"p must be below {MR_BOUND}, where primality is decided"))
@@ -135,7 +135,7 @@ def _context(args) -> FglContext:
             raise SystemExit(_fail(f"no default truncation for p={p}; pass --truncation"))
     if not 1 <= k <= MAX_TRUNCATION:
         raise SystemExit(_fail(f"truncation order must be in 1..{MAX_TRUNCATION}"))
-    return FglContext(p, k)
+    return k
 
 
 def _progress_printer(enabled: bool):
@@ -175,7 +175,15 @@ def main(argv=None) -> int:
 
     printed_basis = "l" if cmd in ("log", "exp") else getattr(args, "basis", "v")
     ideal = _parse_ideal(args.ideal, printed_basis)
-    ctx = _context(args)
+    k = _truncation(args)
+    if cmd == "mc":
+        if args.n < 1:
+            return _fail("--n must be >= 1")
+        try:
+            check_truncation(args.n, k)
+        except InsufficientTruncationError as exc:
+            return _fail(str(exc))
+    ctx = FglContext(args.prime, k)
 
     if cmd in ("log", "exp", "pseries", "reduced-pseries"):
         if cmd == "log":
@@ -199,15 +207,13 @@ def main(argv=None) -> int:
         if args.format == "json":
             obj = {"prime": ctx.p, "truncation": ctx.k,
                    "a": [series_to_obj(apply_ideal(s, ideal), ctx.k) for s in entries]}
-            print(json.dumps(obj, indent=2))
+            print(to_json(obj))
         else:
             for i, s in enumerate(entries):
                 print(f"a_{i} = {series_text(apply_ideal(s, ideal))}")
         return 0
 
     if cmd == "mc":
-        if args.n < 1:
-            return _fail("--n must be >= 1")
         progress = _progress_printer(args.progress or ctx.p in PROGRESS_PRIMES)
         try:
             data = power_operation(ctx, x_cap=args.n)
@@ -234,7 +240,7 @@ def main(argv=None) -> int:
                 "obstruction_index": result.is_obstruction_index,
                 "sparseness_shortcut": result.used_shortcut,
             }
-            print(json.dumps(obj, indent=2))
+            print(to_json(obj))
         else:
             print(f"MC_{args.n}(xi) mod <{ctx.p}>xi = {series_text(reduced)}")
             if args.show_raw and result.raw is not None:

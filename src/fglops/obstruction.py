@@ -29,13 +29,25 @@ validity and valuation of a_i.  It comes from the same grouping by k, as a
 min-plus knapsack over the parts of k with weights v_i - v_0: O(n^2)
 integer steps, no summand enumerated.
 
+At n = 2(p-1), the index of every published table at p >= 5 and of every
+certificate, the reduced class comes from the paper's closed form
+
+    (2p-1) a_0^(2p-4) (-v_1 a_0 a_(p-1) - a_0 a_(2p-2) + p a_(p-1)^2),
+
+which needs three of the a_i and a handful of products.  It is not the raw
+sum: the summands it drops are 0 modulo <p>xi, so the raw sum minus the
+closed form vanishes there and both have the same canonical representative.
+Its validity is checked, not assumed: it must reach the validity the sum
+predicts, and it is truncated to exactly that, so the reduced class carries
+the same validity the recurrence would give.  The raw sum is then computed
+by the recurrence only when it is read, as the closed form's cross-check.
+
 Cross-check routes (exact agreement within joint validity):
   * the paper's multi-index sum, one product chain per summand (the only
     route that enumerates the multi-indices),
   * a localized rearrangement through the inverse of sum a_i z^i, computed
     over Laurent series in xi, and
-  * the closed form at n = 2(p-1):
-      (2p-1) a_0^(2p-4) (-v_1 a_0 a_(p-1) - a_0 a_(2p-2) + p a_(p-1)^2).
+  * at n = 2(p-1), the recurrence's raw sum, reduced.
 
 For odd p with n not divisible by p-1 the reduced class vanishes identically,
 and the recurrence is skipped unless a full computation is forced.
@@ -83,28 +95,41 @@ def enumerate_indices(n: int, p: int):
 
 
 class ObstructionResult:
-    __slots__ = ("n", "raw", "reduced", "certificate", "is_obstruction_index",
+    """MC_n, raw and reduced.  A raw series given as a function is computed on first read."""
+
+    __slots__ = ("n", "_raw", "reduced", "certificate", "is_obstruction_index",
                  "used_shortcut")
 
     def __init__(self, n, raw, reduced, certificate, is_obstruction_index,
                  used_shortcut):
         self.n = n
-        self.raw = raw
+        self._raw = raw
         self.reduced = reduced
         self.certificate = certificate
         self.is_obstruction_index = is_obstruction_index
         self.used_shortcut = used_shortcut
+
+    @property
+    def raw(self):
+        if callable(self._raw):
+            self._raw = self._raw()
+        return self._raw
+
+
+def check_truncation(n: int, k: int) -> None:
+    """Refuse an n beyond the truncation k, before anything is computed."""
+    if n > k:
+        # the summand with alpha_n = 1 needs a_n, which is valid mod xi^(k-n+1)
+        raise InsufficientTruncationError(
+            f"MC_{n} needs a_{n}, so the truncation must be k >= n = {n}; got k = {k}"
+        )
 
 
 def _check_inputs(ctx: FglContext, data: PowerOpData, n: int) -> None:
     """Refuse an n that no route can sum: negative, beyond k, or beyond the computed a_i."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > ctx.k:
-        # the summand with alpha_n = 1 needs a_n, which is valid mod xi^(k-n+1)
-        raise InsufficientTruncationError(
-            f"MC_{n} needs a_{n}, so the truncation must be k >= n = {n}; got k = {ctx.k}"
-        )
+    check_truncation(n, ctx.k)
     if n >= len(data.a):  # for n >= 1 the summand with alpha_n = 1 needs a_n
         raise ValueError(
             f"need a_{n} but only a_0..a_{len(data.a) - 1} were computed; "
@@ -150,7 +175,8 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
        progress=None) -> ObstructionResult:
     """The n-th obstruction series, raw and reduced modulo the reduced p-series.
 
-    `progress(k, n)` is called after each of the n recurrence steps.
+    `progress(k, n)` is called after each of the n recurrence steps; at
+    n = 2(p-1) they run when the raw series is first read.
     """
     _check_inputs(ctx, data, n)
     p = ctx.p
@@ -168,23 +194,40 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
         reduced = ReducedSeries(Series.zero(p, "v", predicted, weight=-n * (p - 2)))
         return ObstructionResult(n, None, reduced, None, is_obstruction, True)
 
-    raw = _power_recurrence(ctx, data, n, progress)
-    if raw.validity != predicted:
-        raise AssertionError(
-            f"validity bookkeeping mismatch: {raw.validity} != predicted {predicted}"
-        )
-    raw.weight = -n * (p - 2)
-    raw.assert_weight()
-    if not raw.is_integral():
-        raise AssertionError("raw obstruction series is not integral")
+    def recurrence():
+        series = _power_recurrence(ctx, data, n, progress)
+        if series.validity != predicted:
+            raise AssertionError(
+                f"validity bookkeeping mismatch: {series.validity} != predicted {predicted}"
+            )
+        return _checked(series, n)
 
-    reduced = canonical_rep(raw, pser)
+    if n == 2 * (p - 1):
+        closed = mc_explicit_2p2(ctx, data)
+        if closed.validity < predicted:
+            raise AssertionError(
+                f"closed form has validity {closed.validity} < predicted {predicted}"
+            )
+        reduced = canonical_rep(_checked(closed.truncate(predicted), n), pser)
+        raw = recurrence  # the cross-check, run when the raw series is read
+    else:
+        raw = recurrence()
+        reduced = canonical_rep(raw, pser)
     if reduced.validity < p:
         raise InsufficientTruncationError(
             f"reduced obstruction has validity {reduced.validity} < p = {p}"
         )
     cert = nonvanishing_certificate(reduced)
     return ObstructionResult(n, raw, reduced, cert, is_obstruction, False)
+
+
+def _checked(series: Series, n: int) -> Series:
+    """series with the weight of MC_n, which it must have, and integral."""
+    series.weight = -n * (series.prime - 2)
+    series.assert_weight()
+    if not series.is_integral():
+        raise AssertionError("obstruction series is not integral")
+    return series
 
 
 def _power_recurrence(ctx: FglContext, data: PowerOpData, n: int, progress) -> Series:
@@ -294,7 +337,7 @@ def mc_via_inverse(ctx: FglContext, data: PowerOpData, n: int) -> Series:
 
 
 def mc_explicit_2p2(ctx: FglContext, data: PowerOpData) -> Series:
-    """Closed form of the obstruction at n = 2(p-1); cross-check route."""
+    """Closed form of the obstruction at n = 2(p-1), equal to MC_n modulo <p>xi."""
     p = ctx.p
     n = 2 * (p - 1)
     if len(data.a) <= n or data.a[n].validity < 1:

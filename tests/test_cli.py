@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+import fglops.cli
 from fglops.cli import DEFAULT_TRUNCATION, main
 from fglops.fgl import MR_BOUND
 from fglops.golden import ENV_GOLDEN_DIR, golden_dir
@@ -160,6 +161,18 @@ def test_mc_rejects_unreachable_n(capsys):
         assert f"k >= n = {n}" in err
 
 
+def test_mc_refuses_n_beyond_k_before_any_computation(monkeypatch, capsys):
+    # the context alone takes about 30 s at k = 120
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before n was checked against k")
+
+    monkeypatch.setattr(fglops.cli, "FglContext", refuse)
+    monkeypatch.setattr(fglops.cli, "power_operation", refuse)
+    code, out, err = run(capsys, "mc", "-p", "2", "--n", "121", "-k", "120")
+    assert code == 1 and out == ""
+    assert err == "error: MC_121 needs a_121, so the truncation must be k >= n = 121; got k = 120\n"
+
+
 def test_power_op_coeffs_rejects_negative_max_i(capsys):
     code, out, err = run(capsys, "power-op-coeffs", "-p", "2", "-k", "7", "--max-i", "-1")
     assert code == 1 and out == ""
@@ -275,6 +288,16 @@ def test_progress_goes_to_stderr_only(capsys):
     assert code == code2 == 0
     assert quiet_out == loud_out
     assert "progress:" in loud_err and "progress:" not in quiet_err
+
+
+def test_progress_at_the_closed_form_index_follows_the_raw_series(capsys):
+    # at n = 2(p - 1) the recurrence only runs to print the raw series
+    argv = ("mc", "-p", "3", "-k", "13", "--n", "4", "--progress")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "raw = " not in out and err == ""
+    code, out, err = run(capsys, *argv, "--show-raw")
+    assert code == 0 and "raw = " in out
+    assert err.splitlines()[-1] == "progress: 4/4 recurrence steps"
 
 
 def test_threads_do_not_change_output(capsys):

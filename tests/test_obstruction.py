@@ -19,9 +19,11 @@ from fglops import (
 )
 import fglops.obstruction
 from fglops.fgl import IntegralityError
+from fglops.golden import compare_series, load_suite
 from fglops.obstruction import _sum_validity, multi_weighted_size
 from fglops.poly import GradedPoly
-from fglops.reduction import canonical_rep
+from fglops.reduction import canonical_rep, nonvanishing_certificate
+from fglops.render import series_from_obj
 from fglops.series import Series
 
 from conftest import P
@@ -224,21 +226,70 @@ def test_route_equivalence(p, n, k, xcap):
     assert r.raw == mc_via_sum(ctx, data, n), "recurrence must equal the multi-index sum"
     inv = mc_via_inverse(ctx, data, n)
     assert r.raw.agrees_with(inv), "localized route must agree exactly on the raw series"
-    if n != 2 * (p - 1):
+    # mc reduces the recurrence's raw sum, or, at n = 2(p - 1), the closed
+    # form; == compares validity too
+    assert canonical_rep(r.raw, ctx.reduced_p_series("v")) == r.reduced
+    if p == 2 and n == 2:
+        assert r.raw.agrees_with(mc_explicit_2p2(ctx, data))
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_form_data(p, k):
+    return power_operation(FglContext(p, k), x_cap=2 * (p - 1))
+
+
+@st.composite
+def _closed_form_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    return p, draw(st.integers(2 * (p - 1), 60))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_closed_form_cases())
+def test_closed_form_route_property(case):
+    # at n = 2(p - 1) mc reads the reduced class from the closed form; it must
+    # be the reduction of the recurrence's raw sum, validity and certificate
+    # included, and the closed form must reach the sum's validity unaided
+    p, k = case
+    data = _closed_form_data(p, k)
+    ctx, n = data.ctx, 2 * (p - 1)
+    assert mc_explicit_2p2(ctx, data).validity >= _sum_validity(ctx, data, n)
+    try:
+        r = mc(ctx, data, n)
+    except InsufficientTruncationError:
         return
-    ex = mc_explicit_2p2(ctx, data)
-    if p == 2:
-        assert r.raw.agrees_with(ex)
-    # at odd primes the closed form already dropped summands that vanish in
-    # the quotient, so compare canonical representatives
-    pser = ctx.reduced_p_series("v")
-    assert canonical_rep(ex, pser).series.agrees_with(r.reduced.series)
+    reduced = canonical_rep(r.raw, ctx.reduced_p_series("v"))
+    assert reduced == r.reduced
+    assert nonvanishing_certificate(reduced) == r.certificate
+
+
+def test_recurrence_reproduces_the_p11_table():
+    # verify reads MC_20 at p = 11 from the closed form; the recurrence's raw
+    # sum, reduced, must certify the published table as well
+    suite = load_suite("p11")
+    (table,) = [t for t in suite["tables"] if t["kind"] == "mc"]
+    ctx = FglContext(suite["prime"], suite["truncation"])
+    r = mc(ctx, power_operation(ctx, x_cap=table["n"]), table["n"])
+    reduced = canonical_rep(r.raw, ctx.reduced_p_series("v"))
+    assert reduced == r.reduced
+    assert compare_series("p=11 MC_20", reduced.series, series_from_obj(table["series"])) == []
 
 
 def test_mc_progress_counts(ctx27, data27):
     seen = []
-    mc(ctx27, data27, 2, progress=lambda done, total: seen.append((done, total)))
-    assert seen and seen[-1][0] == seen[-1][1] == len(seen)
+
+    def progress(done, total):
+        seen.append((done, total))
+
+    assert mc(ctx27, data27, 3, progress=progress).raw is not None
+    assert seen and seen[-1][0] == seen[-1][1] == len(seen) == 3
+    # at n = 2(p - 1) the closed form takes no recurrence step; reading the
+    # raw series runs them
+    seen.clear()
+    r = mc(ctx27, data27, 2, progress=progress)
+    assert seen == []
+    assert r.raw is not None
+    assert seen == [(1, 2), (2, 2)]
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 9), (3, 8), (5, 24), (7, 14)])
@@ -349,9 +400,10 @@ def test_routes_refuse_the_same_bad_n(route, ctx27):
 
 
 def test_inexact_recurrence_step_raises(monkeypatch, ctx313, data313):
-    # from here on every series product is one too large in its constant
-    # term, which leaves an odd constant in 2 F_2
-    ctx313.reduced_p_series("v")  # cached before the products go wrong
+    # at n = 2(p - 1) the recurrence runs when the raw series is read; from
+    # then on every series product is one too large in its constant term,
+    # which leaves an odd constant in 2 F_2
+    result = mc(ctx313, data313, 4)
     exact = Series.sum_of_products
 
     def off_by_one(terms):
@@ -360,7 +412,7 @@ def test_inexact_recurrence_step_raises(monkeypatch, ctx313, data313):
 
     monkeypatch.setattr(Series, "sum_of_products", staticmethod(off_by_one))
     with pytest.raises(IntegralityError, match="step 2 of the power recurrence"):
-        mc(ctx313, data313, 4)
+        result.raw
 
 
 def test_insufficient_truncation():

@@ -1,12 +1,15 @@
+import json
 import random
 from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fglops.series
 from fglops.poly import GradedPoly, mono_exps, mono_pack, sum_products
-from fglops.render import parse_series, series_from_json, series_text, series_to_json
+from fglops.render import (parse_series, series_from_json, series_text, series_to_json,
+                           series_to_obj, to_json)
 from fglops.series import NonUnitError, OutsideValidityError, Series
 
 from conftest import P, S, rand_poly, rand_series
@@ -303,3 +306,46 @@ def test_text_and_json_roundtrip():
         parsed = parse_series(series_text(a), 2, "v")
         assert parsed.coeffs == a.coeffs
         assert parsed.validity == a.validity
+
+
+# every shape the CLI prints: empty exps {}, null, true/false, negative and
+# big ints, empty lists, non-ASCII and escaped strings
+_JSON_SHAPES = [
+    {}, [], None, True, False, 0, -7, 3 ** 200, -(10 ** 80), "", "é\n\"\\", [[]], [{}],
+    {"raw": None, "certificate": None, "obstruction_index": True,
+     "sparseness_shortcut": False, "n": -4, "terms": []},
+    {"a": [{"prime": 2, "terms": [{"xi": 0, "x": 1,
+                                    "poly": [{"coef": "-1/2", "exps": {}},
+                                             {"coef": "6", "exps": {"1": 3, "12": 1}}]}]}]},
+]
+
+
+@pytest.mark.parametrize("obj", _JSON_SHAPES, ids=range(len(_JSON_SHAPES)))
+def test_to_json_matches_json_dumps(obj):
+    assert to_json(obj) == json.dumps(obj, indent=2)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_to_json_property(obj):
+    assert to_json(obj) == json.dumps(obj, indent=2)
+
+
+def test_to_json_matches_json_dumps_on_a_series():
+    rng = random.Random(5)
+    for _ in range(10):
+        a = rand_series(rng, validity=9, terms=6, integral=False)
+        assert series_to_json(a) == json.dumps(series_to_obj(a), indent=2)
+
+
+def test_to_json_refuses_other_types():
+    for obj in (1.5, (1, 2), {1: 2}):
+        with pytest.raises(TypeError):
+            to_json(obj)
