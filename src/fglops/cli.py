@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="disable the sparseness shortcut at odd primes")
     sub.add_argument("--show-raw", action="store_true", help="also print the raw sum")
     sub.add_argument("--progress", action="store_true",
-                     help="emit recurrence-step progress to stderr")
+                     help="emit power-operation and recurrence-step progress to stderr")
 
     sub = sp.add_parser("verify", help="recompute and compare against the published tables")
     sub.add_argument("--suite", default="all", help="one of %s or 'all'" % (", ".join(SUITES)))
@@ -138,12 +138,12 @@ def _truncation(args) -> int:
     return k
 
 
-def _progress_printer(enabled: bool):
+def _progress_printer(enabled: bool, unit: str):
     if not enabled:
         return None
 
     def emit(done, total):
-        print(f"progress: {done}/{total} recurrence steps", file=sys.stderr, flush=True)
+        print(f"progress: {done}/{total} {unit}", file=sys.stderr, flush=True)
 
     return emit
 
@@ -161,7 +161,9 @@ def main(argv=None) -> int:
             if name not in SUITES:
                 return _fail(f"unknown suite {name!r}")
             try:
-                mism = verify_suite(name, progress=_progress_printer(args.progress))
+                mism = verify_suite(
+                    name, progress=_progress_printer(args.progress, "recurrence steps"),
+                    powerop_progress=_progress_printer(args.progress, "power-operation steps"))
             except GoldenFileError as exc:
                 return _fail(str(exc))
             if mism:
@@ -214,10 +216,12 @@ def main(argv=None) -> int:
         return 0
 
     if cmd == "mc":
-        progress = _progress_printer(args.progress or ctx.p in PROGRESS_PRIMES)
+        loud = args.progress or ctx.p in PROGRESS_PRIMES
         try:
-            data = power_operation(ctx, x_cap=args.n)
-            result = mc(ctx, data, args.n, force_full=args.force_full, progress=progress)
+            data = power_operation(ctx, x_cap=args.n,
+                                   progress=_progress_printer(loud, "power-operation steps"))
+            result = mc(ctx, data, args.n, force_full=args.force_full,
+                        progress=_progress_printer(loud, "recurrence steps"))
         except (InsufficientTruncationError, ValueError) as exc:
             return _fail(str(exc))
         reduced = apply_ideal(result.reduced.series, ideal)

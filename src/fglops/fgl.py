@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import _UNIT_TERMS, MAX_TRUNCATION, GradedPoly, add_products, mono_pack, sum_products
+from .poly import MAX_TRUNCATION, GradedPoly, mono_pack, sum_products
 from .series import Series
 
 
@@ -243,9 +243,11 @@ class FglContext:
                 continue
             scales = [t ** j for t in ts]
             for (d, _z), r in power.coeffs.items():
-                prod = sum_products({}, ((e.terms, r.terms),))
+                prod = sum_products({}, ((1, e.terms.items(), r.terms.items()),)).items()
                 for out, c in zip(outs, scales):
-                    add_products(out.setdefault(j + d, {}), _UNIT_TERMS, prod, c)
+                    tgt = out.setdefault(j + d, {})
+                    for m, x in prod:
+                        tgt[m] = tgt.get(m, 0) + c * x
         return [Series(p, "l", {(n, 0): GradedPoly(t, "l") for n, t in out.items()},
                        k + 1, weight=-1) for out in outs]
 

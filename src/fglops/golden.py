@@ -127,8 +127,12 @@ def compare_series(label: str, computed: Series, table: Series) -> list:
     return []
 
 
-def verify_suite(name: str, progress=None) -> list:
-    """Run the computations a suite describes and compare; returns mismatches."""
+def verify_suite(name: str, progress=None, powerop_progress=None) -> list:
+    """Run the computations a suite describes and compare; returns mismatches.
+
+    `progress` is handed to mc (recurrence steps), `powerop_progress` to
+    power_operation (Euler steps).
+    """
     from .fgl import FglContext
     from .obstruction import InsufficientTruncationError, mc
     from .powerop import power_operation
@@ -143,7 +147,7 @@ def verify_suite(name: str, progress=None) -> list:
     mc_ns = [t["n"] for t in tables if t["kind"] == "mc"]
     data = None
     if mc_ns:
-        data = power_operation(ctx, x_cap=max(mc_ns))
+        data = power_operation(ctx, x_cap=max(mc_ns), progress=powerop_progress)
 
     for t in tables:
         want = series_from_obj(t["series"])

@@ -104,33 +104,37 @@ def _norm_coef(c):
 
 
 def add_products(tgt: dict, t1: dict, t2: dict, c=1) -> dict:
-    """tgt += c * t1 * t2 on term dicts, in place; the one-pair case of sum_products."""
-    if not c:  # sum_products' del relies on nonzero coefficients
-        return tgt
-    if c != 1:
-        t1 = {m1: c1 * c for m1, c1 in t1.items()}
-    return sum_products(tgt, ((t1, t2),))
+    """tgt += c * t1 * t2 on term dicts, in place, cancelled terms removed.
+
+    The one-pair case of sum_products; the removal is a pass over all of
+    tgt, so a caller accumulating many products into one target calls
+    sum_products once instead.
+    """
+    if c:
+        sum_products(tgt, ((c, t1.items(), t2.items()),))
+        for m in [m for m, x in tgt.items() if not x]:
+            del tgt[m]
+    return tgt
 
 
-def sum_products(tgt: dict, pairs) -> dict:
-    """tgt += sum of t1 * t2 over (t1, t2) pairs of term dicts, in place.
+def sum_products(tgt: dict, triples) -> dict:
+    """tgt += sum of c * t1 * t2 over (c, t1, t2) triples, in place.
 
     This is the one monomial product loop: every product of polynomials and
-    series ends here.  Cancelled terms are removed, so every coefficient of
-    the operands must be nonzero.  Coefficients are left unnormalized (a
-    Fraction may have denominator 1); GradedPoly(tgt, basis) normalizes them.
+    series ends here.  t1 and t2 are re-iterable sequences of (key,
+    coefficient) items, such as dict items; keys are added, so a key is a
+    monomial, or a monomial packed with series exponents (Series.sum_of_products).
+    The scalar c multiplies each term of t1 once.  Coefficients are left as
+    summed: a cancelled term stays as a zero and a Fraction may have
+    denominator 1; GradedPoly(tgt, basis) drops and normalizes them.
     """
     get = tgt.get
-    for t1, t2 in pairs:
-        items2 = t2.items()
-        for m1, c1 in t1.items():
+    for c, items1, items2 in triples:
+        for m1, c1 in items1:
+            c1 *= c
             for m2, c2 in items2:
                 m = m1 + m2
-                s = get(m, 0) + c1 * c2
-                if s:
-                    tgt[m] = s
-                else:
-                    del tgt[m]
+                tgt[m] = get(m, 0) + c1 * c2
     return tgt
 
 
@@ -149,10 +153,8 @@ class GradedPoly:
         if basis not in ("v", "l"):
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
-        if terms:
-            self.terms = {m: c for m, c in ((m, _norm_coef(c)) for m, c in terms.items()) if c}
-        else:
-            self.terms = {}
+        self.terms = {m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                      for m, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
@@ -240,7 +242,8 @@ class GradedPoly:
 
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
         self._check(other)
-        return GradedPoly(add_products({}, self.terms, other.terms), self.basis)
+        return GradedPoly(sum_products({}, ((1, self.terms.items(), other.terms.items()),)),
+                          self.basis)
 
     def scale(self, c) -> "GradedPoly":
         if not c:
@@ -328,9 +331,8 @@ class GradedPoly:
             g = gcd(c.numerator, den)
             plan.append((head[0], tail[0], c.numerator // g, den // g))
         big_d = lcm(*(den for _h, _t, _n, den in plan))
-        out: dict = {}
-        for head, tail, num, den in plan:
-            add_products(out, head, tail, num * (big_d // den))
+        out = sum_products({}, ((num * (big_d // den), head.items(), tail.items())
+                                for head, tail, num, den in plan))
         out = {m: c // big_d if c % big_d == 0 else Fraction(c, big_d) for m, c in out.items()}
         return GradedPoly(out, basis)
 

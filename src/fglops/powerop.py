@@ -40,7 +40,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .fgl import FglContext, IntegralityError
-from .poly import UNIT_MONO, GradedPoly, add_products
+from .poly import UNIT_MONO, GradedPoly, sum_products
 from .series import Series
 
 
@@ -96,8 +96,12 @@ def _factor_forms(ctx: FglContext, i: int, cap: int) -> list:
     return forms
 
 
-def product_rows(ctx: FglContext, cap: int) -> list:
-    """Rows 0..cap (in x) of prod_{i=1..p-1} ([i]xi +_F x) by the exponential of power sums."""
+def product_rows(ctx: FglContext, cap: int, progress=None) -> list:
+    """Rows 0..cap (in x) of prod_{i=1..p-1} ([i]xi +_F x) by the exponential of power sums.
+
+    `progress(j, top)` is called after each of the top Euler steps, which
+    form N_1 .. N_top; p = 2 and p - 1 > k take none.
+    """
     k, q = ctx.k, ctx.p - 1
     if q == 1:
         return _rows(ctx, _factor_forms(ctx, 1, cap), cap)
@@ -126,16 +130,18 @@ def product_rows(ctx: FglContext, cap: int) -> list:
                     for m, v in terms.items():
                         tgt[m] = tgt.get(m, 0) + b * v
             for a, t in enumerate(part):
-                add_products(nj[a], g[d], {m: v for m, v in t.items() if v}, scale)
+                sum_products(nj[a], ((scale, g[d].items(), t.items()),))
             scale *= q * (j - i)
         n.append(nj)
+        if progress is not None:
+            progress(j, top)
     for j, nj in enumerate(n):
         den = q ** j * factorial(j)
         for a, t in enumerate(nj):
             if any(v % den for v in t.values()):
                 raise IntegralityError(f"X^{a} L^{q * (j + 1) - a} of the product is not integral")
-            if t:
-                forms[a][q * (j + 1) - a] = {m: v // den for m, v in t.items()}
+            if exact := {m: v // den for m, v in t.items() if v}:
+                forms[a][q * (j + 1) - a] = exact
     return _rows(ctx, forms, cap)
 
 
@@ -150,8 +156,11 @@ def product_rows_by_fold(ctx: FglContext, cap: int) -> list:
     return rows
 
 
-def power_operation(ctx: FglContext, x_cap: int | None = None) -> PowerOpData:
-    """Build the truncated power-operation product and extract every a_i."""
+def power_operation(ctx: FglContext, x_cap: int | None = None, progress=None) -> PowerOpData:
+    """Build the truncated power-operation product and extract every a_i.
+
+    `progress` is handed to product_rows, which reports its Euler steps.
+    """
     p, k = ctx.p, ctx.k
     if x_cap is not None and x_cap < 0:
         raise ValueError(f"the largest i of a_i must be >= 0, got {x_cap}")
@@ -160,7 +169,7 @@ def power_operation(ctx: FglContext, x_cap: int | None = None) -> PowerOpData:
     coeffs = {}
     a = []
     fact = factorial(p - 1)
-    for s, row in enumerate(product_rows(ctx, cap)):
+    for s, row in enumerate(product_rows(ctx, cap, progress)):
         row_v = ctx.to_v(row, integral=True)
         a.append(Series(ctx.p, "v", row_v.coeffs, k + 1 - s, weight=s + 1 - p))
         for (j, _z), c in row_v.coeffs.items():

@@ -24,20 +24,30 @@ series is only known to vanish below its validity).  Negative xi exponents
 are permitted on Laurent series, used by the localized cross-check route;
 those never flow into the integral pipeline.
 
-Every product is a sum of products, built in two passes.  The first walks
-each triple's coefficient pairs: each coefficient of A is scaled by c once,
-B's coefficients are taken in degree order up to the cutoff, and each pair
-(c * A_e, B_f) is filed under its output exponent e + f.  The second runs
-the monomial loop (poly.sum_products) once per output exponent over the
-pairs filed there, so the per-call cost is paid per output coefficient,
-not per coefficient pair.
+Every product is a sum of products, and every sum of products is one pass
+of the monomial loop (poly.sum_products) over flat term lists.  A term of
+the coefficient at (j_xi, j_x) gets the key
+
+    mono << 2W | (j_xi - lo_xi) << W | (j_x - lo_x),
+
+so adding two keys multiplies two terms.  The offsets lo are the lowest
+exponents of any operand (0 unless one is Laurent), and the width W comes
+from the call's own bounds: a pair is formed only below the output validity
+V, so each field of a sum lies in 0 .. V - 2 lo_xi - 2 lo_x - 1, and W is
+the bit length of that bound.  No fixed width would do: V reaches 781 in
+the raw MC_24 at p = 13, k = 504, and nothing bounds it in principle.  B's terms are sorted
+by total degree; for each coefficient of A, of degree d, bisect cuts that
+list at V - d, and A's terms, scaled by c once each, meet the prefix in one
+dict.  Zeros are dropped once, when that dict is split back by (j_xi, j_x)
+into GradedPolys.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
-from .poly import BasisMismatchError, GradedPoly, UNIT_MONO, _norm_coef, add_products, sum_products
+from .poly import BasisMismatchError, GradedPoly, UNIT_MONO, _norm_coef, sum_products
 
 
 class OutsideValidityError(ValueError):
@@ -214,12 +224,10 @@ class Series:
     def sum_of_products(terms) -> "Series":
         """sum of c * A * B over (c, A, B) triples, with one degree cutoff.
 
-        The coefficient pairs below the cutoff are gathered by output
-        exponent first (module docstring), then each output coefficient is
-        one sum_products call.  The scalars c are ints or Fractions.  Validity
-        follows the module docstring; the weight is the products' common
-        weight (None if they differ or one is undeclared); the sum is Laurent
-        if any operand is.
+        One sum_products call over packed terms (module docstring).  The
+        scalars c are ints or Fractions.  Validity follows the module
+        docstring; the weight is the products' common weight (None if they
+        differ or one is undeclared); the sum is Laurent if any operand is.
         """
         terms = list(terms)
         first = terms[0][1]
@@ -229,30 +237,29 @@ class Series:
         v = min(min(a.validity + b.val(), b.validity + a.val()) for _c, a, b in terms)
         weights = {None if a.weight is None or b.weight is None else a.weight + b.weight
                    for _c, a, b in terms}
-        pairs: dict = {}  # output exponent -> [(scaled A terms, B terms)]
-        for c, a, b in terms:
-            if not c or not b.coeffs:
-                continue
-            right = sorted((j2 + m2, j2, m2, p2.terms) for (j2, m2), p2 in b.coeffs.items())
-            low = right[0][0]
-            for (j1, m1), p1 in a.coeffs.items():
-                cut = v - j1 - m1
-                if low >= cut:
-                    continue
-                left = p1.terms if c == 1 else {m: x * c for m, x in p1.terms.items()}
-                for d2, j2, m2, t2 in right:
-                    if d2 >= cut:
-                        break
-                    key = (j1 + j2, m1 + m2)
-                    got = pairs.get(key)
-                    if got is None:
-                        pairs[key] = [(left, t2)]
-                    else:
-                        got.append((left, t2))
-        coeffs = {e: GradedPoly(sum_products({}, ps), first.basis) for e, ps in pairs.items()}
+        laurent = any(a.laurent or b.laurent for _c, a, b in terms)
+        lo_xi = lo_x = 0  # lowest exponents of any operand, the fields' offsets
+        if laurent:
+            exps = [e for _c, a, b in terms for e in (*a.coeffs, *b.coeffs)]
+            lo_xi = min(0, min((j for j, _m in exps), default=0))
+            lo_x = min(0, min((m for _j, m in exps), default=0))
+        width = max(v - 2 * (lo_xi + lo_x), 1).bit_length()
+        acc = sum_products({}, _packed_triples(terms, v, width, lo_xi, lo_x))
+        shift = 2 * width
+        fields = (1 << shift) - 1
+        by_exp: dict = {}
+        for key, x in acc.items():
+            got = by_exp.get(f := key & fields)
+            if got is None:
+                by_exp[f] = {key >> shift: x}
+            else:
+                got[key >> shift] = x
+        low = (1 << width) - 1
+        basis = first.basis
+        coeffs = {((f >> width) + 2 * lo_xi, (f & low) + 2 * lo_x): GradedPoly(t, basis)
+                  for f, t in by_exp.items()}
         w = weights.pop() if len(weights) == 1 else None
-        return Series(first.prime, first.basis, coeffs, v, w,
-                      any(a.laurent or b.laurent for _c, a, b in terms))
+        return Series(first.prime, basis, coeffs, v, w, laurent)
 
     def scale(self, c) -> "Series":
         if not c:
@@ -361,15 +368,14 @@ class Series:
         inv0 = Fraction(1) / Fraction(u0)
         out = {(0, 0): GradedPoly.const(_norm_coef(inv0), self.basis)}
         src = unit.coeffs
+        neg = _norm_coef(-inv0)
         for j in range(1, vu):
-            acc: dict = {}
-            for i in range(1, j + 1):
-                ui = src.get((i, 0))
-                rj = out.get((j - i, 0))
-                if ui is not None and rj is not None:
-                    add_products(acc, ui.terms, rj.terms, _norm_coef(-inv0))
+            acc = GradedPoly(sum_products({}, (
+                (neg, ui.terms.items(), rj.terms.items()) for i in range(1, j + 1)
+                if (ui := src.get((i, 0))) is not None and (rj := out.get((j - i, 0))) is not None
+            )), self.basis)
             if acc:
-                out[(j, 0)] = GradedPoly(acc, self.basis)
+                out[(j, 0)] = acc
         w = None if self.weight is None else -self.weight
         res = Series(self.prime, self.basis, out, vu, None, self.laurent).shift_xi(-d)
         res.weight = w
@@ -379,6 +385,33 @@ class Series:
         from .render import series_text
 
         return f"Series({series_text(self)!r}, p={self.prime}, basis={self.basis!r})"
+
+
+def _packed_triples(terms, v: int, width: int, lo_xi: int, lo_x: int):
+    """(c, A terms, B terms) per coefficient of A, with the B terms it meets below degree v.
+
+    Keys are packed as in the module docstring.  B's terms are listed in
+    degree order up to v - val(A), below which every field is in range, and
+    each coefficient of A takes the prefix below v minus its own degree.
+    """
+    shift = 2 * width
+    for c, a, b in terms:
+        if not c or not a.coeffs or not b.coeffs:
+            continue
+        top = v - a.val()
+        degrees: list = []
+        right: list = []
+        for d, j, m, p in sorted((j + m, j, m, p) for (j, m), p in b.coeffs.items()):
+            if d >= top:
+                break
+            f = (j - lo_xi) << width | (m - lo_x)
+            right += [(mono << shift | f, x) for mono, x in p.terms.items()]
+            degrees += [d] * len(p.terms)
+        for (j, m), p in a.coeffs.items():
+            cut = bisect_left(degrees, v - j - m)
+            if cut:
+                f = (j - lo_xi) << width | (m - lo_x)
+                yield c, [(mono << shift | f, x) for mono, x in p.terms.items()], right[:cut]
 
 
 _ZERO = {"v": GradedPoly.zero("v"), "l": GradedPoly.zero("l")}

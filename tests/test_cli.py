@@ -294,10 +294,36 @@ def test_progress_at_the_closed_form_index_follows_the_raw_series(capsys):
     # at n = 2(p - 1) the recurrence only runs to print the raw series
     argv = ("mc", "-p", "3", "-k", "13", "--n", "4", "--progress")
     code, out, err = run(capsys, *argv)
-    assert code == 0 and "raw = " not in out and err == ""
+    assert code == 0 and "raw = " not in out
+    assert err.splitlines() == [f"progress: {j}/5 power-operation steps" for j in range(1, 6)]
     code, out, err = run(capsys, *argv, "--show-raw")
     assert code == 0 and "raw = " in out
     assert err.splitlines()[-1] == "progress: 4/4 recurrence steps"
+
+
+def test_progress_reports_power_operation_steps(capsys):
+    # the Euler operator forms N_1 .. N_top with top = k // (p - 1) - 1: 18 at p = 5,
+    # k = 76; at n = 2(p - 1) no recurrence runs, so these are the only lines
+    argv = ("mc", "-p", "5", "--n", "8")
+    code, quiet_out, quiet_err = run(capsys, *argv)
+    code2, loud_out, loud_err = run(capsys, *argv, "--progress")
+    assert code == code2 == 0 and quiet_err == ""
+    assert loud_out.encode() == quiet_out.encode()
+    assert loud_err.splitlines() == [f"progress: {j}/18 power-operation steps"
+                                     for j in range(1, 19)]
+    # p = 2 reads its one factor off exp: no Euler step, only the recurrence's
+    code, _out, err = run(capsys, "mc", "-p", "2", "--n", "3", "--progress")
+    assert code == 0
+    assert err.splitlines() == [f"progress: {k}/3 recurrence steps" for k in range(1, 4)]
+
+
+def test_verify_progress_at_p13_reports_the_power_operation(capsys):
+    code, quiet_out, quiet_err = run(capsys, "verify", "--suite", "p13")
+    code2, loud_out, loud_err = run(capsys, "verify", "--suite", "p13", "--progress")
+    assert code == code2 == 0 and quiet_err == ""
+    assert loud_out.encode() == quiet_out.encode() == b"suite p13: ok\n"
+    assert loud_err.splitlines() == [f"progress: {j}/41 power-operation steps"
+                                     for j in range(1, 42)]
 
 
 def test_threads_do_not_change_output(capsys):

@@ -101,10 +101,10 @@ def test_shared_pass_forms_each_product_below_the_truncation_once(monkeypatch, p
     handed = []
     real = fglops.fgl.sum_products
 
-    def counting(tgt, pairs):
-        pairs = list(pairs)
-        handed.extend(len(t1) * len(t2) for t1, t2 in pairs)
-        return real(tgt, pairs)
+    def counting(tgt, triples):
+        triples = list(triples)
+        handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
+        return real(tgt, triples)
 
     monkeypatch.setattr(fglops.fgl, "sum_products", counting)
     ctx = FglContext(p, k)
@@ -299,10 +299,10 @@ def test_to_v_forms_each_tail_once_per_context(monkeypatch):
     handed = []
     real = fglops.poly.sum_products
 
-    def counting(tgt, pairs):
-        pairs = list(pairs)
-        handed.extend(len(t1) * len(t2) for t1, t2 in pairs)
-        return real(tgt, pairs)
+    def counting(tgt, triples):
+        triples = list(triples)
+        handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
+        return real(tgt, triples)
 
     ctx = FglContext(2, 56)
     pser = ctx.reduced_p_series("l")

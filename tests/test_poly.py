@@ -19,6 +19,7 @@ from fglops.poly import (
     mono_pack,
     mono_sort_key,
     mono_weight,
+    sum_products,
 )
 from fglops.render import parse_poly, poly_from_obj, poly_text, poly_to_obj
 
@@ -135,6 +136,21 @@ def test_add_products_zero_scalar_leaves_target_unchanged():
         terms = dict(tgt.terms)
         add_products(terms, a.terms, b.terms, 0)
         assert terms == tgt.terms
+
+
+def test_sum_products_scales_each_triple_and_leaves_cancellations_as_zeros():
+    rng = random.Random(20261019)
+    for _ in range(50):
+        a, b, c = (rand_poly(rng, rationals=True) for _ in range(3))
+        s, t = rng.choice([1, -2, Fraction(3, 5)]), rng.choice([0, 7, Fraction(-1, 2)])
+        got = sum_products({}, ((s, a.terms.items(), b.terms.items()),
+                                (t, b.terms.items(), c.terms.items())))
+        assert GradedPoly(got, "v") == _products_by_pairs(a, b, s) + _products_by_pairs(b, c, t)
+    a, b = P("v1 + 2*v2"), P("v1 - 3")
+    got = sum_products({}, ((2, a.terms.items(), b.terms.items()),
+                            (-1, a.terms.items(), b.scale(2).terms.items())))
+    assert set(got) == set((a * b).terms) and not any(got.values())
+    assert GradedPoly(got, "v") == 0
 
 
 def test_pow():

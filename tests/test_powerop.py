@@ -230,10 +230,10 @@ def test_rows_hand_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, 
     ctx = FglContext(p, k)
     handed = []
 
-    def counting(tgt, pairs):
-        pairs = list(pairs)
-        handed.extend(len(t1) * len(t2) for t1, t2 in pairs)
-        return sum_products(tgt, pairs)
+    def counting(tgt, triples):
+        triples = list(triples)
+        handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
+        return sum_products(tgt, triples)
 
     monkeypatch.setattr(fglops.series, "sum_products", counting)
 

@@ -154,6 +154,29 @@ def test_sum_of_products_reference_edge_cases():
     assert Series.sum_of_products([(0, a, b)]).coeffs == {}
     assert Series.sum_of_products([(2, a, b), (-2, b, a)]).coeffs == {}
 
+    # Laurent in xi and in x, bivariate, a negative validity, an empty operand
+    lau_x = lau.shift_x(-1) + b.shift_xi(-3)
+    assert min(jx for _j, jx in lau_x.coeffs) < 0 and min(j for j, _jx in lau_x.coeffs) < 0
+    assert Series.sum_of_products([(2, lau_x.shift_xi(-9), lau_x)]).validity < 0
+    for terms in ([(1, lau_x, lau_x)],
+                  [(2, lau_x.shift_xi(-9), lau_x)],
+                  [(5, lau_x, b), (-1, b, lau), (0, lau_x, a)],
+                  [(1, a, b.shift_xi(7)), (1, Series.zero(2, "v", 3), a)]):
+        assert Series.sum_of_products(terms) == _naive_sum_of_products(terms)
+
+    # output validity far above any truncation the context accepts, and
+    # exponents far beyond 2^16, which a fixed 16-bit field would carry out of
+    for shift in (700, 1 << 16, 1 << 17):
+        big = a.shift_xi(shift) + b.shift_x(shift - 3)
+        lau_big = big.shift_xi(-5)
+        assert lau_big.laurent and min(j for j, _jx in lau_big.coeffs) < 0
+        for terms in ([(1, big, big)],
+                      [(3, big, lau_big), (-1, lau_big, lau_big), (Fraction(1, 2), lau_big, big)]):
+            got = Series.sum_of_products(terms)
+            assert got.validity > 2 * shift - 10
+            assert got == _naive_sum_of_products(terms)
+            assert got.coeffs
+
 
 @pytest.mark.parametrize("seed", range(40))
 def test_sum_of_products_hands_the_kernel_only_pairs_below_the_validity(monkeypatch, seed):
@@ -165,10 +188,10 @@ def test_sum_of_products_hands_the_kernel_only_pairs_below_the_validity(monkeypa
              for _ in range(rng.randrange(1, 6))]
     handed = []
 
-    def counting(tgt, pairs):
-        pairs = list(pairs)
-        handed.extend(len(t1) * len(t2) for t1, t2 in pairs)
-        return sum_products(tgt, pairs)
+    def counting(tgt, triples):
+        triples = list(triples)
+        handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
+        return sum_products(tgt, triples)
 
     monkeypatch.setattr(fglops.series, "sum_products", counting)
     v = Series.sum_of_products(terms).validity
