@@ -76,20 +76,25 @@ def _suite_problem(suite) -> str | None:
             validity = series_from_obj(t["series"]).validity
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             return f"{bad} ({type(exc).__name__}: {exc})"
-        if not isinstance(validity, int):
+        if not _is_int(validity):
             return f"{bad} (validity {validity!r} is not an integer)"
     return None
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; true and false parse to bools, which Python counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_suite(suite) -> bool:
     """The shape verify_suite reads; every table but the p-series names its n."""
     return (isinstance(suite, dict)
-            and isinstance(suite.get("prime"), int)
-            and isinstance(suite.get("truncation"), int)
+            and _is_int(suite.get("prime"))
+            and _is_int(suite.get("truncation"))
             and isinstance(suite.get("tables"), list)
             and all(isinstance(t, dict) and {"kind", "series"} <= t.keys()
                     and (t["kind"] == "reduced-pseries"
-                         or t["kind"] == "mc" and isinstance(t.get("n"), int))
+                         or t["kind"] == "mc" and _is_int(t.get("n")))
                     for t in suite["tables"]))
 
 

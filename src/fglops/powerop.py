@@ -26,22 +26,25 @@ Truncation mod (X, L)^(k+1) is truncation mod (xi, x)^(k+1), and X^a feeds
 only x^s with s >= a, so X-degrees above the largest i asked for are dropped.
 
 Forms sum C[a][b] X^a L^b become rows in xi with no series composed: with
-R = log(xi)/xi, row s = sum_a [xi^(s-a)] R^a W_a, W_a = sum_b C[a][b] xi^b R^b,
-and the powers R^b, the sums W_a and the rows are all Series products.  One
-factor has C[a][b] = binom(a+b, a) e_(a+b) i^b for exp = sum e_j xi^j; at
-p = 2 it is the whole product, and the left fold of the p - 2 products of
-single-factor rows is the cross-check route product_rows_by_fold.  Rows
-stay in the l-basis; one substitution lands in the v-basis, where every
-coefficient must be an integer.
+L = log(xi), [x^s] X^a = [xi^s] L^a, so row s = sum_a [xi^s] L^a W_a with
+W_a = sum_b C[a][b] L^b.  Each power L^b, each sum W_a and each row is one
+pass of the monomial loop over packed, degree-ordered term lists, and only
+the finished rows become Series (_rows).  One factor has
+C[a][b] = binom(a+b, a) e_(a+b) i^b for exp = sum e_j xi^j; at p = 2 it is
+the whole product, and the left fold of the p - 2 products of single-factor
+rows is the cross-check route product_rows_by_fold.  Rows stay in the
+l-basis; one substitution lands in the v-basis, where every coefficient must
+be an integer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from math import comb, factorial
 
 from .fgl import FglContext, IntegralityError
 from .poly import UNIT_MONO, GradedPoly, sum_products
-from .series import Series
+from .series import Series, pack_terms, split_packed
 
 
 class EulerClassError(AssertionError):
@@ -62,27 +65,48 @@ class PowerOpData:
 def _rows(ctx: FglContext, forms: list, cap: int) -> list:
     """Rows 0..cap (in x) of the forms forms[a][b] X^a L^b, a + b <= k, as l-basis series in xi.
 
-    R^(b-1) is truncated before each step, so every product's cutoff is its
-    validity: k+1-b for R^b, k+1-a for W_a, and k+1-s for row s, which its
-    term a = s fixes, [xi^0] R^s being 1 (module docstring).
+    Every term list is packed as mono << W | xi-degree (series.pack_terms)
+    and held in degree order.  Each power L^b = L L^(b-1), each sum
+    W_a = sum_b C[a][b] L^b and each row s = sum_a [xi^s] L^a W_a is one
+    sum_products call, bisect cutting every right-hand list below the
+    product's validity: k+1 for L^b, k+1-a for W_a, and k+1-s for row s,
+    which its term a = s fixes, [xi^s] L^s being 1.  A row's left factors
+    keep their degree s in the key, so its keys carry xi^s times the row and
+    are cut below k+1 as well.  No pair thus reaches degree k+1, and a degree
+    field of W = (k+1).bit_length() bits never carries into the monomial.
+    Only the finished rows are split back (series.split_packed) into Series.
     """
     p, k = ctx.p, ctx.k
-    ratio = ctx.log.shift_xi(-1)  # valid mod xi^k
-    powers = [Series.from_const(1, p, "l", k + 1), ratio]
-    for b in range(2, max([cap] + [b for f in forms for b in f]) + 1):
-        powers.append(powers[-1].truncate(k + 1 - b) * ratio)
-    ws = []
-    for a, form in enumerate(forms):
-        v = k + 1 - a
-        terms = [(1, powers[b], Series(p, "l", {(b, 0): GradedPoly(c, "l")}, v))
-                 for b, c in form.items()]
-        ws.append(Series.sum_of_products(terms) if terms else Series.zero(p, "l", v))
+    width = (k + 1).bit_length()
+    low = (1 << width) - 1
+
+    def ordered(acc: dict) -> tuple:  # nonzero terms by degree, and their degrees
+        items = sorted([kx for kx in acc.items() if kx[1]], key=lambda kx: kx[0] & low)
+        return items, [key & low for key, _x in items]
+
+    def below(power: tuple, v: int) -> list:
+        return power[0][:bisect_left(power[1], v)]
+
+    lead = [(j, pack_terms(c.terms, width, j)) for (j, _z), c in sorted(ctx.log.coeffs.items())]
+    powers = [ordered({UNIT_MONO << width: 1}), ordered(dict(kx for _j, t in lead for kx in t))]
+    for _b in range(2, max([cap] + [b for f in forms for b in f]) + 1):
+        powers.append(ordered(sum_products({}, ((1, t, below(powers[-1], k + 1 - j))
+                                                for j, t in lead))))
+    ws = [ordered(sum_products({}, ((1, pack_terms(c, width, 0), below(powers[b], k + 1 - a))
+                                    for b, c in form.items())))
+          for a, form in enumerate(forms)]
     rows = []
     for s in range(cap + 1):
-        v = k + 1 - s
-        rows.append(Series.sum_of_products(
-            (1, Series(p, "l", {(0, 0): c}, v), ws[a])
-            for a in range(s + 1) if (c := powers[a].coeffs.get((s - a, 0)))))
+        triples = []
+        for a in range(s + 1):
+            terms, degrees = powers[a]
+            lo = bisect_left(degrees, s)
+            hi = bisect_right(degrees, s, lo)
+            if lo < hi:
+                triples.append((1, terms[lo:hi], below(ws[a], k + 1 - s)))
+        acc = sum_products({}, triples)
+        rows.append(Series(p, "l", {(d - s, 0): GradedPoly(t, "l")
+                                    for d, t in split_packed(acc, width).items()}, k + 1 - s))
     return rows
 
 

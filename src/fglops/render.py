@@ -81,7 +81,7 @@ def _var_text(j: int, jx: int) -> str:
         parts.append(f"xi^{j}")
     if jx == 1:
         parts.append("x")
-    elif jx > 1:
+    elif jx != 0:
         parts.append(f"x^{jx}")
     return "*".join(parts)
 
@@ -123,7 +123,7 @@ def series_text(s: Series, show_validity: bool = True) -> str:
 
 # -- parsing ---------------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"^(?:(?P<num>-?\d+(?:/\d+)?)|(?P<gen>[vl])(?P<idx>\d+)(?:\^(?P<ge>\d+))?|(?P<var>xi|x)(?:\^(?P<ve>\d+))?)$")
+_FACTOR_RE = re.compile(r"^(?:(?P<num>-?\d+(?:/\d+)?)|(?P<gen>[vl])(?P<idx>\d+)(?:\^(?P<ge>\d+))?|(?P<var>xi|x)(?:\^(?P<ve>-?\d+))?)$")
 
 
 def _split_top_terms(text: str):
@@ -180,7 +180,10 @@ def parse_poly(text: str, basis: str = "v") -> GradedPoly:
 
 def parse_series(text: str, prime: int, basis: str, validity: int | None = None,
                  weight: int | None = None) -> Series:
-    """Parse series text as produced by series_text (the O-marker sets validity)."""
+    """Parse series text as produced by series_text (the O-marker sets validity).
+
+    A negative exponent of xi or x, as in xi^-1 or x^-2, gives a Laurent series.
+    """
     text = text.strip()
     m = re.search(r"\+\s*O\((?:xi|xi,x)\)\^(\d+)\s*$", text)
     if m:
@@ -222,7 +225,8 @@ def parse_series(text: str, prime: int, basis: str, validity: int | None = None,
                 poly = GradedPoly({mono_from_exps(exps): coef}, basis)
             prev = coeffs.get((j, jx))
             coeffs[(j, jx)] = poly if prev is None else prev + poly
-    return Series(prime, basis, coeffs, validity, weight)
+    laurent = any(j < 0 or jx < 0 for j, jx in coeffs)
+    return Series(prime, basis, coeffs, validity, weight, laurent)
 
 
 # -- JSON wire format -------------------------------------------------------

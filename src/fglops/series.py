@@ -39,7 +39,8 @@ the raw MC_24 at p = 13, k = 504, and nothing bounds it in principle.  B's terms
 by total degree; for each coefficient of A, of degree d, bisect cuts that
 list at V - d, and A's terms, scaled by c once each, meet the prefix in one
 dict.  Zeros are dropped once, when that dict is split back by (j_xi, j_x)
-into GradedPolys.
+into GradedPolys.  The power operation's row conversion packs its term
+lists the same way, with a single xi-degree field (pack_terms, split_packed).
 """
 
 from __future__ import annotations
@@ -245,19 +246,10 @@ class Series:
             lo_x = min(0, min((m for _j, m in exps), default=0))
         width = max(v - 2 * (lo_xi + lo_x), 1).bit_length()
         acc = sum_products({}, _packed_triples(terms, v, width, lo_xi, lo_x))
-        shift = 2 * width
-        fields = (1 << shift) - 1
-        by_exp: dict = {}
-        for key, x in acc.items():
-            got = by_exp.get(f := key & fields)
-            if got is None:
-                by_exp[f] = {key >> shift: x}
-            else:
-                got[key >> shift] = x
         low = (1 << width) - 1
         basis = first.basis
         coeffs = {((f >> width) + 2 * lo_xi, (f & low) + 2 * lo_x): GradedPoly(t, basis)
-                  for f, t in by_exp.items()}
+                  for f, t in split_packed(acc, 2 * width).items()}
         w = weights.pop() if len(weights) == 1 else None
         return Series(first.prime, basis, coeffs, v, w, laurent)
 
@@ -387,6 +379,28 @@ class Series:
         return f"Series({series_text(self)!r}, p={self.prime}, basis={self.basis!r})"
 
 
+def pack_terms(terms: dict, shift: int, field: int) -> list:
+    """A coefficient's terms as (mono << shift | field, coefficient) items."""
+    return [(mono << shift | field, x) for mono, x in terms.items()]
+
+
+def split_packed(acc: dict, shift: int) -> dict:
+    """{field: {mono: coefficient}} from a sum_products dict keyed mono << shift | field.
+
+    The one place a packed sum is split back; zero coefficients are dropped.
+    """
+    fields = (1 << shift) - 1
+    out: dict = {}
+    for key, x in acc.items():
+        if x:
+            got = out.get(f := key & fields)
+            if got is None:
+                out[f] = {key >> shift: x}
+            else:
+                got[key >> shift] = x
+    return out
+
+
 def _packed_triples(terms, v: int, width: int, lo_xi: int, lo_x: int):
     """(c, A terms, B terms) per coefficient of A, with the B terms it meets below degree v.
 
@@ -404,14 +418,13 @@ def _packed_triples(terms, v: int, width: int, lo_xi: int, lo_x: int):
         for d, j, m, p in sorted((j + m, j, m, p) for (j, m), p in b.coeffs.items()):
             if d >= top:
                 break
-            f = (j - lo_xi) << width | (m - lo_x)
-            right += [(mono << shift | f, x) for mono, x in p.terms.items()]
+            right += pack_terms(p.terms, shift, (j - lo_xi) << width | (m - lo_x))
             degrees += [d] * len(p.terms)
         for (j, m), p in a.coeffs.items():
             cut = bisect_left(degrees, v - j - m)
             if cut:
                 f = (j - lo_xi) << width | (m - lo_x)
-                yield c, [(mono << shift | f, x) for mono, x in p.terms.items()], right[:cut]
+                yield c, pack_terms(p.terms, shift, f), right[:cut]
 
 
 _ZERO = {"v": GradedPoly.zero("v"), "l": GradedPoly.zero("l")}

@@ -264,6 +264,10 @@ BAD_GOLDEN = {  # case -> the file's text made from the good one; None: no file
     "n-beyond-truncation": _edited(lambda s: s["tables"][-1].update(n=s["truncation"] + 1)),
     "truncation-too-small": _edited(lambda s: s.update(truncation=1, tables=[
         {**s["tables"][1], "n": 1}])),
+    # JSON true parses to a bool, which Python counts as the int 1
+    "bool-truncation": _edited(lambda s: s.update(truncation=True, tables=s["tables"][:1])),
+    "bool-n": _edited(lambda s: s.update(tables=[{**s["tables"][1], "n": True}])),
+    "bool-validity": _edited(lambda s: s["tables"][0]["series"].update(validity=True)),
 }
 
 

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-import fglops.series
 from fglops import FglContext, IntegralityError, power_operation, reduce_a_mod_p_series
 from fglops import powerop
 from fglops.poly import GradedPoly, add_products, sum_products
@@ -204,7 +203,10 @@ def _rows_by_closed_form(ctx, forms, cap):
     return rows, ws
 
 
-ROWS_GRID = [(2, 20, 8), (3, 25, 6), (5, 40, 10)]
+# in a degree field of (k + 1).bit_length() bits, degree k leaves the top bit unused
+# at k = 15 and 31 and needs it at k = 16 and 32
+ROWS_GRID = [(2, 20, 8), (3, 25, 6), (5, 40, 10), (2, 15, 8), (2, 16, 8), (3, 31, 10),
+             (3, 32, 10), (7, 30, 30)]
 
 
 def _forms_of(ctx, cap):
@@ -225,7 +227,7 @@ def test_rows_match_the_closed_form(p, k, cap):
 
 @pytest.mark.parametrize("p,k,cap", ROWS_GRID)
 def test_rows_hand_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, cap):
-    # R^b = R^(b-1) R mod xi^(k+1-b), W_a mod xi^(k+1-a), row s mod xi^(k+1-s):
+    # L^b = L L^(b-1) mod xi^(k+1), W_a mod xi^(k+1-a), row s mod xi^(k+1-s):
     # a factor left above the validity of its product changes no row, only this count
     ctx = FglContext(p, k)
     handed = []
@@ -235,20 +237,20 @@ def test_rows_hand_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, 
         handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
         return sum_products(tgt, triples)
 
-    monkeypatch.setattr(fglops.series, "sum_products", counting)
+    monkeypatch.setattr(powerop, "sum_products", counting)
 
-    def size(r, d):  # terms of [xi^d] R^r
-        return len(ctx.log_ratio_power(r, d).terms)
+    def size(r, e):  # terms of [xi^e] L^r = [xi^(e-r)] R^r
+        return len(ctx.log_ratio_power(r, e - r).terms) if e >= r else 0
 
     for forms in _forms_of(ctx, cap):
         handed.clear()
         _rows(ctx, forms, cap)
         ws = _rows_by_closed_form(ctx, forms, cap)[1]
         top = max([cap] + [b for f in forms for b in f])
-        want = sum(size(b - 1, e) * size(1, f) for b in range(2, top + 1)
-                   for e in range(k + 1 - b) for f in range(k + 1 - b - e))
-        want += sum(size(b, e) * len(c) for a, f in enumerate(forms) for b, c in f.items()
-                    for e in range(k + 1 - a - b))
-        want += sum(size(a, s - a) * len(t) for s in range(cap + 1) for a in range(s + 1)
+        want = sum(size(1, f) * size(b - 1, e) for b in range(2, top + 1)
+                   for f in range(1, k + 1) for e in range(k + 1 - f))
+        want += sum(len(c) * size(b, e) for a, f in enumerate(forms) for b, c in f.items()
+                    for e in range(k + 1 - a))
+        want += sum(size(a, s) * len(t) for s in range(cap + 1) for a in range(s + 1)
                     for d, t in ws[a].items() if d < k + 1 - s)
         assert sum(handed) == want

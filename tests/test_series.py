@@ -331,6 +331,17 @@ def test_text_and_json_roundtrip():
         assert parsed.validity == a.validity
 
 
+def test_laurent_text_roundtrip():
+    # negative exponents print as xi^-1 and x^-2 and parse back to the same Laurent series
+    in_x = Series(2, "v", {(1, -2): P("3"), (1, 0): P("5"), (0, 3): P("v1")}, 4, laurent=True)
+    in_xi = S("1 + 2*v1*xi^3", 2, "v", validity=6).shift_xi(-2)
+    assert series_text(in_x) == "3*xi*x^-2 + 5*xi + v1*x^3 + O(xi,x)^4"
+    assert series_text(in_xi) == "xi^-2 + 2*v1*xi + O(xi)^4"
+    for s in (in_x, in_xi):
+        parsed = parse_series(series_text(s), 2, "v")
+        assert parsed == s and parsed.laurent
+
+
 # every shape the CLI prints: empty exps {}, null, true/false, negative and
 # big ints, empty lists, non-ASCII and escaped strings
 _JSON_SHAPES = [
