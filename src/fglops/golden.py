@@ -78,6 +78,11 @@ def _suite_problem(suite) -> str | None:
             return f"{bad} ({type(exc).__name__}: {exc})"
         if not _is_int(validity):
             return f"{bad} (validity {validity!r} is not an integer)"
+        exponents = [e for term in t["series"]["terms"]
+                     for e in (term["xi"], term.get("x", 0),
+                               *(x for part in term["poly"] for x in part["exps"].values()))]
+        if odd := [e for e in exponents if not _is_int(e)]:
+            return f"{bad} (exponent {json.dumps(odd[0])} is not an integer)"
     return None
 
 

@@ -21,7 +21,11 @@ runs in integers: d h_d = [xi^d] (log(xi)/xi)^(-d) by Lagrange inversion, and
 P_(q(j+1)) = N_j / (q^j j!) with integral
 N_j = sum_i q^(i-1) (j-1)!/(j-i)! (qi h_(qi)) B_(qi) N_(j-i).  The division
 is exact, P having coefficients in Z[l] like exp (the inverse of a series
-with leading coefficient 1); a remainder raises IntegralityError.
+with leading coefficient 1); a remainder raises IntegralityError.  Each N_j
+is one packed term list keyed mono << W | X-degree (series.PackedTerms):
+the convolution B_d N_(j-i) is one pass of the monomial loop, N cut at
+X-degree <= min(cap, q(j+1)) - a1 for each a1, and the product by d h_d is
+one more, into N_j.
 Truncation mod (X, L)^(k+1) is truncation mod (xi, x)^(k+1), and X^a feeds
 only x^s with s >= a, so X-degrees above the largest i asked for are dropped.
 
@@ -39,12 +43,11 @@ be an integer.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from math import comb, factorial
 
 from .fgl import FglContext, IntegralityError
 from .poly import UNIT_MONO, GradedPoly, sum_products
-from .series import Series, pack_terms, split_packed
+from .series import PackedTerms, Series, pack_terms, split_packed
 
 
 class EulerClassError(AssertionError):
@@ -66,45 +69,32 @@ def _rows(ctx: FglContext, forms: list, cap: int) -> list:
     """Rows 0..cap (in x) of the forms forms[a][b] X^a L^b, a + b <= k, as l-basis series in xi.
 
     Every term list is packed as mono << W | xi-degree (series.pack_terms)
-    and held in degree order.  Each power L^b = L L^(b-1), each sum
-    W_a = sum_b C[a][b] L^b and each row s = sum_a [xi^s] L^a W_a is one
-    sum_products call, bisect cutting every right-hand list below the
-    product's validity: k+1 for L^b, k+1-a for W_a, and k+1-s for row s,
-    which its term a = s fixes, [xi^s] L^s being 1.  A row's left factors
-    keep their degree s in the key, so its keys carry xi^s times the row and
-    are cut below k+1 as well.  No pair thus reaches degree k+1, and a degree
-    field of W = (k+1).bit_length() bits never carries into the monomial.
+    and held in degree order (series.PackedTerms).  Each power
+    L^b = L L^(b-1), each sum W_a = sum_b C[a][b] L^b and each row
+    s = sum_a [xi^s] L^a W_a is one sum_products call, bisect cutting every
+    right-hand list below the product's validity: k+1 for L^b, k+1-a for
+    W_a, and k+1-s for row s, which its term a = s fixes, [xi^s] L^s being
+    1.  A row's left factors keep their degree s in the key, so its keys
+    carry xi^s times the row and are cut below k+1 as well.  No pair thus
+    reaches degree k+1, and a degree field of W = (k+1).bit_length() bits
+    never carries into the monomial.
     Only the finished rows are split back (series.split_packed) into Series.
     """
     p, k = ctx.p, ctx.k
     width = (k + 1).bit_length()
-    low = (1 << width) - 1
-
-    def ordered(acc: dict) -> tuple:  # nonzero terms by degree, and their degrees
-        items = sorted([kx for kx in acc.items() if kx[1]], key=lambda kx: kx[0] & low)
-        return items, [key & low for key, _x in items]
-
-    def below(power: tuple, v: int) -> list:
-        return power[0][:bisect_left(power[1], v)]
-
     lead = [(j, pack_terms(c.terms, width, j)) for (j, _z), c in sorted(ctx.log.coeffs.items())]
-    powers = [ordered({UNIT_MONO << width: 1}), ordered(dict(kx for _j, t in lead for kx in t))]
+    powers = [PackedTerms({UNIT_MONO << width: 1}, width),
+              PackedTerms(dict(kx for _j, t in lead for kx in t), width)]
     for _b in range(2, max([cap] + [b for f in forms for b in f]) + 1):
-        powers.append(ordered(sum_products({}, ((1, t, below(powers[-1], k + 1 - j))
-                                                for j, t in lead))))
-    ws = [ordered(sum_products({}, ((1, pack_terms(c, width, 0), below(powers[b], k + 1 - a))
-                                    for b, c in form.items())))
+        powers.append(PackedTerms(sum_products({}, ((1, t, powers[-1].below(k + 1 - j))
+                                                    for j, t in lead)), width))
+    ws = [PackedTerms(sum_products({}, ((1, pack_terms(c, width, 0), powers[b].below(k + 1 - a))
+                                        for b, c in form.items())), width)
           for a, form in enumerate(forms)]
     rows = []
     for s in range(cap + 1):
-        triples = []
-        for a in range(s + 1):
-            terms, degrees = powers[a]
-            lo = bisect_left(degrees, s)
-            hi = bisect_right(degrees, s, lo)
-            if lo < hi:
-                triples.append((1, terms[lo:hi], below(ws[a], k + 1 - s)))
-        acc = sum_products({}, triples)
+        acc = sum_products({}, ((1, at, ws[a].below(k + 1 - s)) for a in range(s + 1)
+                                if (at := powers[a].at(s))))
         rows.append(Series(p, "l", {(d - s, 0): GradedPoly(t, "l")
                                     for d, t in split_packed(acc, width).items()}, k + 1 - s))
     return rows
@@ -135,37 +125,40 @@ def product_rows(ctx: FglContext, cap: int, progress=None) -> list:
     if q > k:
         return _rows(ctx, forms, cap)
     top = k // q - 1  # P_(q(j+1)) is needed for j <= top
-    g = {d: ctx.log_ratio_power(-d, d).terms for d in range(q, q * top + 1, q)}  # d h_d
+    # N_j is keyed mono << W | X-degree, every X-degree in 0..cap, and B_d[a1] X^a1
+    # is the one term of key a1 (the unit monomial), so B_d N_(j-i) is one pass
+    width = cap.bit_length()
+    g = {d: pack_terms(ctx.log_ratio_power(-d, d).terms, width, 0)  # d h_d
+         for d in range(q, q * top + 1, q)}
     bform = {d: [comb(d, a) * sum(i ** (d - a) for i in range(1, q + 1))  # B_d
                  for a in range(min(d, cap) + 1)] for d in g}
     stirling = [1]  # prod_i (X + iL), by X-degree
     for i in range(1, q + 1):
         stirling = [x + i * y for x, y in zip([0] + stirling, stirling + [0])]
-    n = [[{UNIT_MONO: c} for c in stirling[:cap + 1]]]  # n[j][a]: X^a L^(q(j+1)-a) in N_j
+    n = [PackedTerms(dict(enumerate(stirling[:cap + 1])), width)]
     for j in range(1, top + 1):
-        nj = [{} for _ in range(min(cap, q * (j + 1)) + 1)]
+        size = min(cap, q * (j + 1)) + 1  # X-degrees of N_j
+        nj = {}
         scale = 1  # q^(i-1) (j-1)! / (j-i)!
         for i in range(1, j + 1):
             d = q * i
-            part = [{} for _ in nj]  # B_d N_(j-i), integer scalars only
-            for a2, terms in enumerate(n[j - i]):
-                for a1, b in enumerate(bform[d][:len(nj) - a2]):
-                    tgt = part[a1 + a2]
-                    for m, v in terms.items():
-                        tgt[m] = tgt.get(m, 0) + b * v
-            for a, t in enumerate(part):
-                sum_products(nj[a], ((scale, g[d].items(), t.items()),))
+            part = sum_products({}, ((b, ((a1, 1),), n[j - i].below(size - a1))
+                                     for a1, b in enumerate(bform[d][:size])))
+            sum_products(nj, ((scale, g[d], part.items()),))
             scale *= q * (j - i)
-        n.append(nj)
+        n.append(PackedTerms(nj, width))
         if progress is not None:
             progress(j, top)
     for j, nj in enumerate(n):
         den = q ** j * factorial(j)
-        for a, t in enumerate(nj):
-            if any(v % den for v in t.values()):
+        exact = {}
+        for key, v in nj.terms:
+            exact[key], r = divmod(v, den)
+            if r:
+                a = key & ((1 << width) - 1)
                 raise IntegralityError(f"X^{a} L^{q * (j + 1) - a} of the product is not integral")
-            if exact := {m: v // den for m, v in t.items() if v}:
-                forms[a][q * (j + 1) - a] = exact
+        for a, t in split_packed(exact, width).items():
+            forms[a][q * (j + 1) - a] = t
     return _rows(ctx, forms, cap)
 
 

@@ -39,14 +39,18 @@ the raw MC_24 at p = 13, k = 504, and nothing bounds it in principle.  B's terms
 by total degree; for each coefficient of A, of degree d, bisect cuts that
 list at V - d, and A's terms, scaled by c once each, meet the prefix in one
 dict.  Zeros are dropped once, when that dict is split back by (j_xi, j_x)
-into GradedPolys.  The power operation's row conversion packs its term
-lists the same way, with a single xi-degree field (pack_terms, split_packed).
+into GradedPolys.  The power operation's rows and Euler step and the
+obstruction's power recurrence pack their term lists the same way, with a
+single degree field, and keep each list in degree order (pack_terms,
+PackedTerms, split_packed).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .poly import BasisMismatchError, GradedPoly, UNIT_MONO, _norm_coef, sum_products
 
@@ -382,6 +386,38 @@ class Series:
 def pack_terms(terms: dict, shift: int, field: int) -> list:
     """A coefficient's terms as (mono << shift | field, coefficient) items."""
     return [(mono << shift | field, x) for mono, x in terms.items()]
+
+
+class PackedTerms:
+    """The nonzero terms of a packed sum in field order, cut by bisect.
+
+    The field is a key's low `width` bits (a degree); pack_terms builds the
+    keys.  The power operation's rows and Euler step and the obstruction
+    recurrence hold every operand this way: below(v) is the prefix of terms
+    with field < v, at(f) the terms with field f, and groups() the runs
+    (field, terms with that field), found on the first call.
+    """
+
+    __slots__ = ("terms", "fields", "_groups")
+
+    def __init__(self, acc: dict, width: int):
+        low = (1 << width) - 1
+        self.terms = sorted([kx for kx in acc.items() if kx[1]], key=lambda kx: kx[0] & low)
+        self.fields = [key & low for key, _x in self.terms]
+        self._groups = None
+
+    def below(self, v: int) -> list:
+        return self.terms[:bisect_left(self.fields, v)]
+
+    def at(self, f: int) -> list:
+        lo = bisect_left(self.fields, f)
+        return self.terms[lo:bisect_right(self.fields, f, lo)]
+
+    def groups(self) -> list:
+        if self._groups is None:  # an operand meets many right-hand lists
+            self._groups = [(f, [kx for _f, kx in run])
+                            for f, run in groupby(zip(self.fields, self.terms), key=itemgetter(0))]
+        return self._groups
 
 
 def split_packed(acc: dict, shift: int) -> dict:

@@ -268,6 +268,9 @@ BAD_GOLDEN = {  # case -> the file's text made from the good one; None: no file
     "bool-truncation": _edited(lambda s: s.update(truncation=True, tables=s["tables"][:1])),
     "bool-n": _edited(lambda s: s.update(tables=[{**s["tables"][1], "n": True}])),
     "bool-validity": _edited(lambda s: s["tables"][0]["series"].update(validity=True)),
+    "bool-xi": _edited(lambda s: s["tables"][0]["series"]["terms"][1].update(xi=True, x=False)),
+    "bool-exps": _edited(
+        lambda s: s["tables"][0]["series"]["terms"][1]["poly"][0]["exps"].update({"1": True})),
 }
 
 

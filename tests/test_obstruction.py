@@ -4,7 +4,7 @@ import tracemalloc
 import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from fglops import (
     FglContext,
@@ -21,7 +21,8 @@ import fglops.obstruction
 from fglops.fgl import IntegralityError
 from fglops.golden import compare_series, load_suite
 from fglops.obstruction import _sum_validity, multi_weighted_size
-from fglops.poly import GradedPoly
+from fglops.poly import GradedPoly, sum_products
+from fglops.powerop import product_rows, product_rows_by_fold
 from fglops.reduction import canonical_rep, nonvanishing_certificate
 from fglops.render import series_from_obj
 from fglops.series import Series
@@ -401,18 +402,103 @@ def test_routes_refuse_the_same_bad_n(route, ctx27):
 
 def test_inexact_recurrence_step_raises(monkeypatch, ctx313, data313):
     # at n = 2(p - 1) the recurrence runs when the raw series is read; from
-    # then on every series product is one too large in its constant term,
-    # which leaves an odd constant in 2 F_2
+    # then on every pass of the monomial loop is one too large in its
+    # constant term (key 0: the unit monomial at xi^0), which leaves an odd
+    # constant in 2 F_2
     result = mc(ctx313, data313, 4)
-    exact = Series.sum_of_products
 
-    def off_by_one(terms):
-        got = exact(terms)
-        return got + Series.from_const(1, got.prime, got.basis, got.validity)
+    def off_by_one(tgt, triples):
+        got = sum_products(tgt, triples)
+        got[0] = got.get(0, 0) + 1
+        return got
 
-    monkeypatch.setattr(Series, "sum_of_products", staticmethod(off_by_one))
+    monkeypatch.setattr(fglops.obstruction, "sum_products", off_by_one)
     with pytest.raises(IntegralityError, match="step 2 of the power recurrence"):
         result.raw
+
+
+def _pairs_below(x: Series, y: Series, v: int) -> int:
+    """Monomial pairs of x y whose xi-degree is below v."""
+    return sum(len(cx.terms) * len(cy.terms) for (d, _z), cx in x.coeffs.items()
+               for (e, _z2), cy in y.coeffs.items() if d + e < v)
+
+
+@pytest.mark.parametrize("p, k, n", [(2, 14, 6), (3, 25, 5), (3, 13, 4), (5, 40, 8), (7, 30, 7)])
+def test_recurrence_hands_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, n):
+    # every product of the recurrence, each step's sum and the final sum is
+    # cut below its validity; a pair at or above it changes no coefficient of
+    # raw (a Series drops it), only this count
+    ctx = FglContext(p, k)
+    data = power_operation(ctx, x_cap=n)
+    handed = []
+
+    def counting(tgt, triples):
+        triples = list(triples)
+        handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
+        return sum_products(tgt, triples)
+
+    monkeypatch.setattr(fglops.obstruction, "sum_products", counting)
+    raw = mc(ctx, data, n, force_full=True).raw
+    # the same operands by Series arithmetic, each product's pairs counted below its validity
+    a = data.a
+    one = Series.from_const(1, p, "v", a[0].validity)
+    want = 0
+    a0_pow = [one, a[0]]
+    for _j in range(2, n + 1):
+        a0_pow.append(a0_pow[-1] * a[0])
+        want += _pairs_below(a[0], a0_pow[-2], a0_pow[-1].validity)
+    g = [None, a[1]]
+    for i in range(2, n + 1):
+        g.append(a[i] * a0_pow[i - 1])
+        want += _pairs_below(a[i], a0_pow[i - 1], g[-1].validity)
+    f = [one]
+    for t in range(1, n + 1):
+        step = Series.sum_of_products((-n * i - t, g[i], f[t - i]) for i in range(1, t + 1))
+        want += sum(_pairs_below(g[i], f[t - i], step.validity) for i in range(1, t + 1))
+        f.append(step.map_polys(lambda c: c.divmod_int(t)[0]))
+    for t in range(n + 1):
+        if cp := ctx.cp_image(n - t):
+            want += sum(len(c.terms) for c in a0_pow[n - t].coeffs.values()) * len(cp.terms)
+            want += _pairs_below(a0_pow[n - t].scale_poly(cp), f[t], raw.validity)
+    assert sum(handed) == want
+
+
+# the multi-index sum costs about 15 ms a summand at p = 2, 3 ms at p = 3 and
+# 1 ms at p = 5 (k = 30); n <= 8, 14, 18 keeps a draw under about 1 s, where
+# n = 20 at p = 2 would take 75 s
+_PACKED_N = {2: 8, 3: 14, 5: 18}
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_data(p, k):
+    return power_operation(FglContext(p, k), x_cap=min(k, _PACKED_N[p]))
+
+
+@st.composite
+def _packed_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(1, 30))
+    return p, k, draw(st.integers(1, min(k, _PACKED_N[p])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_packed_cases())
+def test_packed_routes_equal_their_references(case):
+    # Miller's recurrence and the Euler step run on packed term lists; the
+    # raw series must be the multi-index sum and the rows the fold's, ==
+    # comparing validity, the weight compared on its own
+    p, k, n = case
+    data = _packed_data(p, k)
+    ctx = data.ctx
+    assert product_rows(ctx, n) == product_rows_by_fold(ctx, n)
+    try:
+        raw = mc(ctx, data, n, force_full=True).raw
+    except InsufficientTruncationError:
+        event("skipped: insufficient truncation")
+        return
+    via_sum = mc_via_sum(ctx, data, n)
+    assert raw == via_sum
+    assert raw.weight == via_sum.weight == -n * (p - 2)
 
 
 def test_insufficient_truncation():
