@@ -19,11 +19,8 @@ and the main route computes F by J.C.P. Miller's power recurrence
     k F_k = sum_{i=1..k} (-n*i - k) G_i F_(k-i),
 
 whose division by k is exact and runs in integers (a remainder raises
-IntegralityError): O(n^2) series products, no division by a_0.  Every
-operand is packed once into a degree-ordered term list (series.PackedTerms);
-each product and each step is one pass of the monomial loop, cut below the
-validity Series.sum_of_products would give it, and only the raw sum becomes
-a Series (_power_recurrence).
+IntegralityError): O(n^2) products of series.PackedSeries, no division by
+a_0, and only the raw sum becomes a Series (_power_recurrence).
 The reduced form modulo the reduced p-series is the obstruction class; its
 lowest nonzero coefficient is the nonvanishing certificate.
 
@@ -64,10 +61,10 @@ import math
 import operator
 
 from .fgl import FglContext, IntegralityError, mu, partitions
-from .poly import UNIT_MONO, GradedPoly, sum_products
+from .poly import UNIT_MONO, GradedPoly
 from .powerop import PowerOpData
 from .reduction import ReducedSeries, canonical_rep, nonvanishing_certificate
-from .series import PackedTerms, Series, pack_terms, split_packed
+from .series import PackedSeries, Series
 
 
 class InsufficientTruncationError(ValueError):
@@ -237,74 +234,35 @@ def _checked(series: Series, n: int) -> Series:
 def _power_recurrence(ctx: FglContext, data: PowerOpData, n: int, progress) -> Series:
     """raw(n) = sum_k cp(n-k) a_0^(n-k) F_k, with F_k from Miller's recurrence.
 
-    Every operand is packed once as mono << W | xi-degree (series.PackedTerms):
-    a_0, its powers, the G_i, each F_k as it is formed and each
-    cp(n-k) a_0^(n-k).  Each product, each step's sum and the final sum is one
-    sum_products call (_packed_sum), with Series.sum_of_products' validity;
-    only raw becomes a Series.  A product's validity is at most V_A + val(B)
-    and at most V_B + val(A), val <= V, so with V_max the largest validity
-    of a_0..a_n every validity formed here is at most max(n, 1) V_max:
-    a_0^j, G_j and F_j (through its pair G_j F_0, val(F_0) = 0) stay within
-    j V_max, and each summand of raw within n V_max.  A pair is formed only
-    below its product's validity, so a degree field of
-    W = (max(n, 1) V_max).bit_length() bits never carries into the monomial.
+    A product's validity is at most V_A + val(B) and at most V_B + val(A),
+    val <= V, so with V_max the largest validity of a_0..a_n, a_0^j, G_j and
+    F_j (through its pair G_j F_0) stay within j V_max and each summand of
+    raw within n V_max: W is the bit length of max(n, 1) V_max.
     """
     a = data.a[:n + 1]
     width = (max(n, 1) * max(ai.validity for ai in a)).bit_length()
-
-    def packed(s: Series) -> tuple:
-        return PackedTerms(dict(kx for (j, _z), c in s.coeffs.items()
-                                for kx in pack_terms(c.terms, width, j)), width), s.validity
-
-    ops = [packed(ai) for ai in a]
-    one = PackedTerms({UNIT_MONO << width: 1}, width), a[0].validity
-    a0_pow = [one, ops[0]]  # a0_pow[j] = a_0^j
-    for _ in range(2, n + 1):
-        acc, v = _packed_sum(((1, ops[0], a0_pow[-1]),))
-        a0_pow.append((PackedTerms(acc, width), v))
-    g = [None] + ops[1:2]
+    ops = [PackedSeries.from_series(ai, width) for ai in a]
+    one = PackedSeries.from_coeffs({0: {UNIT_MONO: 1}}, a[0].validity, width)
+    a0_pow, g = [one, ops[0]], [None] + ops[1:2]  # a0_pow[j] = a_0^j, g[i] = G_i
     for i in range(2, n + 1):
-        acc, v = _packed_sum(((1, ops[i], a0_pow[i - 1]),))
-        g.append((PackedTerms(acc, width), v))
+        a0_pow.append(PackedSeries.sum_of_products(((1, ops[0], a0_pow[-1]),)))
+        g.append(PackedSeries.sum_of_products(((1, ops[i], a0_pow[i - 1]),)))
     f = [one]
     for k in range(1, n + 1):
-        acc, v = _packed_sum((-n * i - k, g[i], f[k - i]) for i in range(1, k + 1))
-        quotient = {}
-        for key, x in acc.items():
-            quotient[key], r = divmod(x, k)
-            if r:
-                raise IntegralityError(f"step {k} of the power recurrence is not divisible by {k}")
-        f.append((PackedTerms(quotient, width), v))
+        step = PackedSeries.sum_of_products((-n * i - k, g[i], f[k - i]) for i in range(1, k + 1))
+        if any(x % k for _key, x in step.terms):
+            raise IntegralityError(f"step {k} of the power recurrence is not divisible by {k}")
+        f.append(PackedSeries([(key, x // k) for key, x in step.terms], step.validity, width))
         if progress is not None:
             progress(k, n)
     terms = []
     for k in range(n + 1):
-        cp = ctx.cp_image(n - k)
-        if cp:
-            power, v = a0_pow[n - k]
-            scaled = sum_products({}, ((1, power.terms, pack_terms(cp.terms, width, 0)),))
-            terms.append((1, (PackedTerms(scaled, width), v), f[k]))
-    acc, v = _packed_sum(terms)
-    return Series(ctx.p, "v", {(d, 0): GradedPoly(t, "v")
-                               for d, t in split_packed(acc, width).items()}, v)
-
-
-def _packed_sum(triples) -> tuple:
-    """sum of c A B over (c, A, B), A and B (PackedTerms, validity), by one sum_products call.
-
-    The validity is Series.sum_of_products': the least min(V_A + val(B),
-    V_B + val(A)), val the lowest stored degree (the validity if none).
-    Each run of A's terms at degree d meets B's terms below that validity
-    minus d, so no pair reaches it.  Returns the packed sum and its validity.
-    """
-    triples = list(triples)
-    v = min(min(va + _val(b, vb), vb + _val(a, va)) for _c, (a, va), (b, vb) in triples)
-    return sum_products({}, ((c, left, b.below(v - d)) for c, (a, _va), (b, _vb) in triples
-                             for d, left in a.groups() if d < v)), v
-
-
-def _val(terms: PackedTerms, validity: int) -> int:
-    return terms.fields[0] if terms.fields else validity
+        if cp := ctx.cp_image(n - k):
+            cp_packed = PackedSeries.from_coeffs({0: cp.terms}, a0_pow[n - k].validity, width)
+            terms.append((1, PackedSeries.sum_of_products(((1, cp_packed, a0_pow[n - k]),)), f[k]))
+    raw = PackedSeries.sum_of_products(terms)
+    return Series(ctx.p, "v", {(d, 0): GradedPoly(t, "v") for d, t in raw.split().items()},
+                  raw.validity)
 
 
 def mc_via_sum(ctx: FglContext, data: PowerOpData, n: int) -> Series:

@@ -22,18 +22,15 @@ P_(q(j+1)) = N_j / (q^j j!) with integral
 N_j = sum_i q^(i-1) (j-1)!/(j-i)! (qi h_(qi)) B_(qi) N_(j-i).  The division
 is exact, P having coefficients in Z[l] like exp (the inverse of a series
 with leading coefficient 1); a remainder raises IntegralityError.  Each N_j
-is one packed term list keyed mono << W | X-degree (series.PackedTerms):
-the convolution B_d N_(j-i) is one pass of the monomial loop, N cut at
-X-degree <= min(cap, q(j+1)) - a1 for each a1, and the product by d h_d is
-one more, into N_j.
+is a series.PackedSeries in X, and each B_d N_(j-i), and N_j from them and
+the d h_d, is one product.
 Truncation mod (X, L)^(k+1) is truncation mod (xi, x)^(k+1), and X^a feeds
 only x^s with s >= a, so X-degrees above the largest i asked for are dropped.
 
 Forms sum C[a][b] X^a L^b become rows in xi with no series composed: with
 L = log(xi), [x^s] X^a = [xi^s] L^a, so row s = sum_a [xi^s] L^a W_a with
-W_a = sum_b C[a][b] L^b.  Each power L^b, each sum W_a and each row is one
-pass of the monomial loop over packed, degree-ordered term lists, and only
-the finished rows become Series (_rows).  One factor has
+W_a = sum_b C[a][b] L^b, each a product of packed series (_rows).  One
+factor has
 C[a][b] = binom(a+b, a) e_(a+b) i^b for exp = sum e_j xi^j; at p = 2 it is
 the whole product, and the left fold of the p - 2 products of single-factor
 rows is the cross-check route product_rows_by_fold.  Rows stay in the
@@ -46,8 +43,8 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .fgl import FglContext, IntegralityError
-from .poly import UNIT_MONO, GradedPoly, sum_products
-from .series import PackedTerms, Series, pack_terms, split_packed
+from .poly import UNIT_MONO, GradedPoly
+from .series import PackedSeries, Series
 
 
 class EulerClassError(AssertionError):
@@ -68,35 +65,26 @@ class PowerOpData:
 def _rows(ctx: FglContext, forms: list, cap: int) -> list:
     """Rows 0..cap (in x) of the forms forms[a][b] X^a L^b, a + b <= k, as l-basis series in xi.
 
-    Every term list is packed as mono << W | xi-degree (series.pack_terms)
-    and held in degree order (series.PackedTerms).  Each power
-    L^b = L L^(b-1), each sum W_a = sum_b C[a][b] L^b and each row
-    s = sum_a [xi^s] L^a W_a is one sum_products call, bisect cutting every
-    right-hand list below the product's validity: k+1 for L^b, k+1-a for
-    W_a, and k+1-s for row s, which its term a = s fixes, [xi^s] L^s being
-    1.  A row's left factors keep their degree s in the key, so its keys
-    carry xi^s times the row and are cut below k+1 as well.  No pair thus
-    reaches degree k+1, and a degree field of W = (k+1).bit_length() bits
-    never carries into the monomial.
-    Only the finished rows are split back (series.split_packed) into Series.
+    L^b = L L^(b-1), W_a = sum_b C[a][b] L^b and row s = sum_a [xi^s] L^a W_a
+    are products at order k+1, k+1-a and k+1.  Row s comes out as xi^s times
+    the row, valid mod xi^(k+1) by the term a = s, [xi^s] L^s being 1.  No
+    validity exceeds k+1, hence W.
     """
     p, k = ctx.p, ctx.k
     width = (k + 1).bit_length()
-    lead = [(j, pack_terms(c.terms, width, j)) for (j, _z), c in sorted(ctx.log.coeffs.items())]
-    powers = [PackedTerms({UNIT_MONO << width: 1}, width),
-              PackedTerms(dict(kx for _j, t in lead for kx in t), width)]
+    powers = [PackedSeries.from_coeffs({0: {UNIT_MONO: 1}}, k + 1, width),
+              PackedSeries.from_series(ctx.log, width)]
     for _b in range(2, max([cap] + [b for f in forms for b in f]) + 1):
-        powers.append(PackedTerms(sum_products({}, ((1, t, powers[-1].below(k + 1 - j))
-                                                    for j, t in lead)), width))
-    ws = [PackedTerms(sum_products({}, ((1, pack_terms(c, width, 0), powers[b].below(k + 1 - a))
-                                        for b, c in form.items())), width)
+        powers.append(PackedSeries.sum_of_products(((1, powers[1], powers[-1]),), k + 1))
+    ws = [PackedSeries.sum_of_products(((1, PackedSeries.from_coeffs({0: c}, k + 1, width), powers[b])
+                                        for b, c in form.items()), k + 1 - a)
           for a, form in enumerate(forms)]
     rows = []
     for s in range(cap + 1):
-        acc = sum_products({}, ((1, at, ws[a].below(k + 1 - s)) for a in range(s + 1)
-                                if (at := powers[a].at(s))))
-        rows.append(Series(p, "l", {(d - s, 0): GradedPoly(t, "l")
-                                    for d, t in split_packed(acc, width).items()}, k + 1 - s))
+        row = PackedSeries.sum_of_products(((1, at, ws[a]) for a in range(s + 1)
+                                            if (at := powers[a].at(s))), k + 1)
+        rows.append(Series(p, "l", {(d - s, 0): GradedPoly(t, "l") for d, t in row.split().items()},
+                           k + 1 - s))
     return rows
 
 
@@ -125,40 +113,36 @@ def product_rows(ctx: FglContext, cap: int, progress=None) -> list:
     if q > k:
         return _rows(ctx, forms, cap)
     top = k // q - 1  # P_(q(j+1)) is needed for j <= top
-    # N_j is keyed mono << W | X-degree, every X-degree in 0..cap, and B_d[a1] X^a1
-    # is the one term of key a1 (the unit monomial), so B_d N_(j-i) is one pass
+    # each N_j is a series in X mod X^(cap+1), so cap+1 is every validity and
+    # order; B_d N_(j-i) has X-degree at most q(j+1) by itself
     width = cap.bit_length()
-    g = {d: pack_terms(ctx.log_ratio_power(-d, d).terms, width, 0)  # d h_d
+    g = {d: PackedSeries.from_coeffs({0: ctx.log_ratio_power(-d, d).terms}, cap + 1, width)  # d h_d
          for d in range(q, q * top + 1, q)}
-    bform = {d: [comb(d, a) * sum(i ** (d - a) for i in range(1, q + 1))  # B_d
-                 for a in range(min(d, cap) + 1)] for d in g}
+    sums = [sum(i ** c for i in range(1, q + 1)) for c in range(q * top + 1)]  # S_c
+    bform = {d: PackedSeries.from_coeffs({a: {UNIT_MONO: comb(d, a) * sums[d - a]}  # B_d
+                                          for a in range(min(d, cap) + 1)}, cap + 1, width) for d in g}
     stirling = [1]  # prod_i (X + iL), by X-degree
     for i in range(1, q + 1):
         stirling = [x + i * y for x, y in zip([0] + stirling, stirling + [0])]
-    n = [PackedTerms(dict(enumerate(stirling[:cap + 1])), width)]
+    n = [PackedSeries.from_coeffs({a: {UNIT_MONO: c} for a, c in enumerate(stirling[:cap + 1])},
+                                  cap + 1, width)]
     for j in range(1, top + 1):
-        size = min(cap, q * (j + 1)) + 1  # X-degrees of N_j
-        nj = {}
-        scale = 1  # q^(i-1) (j-1)! / (j-i)!
+        parts, scale = [], 1  # scale = q^(i-1) (j-1)! / (j-i)!
         for i in range(1, j + 1):
-            d = q * i
-            part = sum_products({}, ((b, ((a1, 1),), n[j - i].below(size - a1))
-                                     for a1, b in enumerate(bform[d][:size])))
-            sum_products(nj, ((scale, g[d], part.items()),))
+            part = PackedSeries.sum_of_products(((1, bform[q * i], n[j - i]),), cap + 1)
+            parts.append((scale, g[q * i], part))
             scale *= q * (j - i)
-        n.append(PackedTerms(nj, width))
+        n.append(PackedSeries.sum_of_products(parts, cap + 1))
         if progress is not None:
             progress(j, top)
     for j, nj in enumerate(n):
         den = q ** j * factorial(j)
-        exact = {}
-        for key, v in nj.terms:
-            exact[key], r = divmod(v, den)
-            if r:
-                a = key & ((1 << width) - 1)
-                raise IntegralityError(f"X^{a} L^{q * (j + 1) - a} of the product is not integral")
-        for a, t in split_packed(exact, width).items():
-            forms[a][q * (j + 1) - a] = t
+        for a, t in nj.split().items():
+            exact = forms[a][q * (j + 1) - a] = {}
+            for mono, v in t.items():
+                exact[mono], r = divmod(v, den)
+                if r:
+                    raise IntegralityError(f"X^{a} L^{q * (j + 1) - a} of the product is not integral")
     return _rows(ctx, forms, cap)
 
 

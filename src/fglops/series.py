@@ -24,25 +24,23 @@ series is only known to vanish below its validity).  Negative xi exponents
 are permitted on Laurent series, used by the localized cross-check route;
 those never flow into the integral pipeline.
 
-Every product is a sum of products, and every sum of products is one pass
-of the monomial loop (poly.sum_products) over flat term lists.  A term of
-the coefficient at (j_xi, j_x) gets the key
+Every product is a sum of products and every sum of products one pass of
+the monomial loop (poly.sum_products) over lists of packed int keys, so
+that adding two keys multiplies two terms; product_validity is the rule
+above, and a pair is formed only below it.
 
-    mono << 2W | (j_xi - lo_xi) << W | (j_x - lo_x),
+A PackedSeries is a univariate series packed once, the terms at xi^d keyed
+mono << W | d.  Its one product, PackedSeries.sum_of_products, caps the
+validity V at an optional order, cuts each run of A at degree d against
+B's terms below V - d, and requires V <= 2^W, so that no degree field
+carries into the monomial; each caller bounds V to choose W.
 
-so adding two keys multiplies two terms.  The offsets lo are the lowest
-exponents of any operand (0 unless one is Laurent), and the width W comes
-from the call's own bounds: a pair is formed only below the output validity
-V, so each field of a sum lies in 0 .. V - 2 lo_xi - 2 lo_x - 1, and W is
-the bit length of that bound.  No fixed width would do: V reaches 781 in
-the raw MC_24 at p = 13, k = 504, and nothing bounds it in principle.  B's terms are sorted
-by total degree; for each coefficient of A, of degree d, bisect cuts that
-list at V - d, and A's terms, scaled by c once each, meet the prefix in one
-dict.  Zeros are dropped once, when that dict is split back by (j_xi, j_x)
-into GradedPolys.  The power operation's rows and Euler step and the
-obstruction's power recurrence pack their term lists the same way, with a
-single degree field, and keep each list in degree order (pack_terms,
-PackedTerms, split_packed).
+Series.sum_of_products packs its operands on every call, for the bivariate
+and Laurent series of the cross-checks, as
+mono << 2W | (j_xi - lo_xi) << W | (j_x - lo_x), lo the lowest exponents
+of any operand; a field then lies in 0 .. V - 2 lo_xi - 2 lo_x - 1, whose
+bit length is W.  No fixed W would do: V reaches 781 in the raw MC_24 at
+p = 13, k = 504.
 """
 
 from __future__ import annotations
@@ -115,12 +113,6 @@ class Series:
 
     def constant_term(self):
         return self.coefficient(0, 0).constant_term()
-
-    def x_row(self, m: int) -> "Series":
-        """Coefficient of x^m as a univariate series in xi; validity drops by m."""
-        coeffs = {(j, 0): c for (j, jx), c in self.coeffs.items() if jx == m}
-        w = None if self.weight is None else self.weight + m
-        return Series(self.prime, self.basis, coeffs, self.validity - m, w, self.laurent)
 
     def truncate(self, order: int) -> "Series":
         return Series(self.prime, self.basis,
@@ -239,7 +231,7 @@ class Series:
         for _c, a, b in terms:
             first._check(a)
             a._check(b)
-        v = min(min(a.validity + b.val(), b.validity + a.val()) for _c, a, b in terms)
+        v = product_validity(terms)
         weights = {None if a.weight is None or b.weight is None else a.weight + b.weight
                    for _c, a, b in terms}
         laurent = any(a.laurent or b.laurent for _c, a, b in terms)
@@ -253,7 +245,7 @@ class Series:
         low = (1 << width) - 1
         basis = first.basis
         coeffs = {((f >> width) + 2 * lo_xi, (f & low) + 2 * lo_x): GradedPoly(t, basis)
-                  for f, t in split_packed(acc, 2 * width).items()}
+                  for f, t in split_packed(acc.items(), 2 * width).items()}
         w = weights.pop() if len(weights) == 1 else None
         return Series(first.prime, basis, coeffs, v, w, laurent)
 
@@ -388,46 +380,111 @@ def pack_terms(terms: dict, shift: int, field: int) -> list:
     return [(mono << shift | field, x) for mono, x in terms.items()]
 
 
-class PackedTerms:
-    """The nonzero terms of a packed sum in field order, cut by bisect.
+def product_validity(triples, order: int | None = None) -> int:
+    """The validity of sum c A B over (c, A, B) triples, at most order (module docstring)."""
+    rule = [min(a.validity + b.val(), b.validity + a.val()) for _c, a, b in triples]
+    return min(rule if order is None else rule + [order])
 
-    The field is a key's low `width` bits (a degree); pack_terms builds the
-    keys.  The power operation's rows and Euler step and the obstruction
-    recurrence hold every operand this way: below(v) is the prefix of terms
-    with field < v, at(f) the terms with field f, and groups() the runs
-    (field, terms with that field), found on the first call.
+
+class PackedSeries:
+    """A univariate series in xi as one packed term list (module docstring).
+
+    terms are (mono << width | degree, coefficient) items, nonzero, each
+    degree below validity.  A product's terms stay in its dict's order until
+    a read that needs degree order sorts them.
     """
 
-    __slots__ = ("terms", "fields", "_groups")
+    __slots__ = ("terms", "degrees", "validity", "width", "_groups")
 
-    def __init__(self, acc: dict, width: int):
-        low = (1 << width) - 1
-        self.terms = sorted([kx for kx in acc.items() if kx[1]], key=lambda kx: kx[0] & low)
-        self.fields = [key & low for key, _x in self.terms]
-        self._groups = None
+    def __init__(self, terms, validity: int, width: int, degrees: list | None = None,
+                 groups: list | None = None):
+        self.terms = terms
+        self.degrees = degrees  # None until sorted
+        self.validity = validity
+        self.width = width
+        self._groups = groups
+
+    @classmethod
+    def from_coeffs(cls, coeffs: dict, validity: int, width: int) -> "PackedSeries":
+        """{degree: {mono: coefficient}} packed, in degree order."""
+        terms, degrees, groups = [], [], []
+        for d in sorted(coeffs):
+            t = pack_terms(coeffs[d], width, d)
+            groups.append((d, t))
+            terms += t
+            degrees += [d] * len(t)
+        return cls(terms, validity, width, degrees, groups)
+
+    @classmethod
+    def from_series(cls, s: Series, width: int) -> "PackedSeries":
+        return cls.from_coeffs({j: c.terms for (j, _z), c in s.coeffs.items()}, s.validity, width)
+
+    def _sort(self):
+        low = (1 << self.width) - 1
+        self.terms = sorted(self.terms, key=lambda kx: kx[0] & low)
+        self.degrees = [key & low for key, _x in self.terms]
+
+    def val(self) -> int:
+        if self.degrees is None:
+            self._sort()
+        return self.degrees[0] if self.degrees else self.validity
 
     def below(self, v: int) -> list:
-        return self.terms[:bisect_left(self.fields, v)]
+        """The terms of degree < v; all of them, as they stand, if v reaches the validity."""
+        if v >= self.validity:
+            return self.terms
+        if self.degrees is None:
+            self._sort()
+        return self.terms[:bisect_left(self.degrees, v)]
 
-    def at(self, f: int) -> list:
-        lo = bisect_left(self.fields, f)
-        return self.terms[lo:bisect_right(self.fields, f, lo)]
+    def at(self, d: int) -> "PackedSeries | None":
+        """The terms of degree d, with this series' validity; None if there are none."""
+        if self.degrees is None:
+            self._sort()
+        lo = bisect_left(self.degrees, d)
+        hi = bisect_right(self.degrees, d, lo)
+        if lo < hi:
+            terms = self.terms[lo:hi]
+            return PackedSeries(terms, self.validity, self.width, self.degrees[lo:hi], [(d, terms)])
+        return None
 
     def groups(self) -> list:
-        if self._groups is None:  # an operand meets many right-hand lists
-            self._groups = [(f, [kx for _f, kx in run])
-                            for f, run in groupby(zip(self.fields, self.terms), key=itemgetter(0))]
+        """The runs (degree, terms of that degree), found on the first call."""
+        if self._groups is None:  # an operand meets many right-hand series
+            if self.degrees is None:
+                self._sort()
+            self._groups = [(d, [kx for _d, kx in run])
+                            for d, run in groupby(zip(self.degrees, self.terms), key=itemgetter(0))]
         return self._groups
 
+    def split(self) -> dict:
+        """{degree: {mono: coefficient}}."""
+        return split_packed(self.terms, self.width)
 
-def split_packed(acc: dict, shift: int) -> dict:
-    """{field: {mono: coefficient}} from a sum_products dict keyed mono << shift | field.
+    @staticmethod
+    def sum_of_products(triples, order: int | None = None) -> "PackedSeries":
+        """sum of c A B over (c, A, B) triples of PackedSeries, cut as the module docstring says."""
+        triples = list(triples)
+        # degrees are >= 0, so a pair whose validities both reach the order cannot lower it
+        rated = triples if order is None else [t for t in triples
+                                               if t[1].validity < order or t[2].validity < order]
+        v = product_validity(rated, order)
+        if not triples:
+            return PackedSeries([], v, 0, [])
+        width = triples[0][1].width
+        if v > 1 << width:
+            raise OverflowError(f"validity {v} does not fit a degree field of {width} bits")
+        acc = sum_products({}, ((c, left, b.below(v - d))
+                                for c, a, b in triples if c for d, left in a.groups() if d < v))
+        terms = acc.items() if all(acc.values()) else list(filter(itemgetter(1), acc.items()))
+        return PackedSeries(terms, v, width)
 
-    The one place a packed sum is split back; zero coefficients are dropped.
-    """
+
+def split_packed(items, shift: int) -> dict:
+    """{field: {mono: coefficient}} from (mono << shift | field, coefficient) items, zeros dropped."""
     fields = (1 << shift) - 1
     out: dict = {}
-    for key, x in acc.items():
+    for key, x in items:
         if x:
             got = out.get(f := key & fields)
             if got is None:

@@ -18,9 +18,10 @@ from fglops import (
     power_operation,
 )
 import fglops.obstruction
+import fglops.series
 from fglops.fgl import IntegralityError
 from fglops.golden import compare_series, load_suite
-from fglops.obstruction import _sum_validity, multi_weighted_size
+from fglops.obstruction import _power_recurrence, _sum_validity, multi_weighted_size
 from fglops.poly import GradedPoly, sum_products
 from fglops.powerop import product_rows, product_rows_by_fold
 from fglops.reduction import canonical_rep, nonvanishing_certificate
@@ -412,7 +413,7 @@ def test_inexact_recurrence_step_raises(monkeypatch, ctx313, data313):
         got[0] = got.get(0, 0) + 1
         return got
 
-    monkeypatch.setattr(fglops.obstruction, "sum_products", off_by_one)
+    monkeypatch.setattr(fglops.series, "sum_products", off_by_one)
     with pytest.raises(IntegralityError, match="step 2 of the power recurrence"):
         result.raw
 
@@ -437,8 +438,10 @@ def test_recurrence_hands_the_kernel_only_pairs_below_each_validity(monkeypatch,
         handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
         return sum_products(tgt, triples)
 
-    monkeypatch.setattr(fglops.obstruction, "sum_products", counting)
-    raw = mc(ctx, data, n, force_full=True).raw
+    monkeypatch.setattr(fglops.series, "sum_products", counting)
+    # the recurrence alone: at n = 2(p - 1) mc's closed form passes the same kernel
+    raw = _power_recurrence(ctx, data, n, None)
+    monkeypatch.undo()
     # the same operands by Series arithmetic, each product's pairs counted below its validity
     a = data.a
     one = Series.from_const(1, p, "v", a[0].validity)

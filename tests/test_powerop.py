@@ -3,6 +3,7 @@ import math
 import pytest
 
 from fglops import FglContext, IntegralityError, power_operation, reduce_a_mod_p_series
+import fglops.series
 from fglops import powerop
 from fglops.poly import GradedPoly, add_products, sum_products
 from fglops.powerop import (EulerClassError, _check_euler_class, _factor_forms, _rows,
@@ -237,7 +238,7 @@ def test_rows_hand_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, 
         handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
         return sum_products(tgt, triples)
 
-    monkeypatch.setattr(powerop, "sum_products", counting)
+    monkeypatch.setattr(fglops.series, "sum_products", counting)
 
     def size(r, e):  # terms of [xi^e] L^r = [xi^(e-r)] R^r
         return len(ctx.log_ratio_power(r, e - r).terms) if e >= r else 0
@@ -254,3 +255,50 @@ def test_rows_hand_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, 
         want += sum(size(a, s) * len(t) for s in range(cap + 1) for a in range(s + 1)
                     for d, t in ws[a].items() if d < k + 1 - s)
         assert sum(handed) == want
+
+
+# cap < q(j+1) for the later steps of the first two, cap >= q(j+1) for every step of the
+# next two, and cap = 0
+EULER_GRID = [(3, 20, 5), (5, 40, 10), (7, 30, 30), (3, 25, 25), (5, 30, 0)]
+
+
+@pytest.mark.parametrize("p,k,cap", EULER_GRID)
+def test_euler_step_hands_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, cap):
+    # B_d[a1] X^a1 meets the terms of N_(j-i) of X-degree e only for a1 + e <= min(cap, q(j+1)),
+    # and d h_d meets every key that convolution formed, a cancelled one included
+    ctx = FglContext(p, k)
+    q, handed = p - 1, []
+
+    def counting(tgt, triples):
+        triples = list(triples)
+        handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
+        return sum_products(tgt, triples)
+
+    monkeypatch.setattr(fglops.series, "sum_products", counting)
+    monkeypatch.setattr(powerop, "_rows", lambda ctx, forms, cap: None)
+    product_rows(ctx, cap)
+    # the same recurrence on plain dicts keyed (monomial, X-degree)
+    top = k // q - 1
+    stirling = [1]
+    for i in range(1, q + 1):
+        stirling = [x + i * y for x, y in zip([0] + stirling, stirling + [0])]
+    n = [{(0, a): c for a, c in enumerate(stirling[:cap + 1])}]
+    want = 0
+    for j in range(1, top + 1):
+        nj, scale = {}, 1
+        for i in range(1, j + 1):
+            d, part = q * i, {}
+            for a1 in range(min(d, cap) + 1):
+                b = math.comb(d, a1) * sum(t ** (d - a1) for t in range(1, q + 1))
+                for (m, e), x in n[j - i].items():
+                    if a1 + e <= min(cap, q * (j + 1)):
+                        want += 1
+                        part[(m, a1 + e)] = part.get((m, a1 + e), 0) + b * x
+            g = ctx.log_ratio_power(-d, d).terms
+            want += len(g) * len(part)
+            for (m, e), x in part.items():
+                for gm, gx in g.items():
+                    nj[(m + gm, e)] = nj.get((m + gm, e), 0) + scale * gx * x
+            scale *= q * (j - i)
+        n.append({key: x for key, x in nj.items() if x})
+    assert sum(handed) == want

@@ -10,7 +10,7 @@ import fglops.series
 from fglops.poly import GradedPoly, mono_exps, mono_pack, sum_products
 from fglops.render import (parse_series, series_from_json, series_text, series_to_json,
                            series_to_obj, to_json)
-from fglops.series import NonUnitError, OutsideValidityError, Series
+from fglops.series import NonUnitError, OutsideValidityError, PackedSeries, Series
 
 from conftest import P, S, rand_poly, rand_series
 
@@ -202,6 +202,67 @@ def test_sum_of_products_hands_the_kernel_only_pairs_below_the_validity(monkeypa
     assert sum(handed) == want
 
 
+def _rand_univariate(rng: random.Random) -> Series:
+    validity = rng.randrange(1, 12)
+    coeffs = {}
+    for _ in range(rng.randrange(5)):  # zero draws leave an empty operand
+        poly = rand_poly(rng, rationals=rng.random() < 0.3)
+        if poly:
+            coeffs[(rng.randrange(validity), 0)] = poly
+    return Series(2, "v", coeffs, validity)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_packed_sum_of_products_matches_the_series_product(monkeypatch, seed):
+    # the coefficients and validity of Series.sum_of_products, truncated to the
+    # order, with the kernel handed exactly the pairs below that validity
+    rng = random.Random(seed)
+    pool = [_rand_univariate(rng) for _ in range(4)]
+    terms = [(rng.choice([1, -1, 5, Fraction(2, 3), 0]), rng.choice(pool), rng.choice(pool))
+             for _ in range(rng.randrange(1, 6))]
+    order = rng.choice([None, rng.randrange(1, 24)])
+    packed = {id(s): PackedSeries.from_series(s, 5) for s in pool}  # every validity <= 22 < 2^5
+    handed = []
+
+    def counting(tgt, triples):
+        triples = list(triples)
+        handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
+        return sum_products(tgt, triples)
+
+    monkeypatch.setattr(fglops.series, "sum_products", counting)
+    got = PackedSeries.sum_of_products([(c, packed[id(a)], packed[id(b)]) for c, a, b in terms], order)
+    monkeypatch.undo()
+    want = Series.sum_of_products(terms)
+    if order is not None:
+        want = want.truncate(order)
+    assert got.validity == want.validity
+    assert {(d, 0): GradedPoly(t, "v") for d, t in got.split().items()} == want.coeffs
+    assert sum(handed) == sum(len(p1.terms) * len(p2.terms) for c, a, b in terms if c
+                              for (d1, _z), p1 in a.coeffs.items()
+                              for (d2, _z2), p2 in b.coeffs.items() if d1 + d2 < got.validity)
+
+
+def test_packed_sum_of_products_refuses_a_validity_its_degree_field_cannot_hold():
+    # degree 8 would carry out of a 3-bit field into the monomial
+    a = PackedSeries.from_series(S("1 + v1*xi^7", 2, "v", validity=9), 3)
+    with pytest.raises(OverflowError, match="validity 9 does not fit a degree field of 3 bits"):
+        PackedSeries.sum_of_products(((1, a, a),))
+    got = PackedSeries.sum_of_products(((1, a, a),), 8)
+    assert got.validity == 8
+    assert got.split() == {0: {0: 1}, 7: {mono_pack({1: 1}): 2}}
+
+
+def test_packed_product_drops_cancelled_terms_before_any_read():
+    # a b - a a = (v2 - v1) xi + (v1 v2 - v1^2) xi^2: the constant cancels, and
+    # a whole read of the unsorted product must not hand it on to a kernel
+    a = PackedSeries.from_series(S("1 + v1*xi", 2, "v", validity=4), 3)
+    b = PackedSeries.from_series(S("1 + v2*xi", 2, "v", validity=4), 3)
+    diff = PackedSeries.sum_of_products(((1, a, b), (-1, a, a)))
+    whole = diff.below(diff.validity)
+    assert diff.degrees is None  # nothing has sorted it yet
+    assert len(whole) == 4 and all(x for _key, x in whole)
+
+
 def test_sum_of_products_cancelling_pairs_keep_validity():
     a = S("1 + v1*xi", 2, "v", validity=6)
     b = S("xi^2 + v2*xi^3", 2, "v", validity=5)
@@ -310,7 +371,7 @@ def test_shift_and_rows():
     assert down.weight == 1
     b = a.shift_x(1)
     assert b.validity == 7
-    assert b.x_row(1).coeffs == a.coeffs
+    assert b.coeffs == {(j, 1): c for (j, _z), c in a.coeffs.items()}
 
 
 def test_weight_scan():
