@@ -24,20 +24,33 @@ Every power of log/xi = 1 + sum_m l_m xi^(p^m - 1) has the closed form
 
 mu being the generalized multinomial coefficient, for any integer r.  The
 package reads it only at negative r (Lagrange inversion, and d h_d in the
-power operation); nonnegative powers are Series products.
+power operation); nonnegative powers are products of packed series.
 
 n-series and the identity check are one pass, no composition: with
 e_j = [xi^j] exp and R = log/xi,
 
   [xi^N] exp(t log xi) = sum over j <= N of t^j e_j [xi^(N-j)] R^j,
 
-and every product e_j [xi^d] R^j (j + d <= k) is formed once and added into
-the output of each multiplier t with scalar t^j.  The context runs it for
-t = 1 and t = p together: the t = 1 output must be xi (else "exp is not
-inverse to log"), the t = p output is [p]xi.  e_j vanishes unless
-j = 1 mod p-1, so the powers step by p-1, R^(j+p-1) = R^j R^(p-1), as
-Series products; since exp comes from the partitions above, the check
-crosses two independent routes.  Series.compose remains for formal sums.
+and every product e_j [xi^d] R^j (j + d <= k) is formed once.  e_j vanishes
+unless j = 1 mod p-1, so the powers step by p-1, R^(j+p-1) = R^j R^(p-1),
+as products of PackedSeries (series.py) keyed mono << W | d with
+W = bit length of k+1, one power held at a time; since exp comes from the
+partitions above, the check crosses two independent routes.  Each j is one
+pass of the monomial loop: e_j keyed mono << W | j against every term of
+R^j, landing on mono << W | (j+d).
+
+The context runs t = 1 and t = p together, in one accumulator: the pair for
+e_j carries the scalar sum over i of t_i^j 2^(S i), and each sum is read
+back once, at the end, as balanced S-bit digits, the last one unbounded.
+With ||.||_1 the sum of absolute coefficients, ||AB||_1 <= ||A||_1 ||B||_1
+bounds digit i by sum_j |t_i|^j ||e_j||_1 ||R||_1^j (the coefficients of R
+are all 1), and S is 2 more than the bit length of the largest such bound
+over every digit but the last.  The bound is computed from exp as it stands, so not even a
+corrupted exp carries from one output into the next.  The t = 1 output
+must be xi (else "exp is not inverse to log"), the t = p output is [p]xi.
+At p=2, k=56 the context takes about 0.13 s, 0.02 s of it building exp.
+The context makes no Series product; formal sums still compose
+(Series.compose).
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ import math
 from fractions import Fraction
 
 from .poly import MAX_TRUNCATION, GradedPoly, mono_pack, sum_products
-from .series import Series
+from .series import PackedSeries, Series, pack_terms, split_packed
 
 
 class NotPrimeError(ValueError):
@@ -226,30 +239,43 @@ class FglContext:
     def _exp_of_log_multiples(self, ts: tuple) -> list:
         """exp(t log xi) for each multiplier t in ts, sharing every product (module docstring).
 
-        R^j is truncated to validity k+1-j, which is the pass's degree bound
-        j + d <= k; only exp's coefficients at j = 1 mod p-1 are read.
+        R^j has validity k+1-j, which is the pass's degree bound j + d <= k;
+        only exp's coefficients at j = 1 mod p-1 are read.
         """
         p, k = self.p, self.k
         q = p - 1
-        ratio = self.log.shift_xi(-1)  # valid mod xi^k
-        step = ratio.truncate(k - q) ** q if q < k else None
-        power = ratio
-        outs = [{} for _t in ts]  # per multiplier: xi-degree -> terms
-        for j in range(1, k + 1, q):
-            if j > 1:
-                power = power.truncate(k + 1 - j) * step
-            e = self.exp.coeffs.get((j, 0))
-            if e is None:
-                continue
-            scales = [t ** j for t in ts]
-            for (d, _z), r in power.coeffs.items():
-                prod = sum_products({}, ((1, e.terms.items(), r.terms.items()),)).items()
-                for out, c in zip(outs, scales):
-                    tgt = out.setdefault(j + d, {})
-                    for m, x in prod:
-                        tgt[m] = tgt.get(m, 0) + c * x
-        return [Series(p, "l", {(n, 0): GradedPoly(t, "l") for n, t in out.items()},
-                       k + 1, weight=-1) for out in outs]
+        width = (k + 1).bit_length()  # a degree j + d <= k fits the field
+        ratio = PackedSeries.from_coeffs({j - 1: c.terms for (j, _z), c in self.log.coeffs.items()},
+                                         k, width)
+        exps = [(j, e.terms) for j in range(1, k + 1, q) if (e := self.exp.coeffs.get((j, 0)))]
+        # every digit but the top one is at most sum_j |t|^j ||e_j||_1 ||R||_1^j in size
+        top = max((abs(t) for t in ts[:-1]), default=0)
+        norm = sum(abs(x) for _key, x in ratio.terms)
+        bound = sum((top * norm) ** j * sum(map(abs, e.values())) for j, e in exps)
+        shift = bound.bit_length() + 2
+        step = ratio  # R^q, read only if q < k (p may be near MR_BOUND)
+        if q < k:
+            for _i in range(1, q):
+                step = PackedSeries.sum_of_products(((1, step, ratio),), k - q)
+        power, at = ratio, 1
+        acc: dict = {}
+        for j, e in exps:
+            while at < j:
+                at += q
+                power = PackedSeries.sum_of_products(((1, power, step),), k + 1 - at)
+            scale = sum(t ** j << shift * i for i, t in enumerate(ts))
+            sum_products(acc, ((scale, pack_terms(e, width, j), power.terms),))
+        digits = [[] for _t in ts]
+        half, mask = 1 << shift - 1, (1 << shift) - 1
+        for key, x in acc.items():
+            for out in digits[:-1]:  # balanced, so a negative digit borrows from the next
+                lo = ((x + half) & mask) - half
+                out.append((key, lo))
+                x = (x - lo) >> shift
+            digits[-1].append((key, x))
+        return [Series(p, "l", {(n, 0): GradedPoly(t, "l")
+                                for n, t in split_packed(out, width).items()}, k + 1, weight=-1)
+                for out in digits]
 
     # -- operations --------------------------------------------------------
 

@@ -9,8 +9,12 @@ where every integer coefficient of every polynomial of s lies in
 {0, ..., p-1}.  The iteration runs degree by degree: at xi^m, floor-divide
 the current coefficient polynomial by p, keep the remainder digit, and
 subtract q * xi^m * pser, which only disturbs strictly higher degrees.  The
-remainder's validity is min(V_g, m0 + V_pser) where m0 is the first degree
-that needed a subtraction.
+running coefficients are term dicts, and the subtraction adds -q * [xi^j] pser
+into the one at xi^(m+j) in place, one pass of the monomial loop
+(poly.sum_products) per j; a term it cancels stays as a zero until its
+degree is read or the remainder is built.  The remainder's validity is
+min(V_g, m0 + V_pser) where m0 is the first degree that needed a
+subtraction.
 
 A canonical representative is nonzero iff it is nonzero modulo p, so its
 lowest nonzero coefficient certifies nonvanishing in the quotient; a zero
@@ -19,6 +23,7 @@ representative is inconclusive beyond the validity order.
 
 from __future__ import annotations
 
+from .poly import GradedPoly, sum_products
 from .series import Series
 
 
@@ -74,41 +79,43 @@ def divide(g: Series, pser: Series, on_step=None):
     """
     _check_division_inputs(g, pser)
     p = g.prime
-    higher = [(j, c) for (j, _z), c in sorted(pser.coeffs.items()) if j > 0]
-    work = {j: c for (j, _z), c in g.coeffs.items()}
+    higher = [(j, c.terms.items()) for (j, _z), c in sorted(pser.coeffs.items()) if j > 0]
+    work = {j: dict(c.terms) for (j, _z), c in g.coeffs.items()}  # degree -> terms, zeros kept
     d: dict = {}
     validity = g.validity
     m = 0
     while m < validity:
-        c = work.get(m)
+        c = work.pop(m, None)
         if c:
-            q, r = c.divmod_int(p)
+            q, r = {}, {}
+            for mono, x in c.items():
+                qq, rr = divmod(x, p)
+                if qq:
+                    q[mono] = qq
+                if rr:
+                    r[mono] = rr
+            if r:
+                work[m] = r
             if q:
-                d[(m, 0)] = q
+                d[(m, 0)] = GradedPoly(q, "v")
                 validity = min(validity, m + pser.validity)
-                if r:
-                    work[m] = r
-                else:
-                    del work[m]
-                for j, pj in higher:
+                q_items = q.items()
+                for j, p_j_items in higher:
                     t = m + j
                     if t >= validity:
                         break
-                    upd = work.get(t)
-                    prod = q * pj
-                    upd = -prod if upd is None else upd - prod
-                    if upd:
-                        work[t] = upd
-                    else:
-                        work.pop(t, None)
+                    sum_products(work.setdefault(t, {}), ((-1, q_items, p_j_items),))
                 if on_step is not None:
-                    snap = Series(p, "v", {(j, 0): c2 for j, c2 in work.items()},
-                                  validity, g.weight)
-                    on_step(m, q, snap)
+                    on_step(m, d[(m, 0)], _series(work, p, validity, g.weight))
         m += 1
-    s = Series(p, "v", {(j, 0): c for j, c in work.items()}, validity, g.weight)
+    s = _series(work, p, validity, g.weight)
     dser = Series(p, "v", d, validity, g.weight)
     return dser, ReducedSeries(s)
+
+
+def _series(work: dict, p: int, validity: int, weight) -> Series:
+    """The running terms as a Series, zeros dropped."""
+    return Series(p, "v", {(j, 0): GradedPoly(t, "v") for j, t in work.items()}, validity, weight)
 
 
 def canonical_rep(g: Series, pser: Series, on_step=None) -> ReducedSeries:

@@ -77,16 +77,20 @@ def test_exp_log_are_mutually_inverse(p, k):
     assert ctx.log.compose(ctx.exp).agrees_with(ident)
 
 
-@pytest.mark.parametrize("p,k,j", [(2, 9, 1), (2, 9, 5), (2, 9, 9),
-                                   (3, 10, 1), (3, 10, 4), (3, 10, 9)])
-def test_identity_check_fires_on_a_corrupted_exp(monkeypatch, p, k, j):
+@pytest.mark.parametrize("p,k,j,added", [
+    *(pytest.param(p, k, j, 1, id=f"{p}-{k}-{j}") for p, k, j in
+      [(2, 9, 1), (2, 9, 5), (2, 9, 9), (3, 10, 1), (3, 10, 4), (3, 10, 9)]),
+    # the t = 1 digit of the pass's accumulator must hold this without a carry into [p]xi
+    pytest.param(2, 9, 5, 2 ** 512, id="2-9-5-huge"),
+])
+def test_identity_check_fires_on_a_corrupted_exp(monkeypatch, p, k, j, added):
     # j = 4 at p = 3 is off the support j = 1 mod p-1 that the shared pass reads
     build = FglContext._build_exp
 
     def corrupted(self):
         exp = build(self)
         coeffs = dict(exp.coeffs)
-        coeffs[(j, 0)] = coeffs.get((j, 0), P("0", "l")) + P("1", "l")
+        coeffs[(j, 0)] = coeffs.get((j, 0), P("0", "l")) + P("1", "l").scale(added)
         return Series(p, "l", coeffs, exp.validity, exp.weight)
 
     monkeypatch.setattr(FglContext, "_build_exp", corrupted)
@@ -97,7 +101,7 @@ def test_identity_check_fires_on_a_corrupted_exp(monkeypatch, p, k, j):
 @pytest.mark.parametrize("p,k", [(2, 12), (2, 13), (3, 14), (3, 15), (5, 20)])
 def test_shared_pass_forms_each_product_below_the_truncation_once(monkeypatch, p, k):
     # one product e_j [xi^d] R^j per j + d <= k, for both multipliers 1 and p;
-    # R^j is read here from the partitions, in the pass from Series products
+    # R^j is read here from the partitions, in the pass from packed products
     handed = []
     real = fglops.fgl.sum_products
 
@@ -113,6 +117,40 @@ def test_shared_pass_forms_each_product_below_the_truncation_once(monkeypatch, p
     assert sum(handed) == want
     ctx.n_series(p)  # cached by the construction pass
     assert sum(handed) == want
+
+
+@pytest.mark.parametrize("p,k", sorted({(p, k) for p in (2, 3, 5, 7) for k in (1, p - 1, 2 * p, 20)}
+                                        | {(2, 30)}))
+def test_packed_multipliers_are_exact(p, k):
+    # the pair (1, p) shares one accumulator; each multiplier alone is not packed
+    ctx = FglContext(p, k)
+    pair = ctx._exp_of_log_multiples((1, p))
+    alone = [ctx._exp_of_log_multiples((t,))[0] for t in (1, p)]
+    for got, want in zip(pair, alone):
+        assert got.coeffs == want.coeffs
+        assert got.validity == want.validity == k + 1
+        assert got.weight == want.weight == -1
+
+
+@pytest.mark.parametrize("p,k", [(2, 20), (3, 26), (5, 40)])
+def test_context_makes_no_series_product(monkeypatch, p, k):
+    # R^j comes from packed products, never from the partitions it is checked against
+    def refuse(*_args):
+        raise AssertionError("a Series product in the context")
+
+    read = []
+    partitions = FglContext.log_ratio_power
+
+    def recording(self, r, d):
+        read.append(r)
+        return partitions(self, r, d)
+
+    monkeypatch.setattr(Series, "sum_of_products", refuse)
+    monkeypatch.setattr(FglContext, "log_ratio_power", recording)
+    ctx = FglContext(p, k)
+    ctx.n_series(p + 1)
+    ctx.reduced_p_series("v")
+    assert read and max(read) < 0
 
 
 N_SERIES_GRID = sorted(

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fglops import FglContext, canonical_rep, divide, nonvanishing_certificate
+from fglops.poly import GradedPoly
 from fglops.reduction import NonIntegralError, ReducedSeries, divisible_by_full_p_series
 from fglops.series import Series
 
@@ -58,6 +59,29 @@ def test_reconstruction_randomized(ctx27):
         assert (d * pser + s.series).agrees_with(g)
         for c in s.series.coeffs.values():
             assert all(type(x) is int and 0 <= x < 2 for x in c.terms.values())
+
+
+@pytest.mark.parametrize("p,k", [(3, 25), (5, 76)])
+def test_reconstruction_randomized_at_odd_primes(ctx325, p, k):
+    # negative coefficients throughout; every other dividend is d*pser + s with
+    # s canonical, so the subtractions cancel whole coefficients and (d, s) come back
+    rng = random.Random(2027 + p)
+    pser = _pser(ctx325 if p == 3 else FglContext(p, k))
+    for trial in range(60):
+        v = rng.randrange(2, 20)
+        g = rand_series(rng, prime=p, validity=v)
+        if trial % 2:
+            d0 = rand_series(rng, prime=p, validity=v)
+            s0 = rand_series(rng, prime=p, validity=v).map_polys(
+                lambda c: GradedPoly({m: x % p for m, x in c.terms.items()}))
+            g = d0 * pser + s0
+        d, s = divide(g, pser)
+        assert (d * pser + s.series).agrees_with(g)
+        if trial % 2:
+            assert d.agrees_with(d0) and s.series.agrees_with(s0)
+        for c in s.series.coeffs.values():
+            assert c.terms
+            assert all(type(x) is int and 0 < x < p for x in c.terms.values())
 
 
 def test_canonical_rep_idempotent(ctx27):
