@@ -123,7 +123,7 @@ def sum_products(tgt: dict, triples) -> dict:
     This is the one monomial product loop: every product of polynomials and
     series ends here.  t1 and t2 are re-iterable sequences of (key,
     coefficient) items, such as dict items; keys are added, so a key is a
-    monomial, or a monomial packed with series exponents (Series.sum_of_products).
+    monomial, or a monomial packed with series exponents (series.PackedSeries).
     The scalar c multiplies each term of t1 once.  Coefficients are left as
     summed: a cancelled term stays as a zero and a Fraction may have
     denominator 1; GradedPoly(tgt, basis) drops and normalizes them.
@@ -335,23 +335,6 @@ class GradedPoly:
                                 for head, tail, num, den in plan))
         out = {m: c // big_d if c % big_d == 0 else Fraction(c, big_d) for m, c in out.items()}
         return GradedPoly(out, basis)
-
-    def divmod_int(self, p: int) -> tuple:
-        """Coefficient-wise floor divmod by p; remainders land in {0, ..., p-1}.
-
-        Requires integer coefficients.
-        """
-        q = GradedPoly.zero(self.basis)
-        r = GradedPoly.zero(self.basis)
-        for m, c in self.terms.items():
-            if type(c) is not int:
-                raise ValueError(f"non-integer coefficient {c} in divmod_int")
-            qq, rr = divmod(c, p)
-            if qq:
-                q.terms[m] = qq
-            if rr:
-                r.terms[m] = rr
-        return q, r
 
     def __repr__(self) -> str:
         from .render import poly_text

@@ -28,9 +28,9 @@ Truncation mod (X, L)^(k+1) is truncation mod (xi, x)^(k+1), and X^a feeds
 only x^s with s >= a, so X-degrees above the largest i asked for are dropped.
 
 Forms sum C[a][b] X^a L^b become rows in xi with no series composed: with
-L = log(xi), [x^s] X^a = [xi^s] L^a, so row s = sum_a [xi^s] L^a W_a with
-W_a = sum_b C[a][b] L^b, each a product of packed series (_rows).  One
-factor has
+L = log(xi), X^a = L(x)^a, and the rows are one product of packed series,
+sum_a X^a W_a with W_a = sum_b C[a][b] L^b, whose part at x^s is row s
+(_rows).  One factor has
 C[a][b] = binom(a+b, a) e_(a+b) i^b for exp = sum e_j xi^j; at p = 2 it is
 the whole product, and the left fold of the p - 2 products of single-factor
 rows is the cross-check route product_rows_by_fold.  Rows stay in the
@@ -65,10 +65,11 @@ class PowerOpData:
 def _rows(ctx: FglContext, forms: list, cap: int) -> list:
     """Rows 0..cap (in x) of the forms forms[a][b] X^a L^b, a + b <= k, as l-basis series in xi.
 
-    L^b = L L^(b-1), W_a = sum_b C[a][b] L^b and row s = sum_a [xi^s] L^a W_a
-    are products at order k+1, k+1-a and k+1.  Row s comes out as xi^s times
-    the row, valid mod xi^(k+1) by the term a = s, [xi^s] L^s being 1.  No
-    validity exceeds k+1, hence W.
+    L^b = L L^(b-1) and W_a = sum_b C[a][b] L^b are products at order k+1
+    and k+1-a, and all the rows are one at order k+1, sum_a X^a W_a with
+    X = L(x) below x^(cap+1).  Its part at x^s is row s, valid
+    mod xi^(k+1-s) by the term a = s, [x^s] X^s being 1.  No validity
+    exceeds k+1, hence W.
     """
     p, k = ctx.p, ctx.k
     width = (k + 1).bit_length()
@@ -79,13 +80,13 @@ def _rows(ctx: FglContext, forms: list, cap: int) -> list:
     ws = [PackedSeries.sum_of_products(((1, PackedSeries.from_coeffs({0: c}, k + 1, width), powers[b])
                                         for b, c in form.items()), k + 1 - a)
           for a, form in enumerate(forms)]
-    rows = []
-    for s in range(cap + 1):
-        row = PackedSeries.sum_of_products(((1, at, ws[a]) for a in range(s + 1)
-                                            if (at := powers[a].at(s))), k + 1)
-        rows.append(Series(p, "l", {(d - s, 0): GradedPoly(t, "l") for d, t in row.split().items()},
-                           k + 1 - s))
-    return rows
+    shift = PackedSeries.x_shift(width, powers[:cap + 1] + ws)
+    product = PackedSeries.sum_of_products(((1, powers[a].in_x(cap + 1, shift), w)
+                                            for a, w in enumerate(ws)), k + 1).split_bivariate(shift)
+    rows = [{} for _s in range(cap + 1)]
+    for (e, s), t in product.items():
+        rows[s][(e, 0)] = GradedPoly(t, "l")
+    return [Series(p, "l", coeffs, k + 1 - s) for s, coeffs in enumerate(rows)]
 
 
 def _factor_forms(ctx: FglContext, i: int, cap: int) -> list:

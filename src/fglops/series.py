@@ -24,32 +24,36 @@ series is only known to vanish below its validity).  Negative xi exponents
 are permitted on Laurent series, used by the localized cross-check route;
 those never flow into the integral pipeline.
 
-Every product is a sum of products and every sum of products one pass of
-the monomial loop (poly.sum_products) over lists of packed int keys, so
-that adding two keys multiplies two terms; product_validity is the rule
-above, and a pair is formed only below it.
+Every product is a sum of products and every sum of products one
+PackedSeries.sum_of_products, one pass of the monomial loop
+(poly.sum_products) over lists of packed int keys, so that adding two keys
+multiplies two terms; product_validity is the rule above, and a pair is
+formed only below it.  A PackedSeries is a series packed once, each term
+keyed x << S | mono << W | degree, degree = j_xi + j_x.  The product caps V
+at an optional order, cuts each run of A at degree d against B's terms below
+V - d, and requires V <= 2^W, so that no degree field of a pair carries; each
+caller bounds V to choose W.  Each cut reads the degrees that from_coeffs and
+from_series record, never an operand's key, so an operand term at or above V
+may overflow its field harmlessly: it meets no term.  S - W is poly.W bits
+per generator up to the highest in any operand; no exponent field carries
+(poly.py), so no sum of operand monomials reaches 2^(S - W).  A univariate
+series, x = 0, is keyed mono << W | degree and needs no S.
 
-A PackedSeries is a univariate series packed once, the terms at xi^d keyed
-mono << W | d.  Its one product, PackedSeries.sum_of_products, caps the
-validity V at an optional order, cuts each run of A at degree d against
-B's terms below V - d, and requires V <= 2^W, so that no degree field
-carries into the monomial; each caller bounds V to choose W.
-
-Series.sum_of_products packs its operands on every call, for the bivariate
-and Laurent series of the cross-checks, as
-mono << 2W | (j_xi - lo_xi) << W | (j_x - lo_x), lo the lowest exponents
-of any operand; a field then lies in 0 .. V - 2 lo_xi - 2 lo_x - 1, whose
-bit length is W.  No fixed W would do: V reaches 781 in the raw MC_24 at
-p = 13, k = 504.
+Series.sum_of_products packs each distinct operand once with its fields less
+the lowest exponents of any operand, x - lo_x and degree - lo_xi - lo_x; a
+product's degree then lies in 0 .. V - 2 lo_xi - 2 lo_x - 1, whose bit
+length is W.  No fixed W would do: V reaches 781 in the raw MC_24 at p = 13,
+k = 504.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
+from .poly import W as EXP_BITS
 from .poly import BasisMismatchError, GradedPoly, UNIT_MONO, _norm_coef, sum_products
 
 
@@ -221,10 +225,11 @@ class Series:
     def sum_of_products(terms) -> "Series":
         """sum of c * A * B over (c, A, B) triples, with one degree cutoff.
 
-        One sum_products call over packed terms (module docstring).  The
-        scalars c are ints or Fractions.  Validity follows the module
-        docstring; the weight is the products' common weight (None if they
-        differ or one is undeclared); the sum is Laurent if any operand is.
+        One PackedSeries.sum_of_products call over the operands, each packed
+        once (module docstring).  The scalars c are ints or Fractions.
+        Validity follows the module docstring; the weight is the products'
+        common weight (None if they differ or one is undeclared); the sum is
+        Laurent if any operand is.
         """
         terms = list(terms)
         first = terms[0][1]
@@ -235,17 +240,18 @@ class Series:
         weights = {None if a.weight is None or b.weight is None else a.weight + b.weight
                    for _c, a, b in terms}
         laurent = any(a.laurent or b.laurent for _c, a, b in terms)
-        lo_xi = lo_x = 0  # lowest exponents of any operand, the fields' offsets
-        if laurent:
-            exps = [e for _c, a, b in terms for e in (*a.coeffs, *b.coeffs)]
-            lo_xi = min(0, min((j for j, _m in exps), default=0))
-            lo_x = min(0, min((m for _j, m in exps), default=0))
+        operands = {id(s): s for _c, a, b in terms for s in (a, b)}
+        exps = [e for s in operands.values() for e in s.coeffs]
+        lo_xi = min([0] + [j for j, _m in exps])  # lowest exponents of any operand, the fields' offsets
+        lo_x = min([0] + [m for _j, m in exps])
         width = max(v - 2 * (lo_xi + lo_x), 1).bit_length()
-        acc = sum_products({}, _packed_triples(terms, v, width, lo_xi, lo_x))
-        low = (1 << width) - 1
+        shift = _x_shift(width, max((max(c.terms) for s in operands.values()
+                                     for c in s.coeffs.values()), default=0))
+        packed = {i: PackedSeries.from_series(s, width, shift, lo_xi, lo_x) for i, s in operands.items()}
+        acc = PackedSeries.sum_of_products((c, packed[id(a)], packed[id(b)]) for c, a, b in terms)
         basis = first.basis
-        coeffs = {((f >> width) + 2 * lo_xi, (f & low) + 2 * lo_x): GradedPoly(t, basis)
-                  for f, t in split_packed(acc.items(), 2 * width).items()}
+        coeffs = {e: GradedPoly(t, basis)
+                  for e, t in acc.split_bivariate(shift, 2 * lo_xi, 2 * lo_x).items()}
         w = weights.pop() if len(weights) == 1 else None
         return Series(first.prime, basis, coeffs, v, w, laurent)
 
@@ -387,11 +393,11 @@ def product_validity(triples, order: int | None = None) -> int:
 
 
 class PackedSeries:
-    """A univariate series in xi as one packed term list (module docstring).
+    """A series as one packed term list, keyed x << S | mono << W | degree (module docstring).
 
-    terms are (mono << width | degree, coefficient) items, nonzero, each
-    degree below validity.  A product's terms stay in its dict's order until
-    a read that needs degree order sorts them.
+    terms are (key, coefficient) items, nonzero, each degree below validity.
+    A product's terms stay in its dict's order until a read that needs
+    degree order sorts them.
     """
 
     __slots__ = ("terms", "degrees", "validity", "width", "_groups")
@@ -416,8 +422,22 @@ class PackedSeries:
         return cls(terms, validity, width, degrees, groups)
 
     @classmethod
-    def from_series(cls, s: Series, width: int) -> "PackedSeries":
-        return cls.from_coeffs({j: c.terms for (j, _z), c in s.coeffs.items()}, s.validity, width)
+    def from_series(cls, s: Series, width: int, shift: int = 0, lo_xi: int = 0,
+                    lo_x: int = 0) -> "PackedSeries":
+        """s with x = j_x - lo_x at shift and degree j_xi + j_x - lo, validity less lo = lo_xi + lo_x."""
+        coeffs: dict = {}
+        for (j, m), c in s.coeffs.items():
+            x = (m - lo_x) << shift >> width  # above the monomial once packed at width
+            t = {x | mono: v for mono, v in c.terms.items()} if x else c.terms
+            d = j + m - lo_xi - lo_x
+            coeffs[d] = {**coeffs[d], **t} if d in coeffs else t
+        return cls.from_coeffs(coeffs, s.validity - lo_xi - lo_x, width)
+
+    @staticmethod
+    def x_shift(width: int, operands) -> int:
+        """S for products of univariate operands keyed mono << width | degree (module docstring)."""
+        top = max((max(map(itemgetter(0), o.terms), default=0) for o in operands), default=0)
+        return _x_shift(width, top >> width)
 
     def _sort(self):
         low = (1 << self.width) - 1
@@ -437,16 +457,17 @@ class PackedSeries:
             self._sort()
         return self.terms[:bisect_left(self.degrees, v)]
 
-    def at(self, d: int) -> "PackedSeries | None":
-        """The terms of degree d, with this series' validity; None if there are none."""
+    def in_x(self, below: int, shift: int) -> "PackedSeries":
+        """sum of [xi^d] self x^d over d < below, keyed with x-field shift, at this validity.
+
+        A product's part at x^s, s < below, is as exact as its validity says;
+        the terms at x^below and above are left out, not zero.
+        """
         if self.degrees is None:
             self._sort()
-        lo = bisect_left(self.degrees, d)
-        hi = bisect_right(self.degrees, d, lo)
-        if lo < hi:
-            terms = self.terms[lo:hi]
-            return PackedSeries(terms, self.validity, self.width, self.degrees[lo:hi], [(d, terms)])
-        return None
+        degrees = self.degrees[:bisect_left(self.degrees, below)]
+        return PackedSeries([(d << shift | key, x) for d, (key, x) in zip(degrees, self.terms)],
+                            self.validity, self.width, degrees)
 
     def groups(self) -> list:
         """The runs (degree, terms of that degree), found on the first call."""
@@ -458,8 +479,22 @@ class PackedSeries:
         return self._groups
 
     def split(self) -> dict:
-        """{degree: {mono: coefficient}}."""
+        """{degree: {mono: coefficient}} of a univariate series."""
         return split_packed(self.terms, self.width)
+
+    def split_bivariate(self, shift: int, lo_xi: int = 0, lo_x: int = 0) -> dict:
+        """{(j_xi, j_x): terms} from x = j_x - lo_x at shift and degree = j_xi + j_x - lo_xi - lo_x."""
+        width = self.width
+        low, monos = (1 << width) - 1, (1 << shift - width) - 1
+        out: dict = {}
+        for key, c in self.terms:
+            x = key >> shift
+            got = out.get(e := ((key & low) - x + lo_xi, x + lo_x))
+            if got is None:
+                out[e] = {key >> width & monos: c}
+            else:
+                got[key >> width & monos] = c
+        return out
 
     @staticmethod
     def sum_of_products(triples, order: int | None = None) -> "PackedSeries":
@@ -494,30 +529,9 @@ def split_packed(items, shift: int) -> dict:
     return out
 
 
-def _packed_triples(terms, v: int, width: int, lo_xi: int, lo_x: int):
-    """(c, A terms, B terms) per coefficient of A, with the B terms it meets below degree v.
-
-    Keys are packed as in the module docstring.  B's terms are listed in
-    degree order up to v - val(A), below which every field is in range, and
-    each coefficient of A takes the prefix below v minus its own degree.
-    """
-    shift = 2 * width
-    for c, a, b in terms:
-        if not c or not a.coeffs or not b.coeffs:
-            continue
-        top = v - a.val()
-        degrees: list = []
-        right: list = []
-        for d, j, m, p in sorted((j + m, j, m, p) for (j, m), p in b.coeffs.items()):
-            if d >= top:
-                break
-            right += pack_terms(p.terms, shift, (j - lo_xi) << width | (m - lo_x))
-            degrees += [d] * len(p.terms)
-        for (j, m), p in a.coeffs.items():
-            cut = bisect_left(degrees, v - j - m)
-            if cut:
-                f = (j - lo_xi) << width | (m - lo_x)
-                yield c, pack_terms(p.terms, shift, f), right[:cut]
+def _x_shift(width: int, top_mono: int) -> int:
+    """S: width plus poly.W bits per generator up to the highest in top_mono (module docstring)."""
+    return width + EXP_BITS * -(-top_mono.bit_length() // EXP_BITS)
 
 
 _ZERO = {"v": GradedPoly.zero("v"), "l": GradedPoly.zero("l")}

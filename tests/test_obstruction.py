@@ -458,7 +458,8 @@ def test_recurrence_hands_the_kernel_only_pairs_below_each_validity(monkeypatch,
     for t in range(1, n + 1):
         step = Series.sum_of_products((-n * i - t, g[i], f[t - i]) for i in range(1, t + 1))
         want += sum(_pairs_below(g[i], f[t - i], step.validity) for i in range(1, t + 1))
-        f.append(step.map_polys(lambda c: c.divmod_int(t)[0]))
+        assert all(x % t == 0 for c in step.coeffs.values() for x in c.terms.values())  # exact
+        f.append(step.map_polys(lambda c: GradedPoly({m: x // t for m, x in c.terms.items()}, c.basis)))
     for t in range(n + 1):
         if cp := ctx.cp_image(n - t):
             want += sum(len(c.terms) for c in a0_pow[n - t].coeffs.values()) * len(cp.terms)

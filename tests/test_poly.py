@@ -79,17 +79,6 @@ def test_homogeneity_under_arithmetic():
     assert (a * b).is_homogeneous(2, 6)
 
 
-def test_divmod_int_floor_semantics():
-    q, r = P("-879*v1^6").divmod_int(2)
-    assert q == P("-440*v1^6")
-    assert r == P("v1^6")
-    q, r = P("6 + 9*v1").divmod_int(2)
-    assert q == P("3 + 4*v1")
-    assert r == P("v1")
-    with pytest.raises(ValueError):
-        GradedPoly.const(Fraction(1, 2)).divmod_int(2)
-
-
 def test_exactness_randomized():
     rng = random.Random(20260810)
     for _ in range(100):

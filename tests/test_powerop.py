@@ -9,7 +9,7 @@ from fglops.poly import GradedPoly, add_products, sum_products
 from fglops.powerop import (EulerClassError, _check_euler_class, _factor_forms, _rows,
                             product_rows, product_rows_by_fold)
 from fglops.reduction import divisible_by_full_p_series
-from fglops.series import Series
+from fglops.series import PackedSeries, Series
 
 from conftest import P, S
 
@@ -205,9 +205,10 @@ def _rows_by_closed_form(ctx, forms, cap):
 
 
 # in a degree field of (k + 1).bit_length() bits, degree k leaves the top bit unused
-# at k = 15 and 31 and needs it at k = 16 and 32
+# at k = 15 and 31 and needs it at k = 16 and 32; at (5, 3, 3) every form of the
+# product is empty (q > k), and (3, 25, 0) converts one row
 ROWS_GRID = [(2, 20, 8), (3, 25, 6), (5, 40, 10), (2, 15, 8), (2, 16, 8), (3, 31, 10),
-             (3, 32, 10), (7, 30, 30)]
+             (3, 32, 10), (7, 30, 30), (5, 3, 3), (3, 25, 0)]
 
 
 def _forms_of(ctx, cap):
@@ -255,6 +256,26 @@ def test_rows_hand_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, 
         want += sum(size(a, s) * len(t) for s in range(cap + 1) for a in range(s + 1)
                     for d, t in ws[a].items() if d < k + 1 - s)
         assert sum(handed) == want
+
+
+@pytest.mark.parametrize("p,k,cap", ROWS_GRID)
+def test_rows_are_one_product_after_the_powers_and_forms(monkeypatch, p, k, cap):
+    # L^2 .. L^top at order k+1, W_a at order k+1-a, then every row in one product
+    ctx = FglContext(p, k)
+    orders = []
+    product = PackedSeries.sum_of_products
+
+    def counting(triples, order=None):
+        orders.append(order)
+        return product(triples, order)
+
+    for forms in _forms_of(ctx, cap):
+        orders.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(PackedSeries, "sum_of_products", staticmethod(counting))
+            _rows(ctx, forms, cap)
+        top = max([cap] + [b for f in forms for b in f])
+        assert orders == [k + 1] * max(top - 1, 0) + [k + 1 - a for a in range(len(forms))] + [k + 1]
 
 
 # cap < q(j+1) for the later steps of the first two, cap >= q(j+1) for every step of the

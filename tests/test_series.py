@@ -202,6 +202,28 @@ def test_sum_of_products_hands_the_kernel_only_pairs_below_the_validity(monkeypa
     assert sum(handed) == want
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_sum_of_products_is_one_packed_product(monkeypatch, seed):
+    # 1 to 4 triples, bivariate and Laurent operands, recurring: one packed product over all
+    rng = random.Random(seed)
+    pool = [_rand_bivariate(rng) for _ in range(3)]
+    terms = [(rng.choice([1, -1, Fraction(2, 3), 0]), rng.choice(pool), rng.choice(pool))
+             for _ in range(rng.randrange(1, 5))]
+    handed = []
+    product = PackedSeries.sum_of_products
+
+    def counting(triples, order=None):
+        triples = list(triples)
+        handed.append(len(triples))
+        return product(triples, order)
+
+    monkeypatch.setattr(PackedSeries, "sum_of_products", staticmethod(counting))
+    got = Series.sum_of_products(terms)
+    monkeypatch.undo()
+    assert handed == [len(terms)]
+    assert got == _naive_sum_of_products(terms)
+
+
 def _rand_univariate(rng: random.Random) -> Series:
     validity = rng.randrange(1, 12)
     coeffs = {}
@@ -214,7 +236,7 @@ def _rand_univariate(rng: random.Random) -> Series:
 
 @pytest.mark.parametrize("seed", range(40))
 def test_packed_sum_of_products_matches_the_series_product(monkeypatch, seed):
-    # the coefficients and validity of Series.sum_of_products, truncated to the
+    # the coefficients and validity of the naive reference, truncated to the
     # order, with the kernel handed exactly the pairs below that validity
     rng = random.Random(seed)
     pool = [_rand_univariate(rng) for _ in range(4)]
@@ -232,7 +254,7 @@ def test_packed_sum_of_products_matches_the_series_product(monkeypatch, seed):
     monkeypatch.setattr(fglops.series, "sum_products", counting)
     got = PackedSeries.sum_of_products([(c, packed[id(a)], packed[id(b)]) for c, a, b in terms], order)
     monkeypatch.undo()
-    want = Series.sum_of_products(terms)
+    want = _naive_sum_of_products(terms)
     if order is not None:
         want = want.truncate(order)
     assert got.validity == want.validity
