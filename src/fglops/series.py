@@ -497,8 +497,13 @@ class PackedSeries:
         return out
 
     @staticmethod
-    def sum_of_products(triples, order: int | None = None) -> "PackedSeries":
-        """sum of c A B over (c, A, B) triples of PackedSeries, cut as the module docstring says."""
+    def sum_of_products(triples, order: int | None = None, acc: dict | None = None) -> "PackedSeries":
+        """sum of c A B over (c, A, B) triples of PackedSeries, cut as the module docstring says.
+
+        Given acc, a dict of packed terms below the cut, the products are
+        summed into it in place and its terms join no pair; acc needs at
+        least one triple, which gives the width.
+        """
         triples = list(triples)
         # degrees are >= 0, so a pair whose validities both reach the order cannot lower it
         rated = triples if order is None else [t for t in triples
@@ -509,8 +514,9 @@ class PackedSeries:
         width = triples[0][1].width
         if v > 1 << width:
             raise OverflowError(f"validity {v} does not fit a degree field of {width} bits")
-        acc = sum_products({}, ((c, left, b.below(v - d))
-                                for c, a, b in triples if c for d, left in a.groups() if d < v))
+        acc = sum_products({} if acc is None else acc,
+                           ((c, left, b.below(v - d))
+                            for c, a, b in triples if c for d, left in a.groups() if d < v))
         terms = acc.items() if all(acc.values()) else list(filter(itemgetter(1), acc.items()))
         return PackedSeries(terms, v, width)
 

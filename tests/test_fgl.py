@@ -5,6 +5,7 @@ import pytest
 
 import fglops.fgl
 import fglops.poly
+import fglops.series
 from fglops import FglContext, HorizonError, IntegralityError, NotPrimeError, mc, power_operation
 from fglops.cli import DEFAULT_TRUNCATION
 from fglops.fgl import MR_BOUND, is_prime
@@ -80,8 +81,10 @@ def test_exp_log_are_mutually_inverse(p, k):
 @pytest.mark.parametrize("p,k,j,added", [
     *(pytest.param(p, k, j, 1, id=f"{p}-{k}-{j}") for p, k, j in
       [(2, 9, 1), (2, 9, 5), (2, 9, 9), (3, 10, 1), (3, 10, 4), (3, 10, 9)]),
-    # the t = 1 digit of the pass's accumulator must hold this without a carry into [p]xi
+    # the t = 1 digit of the pass's accumulator must hold this without a carry into [p]xi,
+    # at 3-10-9 through the largest binomial weights C(j, s) of the Horner pass
     pytest.param(2, 9, 5, 2 ** 512, id="2-9-5-huge"),
+    pytest.param(3, 10, 9, 2 ** 512, id="3-10-9-huge"),
 ])
 def test_identity_check_fires_on_a_corrupted_exp(monkeypatch, p, k, j, added):
     # j = 4 at p = 3 is off the support j = 1 mod p-1 that the shared pass reads
@@ -100,27 +103,54 @@ def test_identity_check_fires_on_a_corrupted_exp(monkeypatch, p, k, j, added):
 
 @pytest.mark.parametrize("p,k", [(2, 12), (2, 13), (3, 14), (3, 15), (5, 20)])
 def test_shared_pass_forms_each_product_below_the_truncation_once(monkeypatch, p, k):
-    # one product e_j [xi^d] R^j per j + d <= k, for both multipliers 1 and p;
-    # R^j is read here from the partitions, in the pass from packed products
+    # H_s = sum over s' >= s of r^(s'-s) E_s', read here from Series powers of
+    # r = log/xi - 1; the pass forms r x H_(s+1) only below k+1-s(p-1), once for
+    # both multipliers 1 and p, and never multiplies E_s
     handed = []
-    real = fglops.fgl.sum_products
+    real = fglops.series.sum_products
 
     def counting(tgt, triples):
         triples = list(triples)
         handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
         return real(tgt, triples)
 
-    monkeypatch.setattr(fglops.fgl, "sum_products", counting)
+    monkeypatch.setattr(fglops.series, "sum_products", counting)
     ctx = FglContext(p, k)
-    want = sum(len(e.terms) * len(ctx.log_ratio_power(j, d).terms)
-               for (j, _z), e in ctx.exp.coeffs.items() for d in range(k + 1 - j))
-    assert sum(handed) == want
     ctx.n_series(p)  # cached by the construction pass
-    assert sum(handed) == want
+    got = sum(handed)
+    q = p - 1
+    r = ctx.log.shift_xi(-1) - Series.from_const(1, p, "l", k)
+
+    def h_ref(s, t):  # H_s for the multiplier t alone
+        cut = k + 1 - s * q
+        out = Series.zero(p, "l", cut)
+        for s2 in range(s, k // p + 1):
+            e = Series(p, "l", {(j, 0): c.scale(math.comb(j, s2) * t ** j)
+                                for (j, _z), c in ctx.exp.coeffs.items() if j >= s2}, k + 1)
+            out = out + (e if s2 == s else r ** (s2 - s) * e)
+        assert out.validity == cut
+        return out.truncate(cut)
+
+    want = 0
+    for s in range(k // p):
+        cut = k + 1 - s * q
+        held = {(j, mono) for t in (1, p) for (j, _z), c in h_ref(s + 1, t).coeffs.items()
+                for mono in c.terms}
+        want += sum(len(c.terms) * sum(j < cut - d for j, _mono in held)
+                    for (d, _z), c in r.coeffs.items())
+    assert got == want
+    # fewer pairs than forming every e_j [xi^d] R^j, j + d <= k, from the powers R^j
+    chain = sum(len(e.terms) * len(ctx.log_ratio_power(j, d).terms)
+                for (j, _z), e in ctx.exp.coeffs.items() for d in range(k + 1 - j))
+    assert want < chain
+
+
+# r = log/xi - 1 has no term when p > k; the CLI tests build a context at p = 10**18 + 3
+EDGE_CASES = {(7, 3), (13, 5), (13, 1), (10**18 + 3, 5), (10**18 + 3, 1)}
 
 
 @pytest.mark.parametrize("p,k", sorted({(p, k) for p in (2, 3, 5, 7) for k in (1, p - 1, 2 * p, 20)}
-                                        | {(2, 30)}))
+                                        | {(2, 30)} | EDGE_CASES))
 def test_packed_multipliers_are_exact(p, k):
     # the pair (1, p) shares one accumulator; each multiplier alone is not packed
     ctx = FglContext(p, k)
@@ -156,6 +186,7 @@ def test_context_makes_no_series_product(monkeypatch, p, k):
 N_SERIES_GRID = sorted(
     {(p, k, n) for p in (2, 3, 5, 7) for k in (1, p - 2, p - 1, 2 * p, 20) if k >= 1
      for n in (2, 3, p, p + 1)}
+    | {(p, k, n) for p, k in EDGE_CASES for n in (2, 3, p, p + 1)}
     | {(p, DEFAULT_TRUNCATION[p], p) for p in (11, 13)})
 
 
