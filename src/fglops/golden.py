@@ -71,18 +71,11 @@ def _suite_problem(suite) -> str | None:
     for t in suite["tables"]:
         if t["kind"] == "mc" and not 0 <= t["n"] <= k:
             return f"has an MC_{t['n']} table, but n must lie in 0..truncation = {k}"
-        bad = f"has a table of kind {t['kind']!r} whose series is not in the wire format"
         try:
-            validity = series_from_obj(t["series"]).validity
+            series_from_obj(t["series"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            return f"{bad} ({type(exc).__name__}: {exc})"
-        if not _is_int(validity):
-            return f"{bad} (validity {validity!r} is not an integer)"
-        exponents = [e for term in t["series"]["terms"]
-                     for e in (term["xi"], term.get("x", 0),
-                               *(x for part in term["poly"] for x in part["exps"].values()))]
-        if odd := [e for e in exponents if not _is_int(e)]:
-            return f"{bad} (exponent {json.dumps(odd[0])} is not an integer)"
+            return (f"has a table of kind {t['kind']!r} whose series is not in the wire format "
+                    f"({type(exc).__name__}: {exc})")
     return None
 
 

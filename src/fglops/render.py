@@ -2,15 +2,27 @@
 
 Text layout follows the published tables: coefficient polynomials in
 graded order (pure v_1 powers first within a weight), series terms in
-ascending xi powers, and a trailing O(xi)^V validity marker.  The JSON wire
-format is
+ascending xi powers, and a trailing O(xi)^V validity marker.  parse_poly
+and parse_series read the grammar that poly_text and series_text write:
+
+    text   = ["-"] term {(" + " | " - ") term} [" + O(xi)^V" | " + O(xi,x)^V"]
+    term   = factor {"*" factor}
+    factor = c | c/d | v<m>[^e] | l<m>[^e] | xi[^j] | x[^j] | "(" text ")"
+
+with every factor of a term multiplied in, generators of the basis only,
+j possibly negative (a Laurent series), and xi and x in series only.  The
+JSON wire format is
 
     {"prime": p, "truncation": k, "validity": V, "basis": "v"|"l",
      "terms": [{"xi": j, "x": j2,
                 "poly": [{"coef": "c", "exps": {"1": e1, ...}}]}]}
 
 with coefficients rendered as decimal strings ("6", "-7", "1/2").  Both
-renderings parse back to equal values.
+renderings parse back to equal values.  series_from_obj, which reads the
+golden tables, is strict: a prime, validity or exponent that is not a JSON
+integer, a coefficient other than c or c/d with d nonzero, a basis other
+than v or l, two terms at one exponent, or a term at or beyond the validity
+raises ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -23,99 +35,48 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .poly import GradedPoly, mono_exps, mono_from_exps
 from .series import Series
 
-_GEN_LETTER = {"v": "v", "l": "l"}
+
+def _powers(pairs) -> list:
+    """name^e for each (name, e) with e nonzero, bare name for e = 1."""
+    return [name if e == 1 else f"{name}^{e}" for name, e in pairs if e]
 
 
-def _coef_str(c) -> str:
-    return str(c)
+def _mono_factors(mono, basis: str) -> list:
+    return _powers((f"{basis}{i}", e) for i, e in enumerate(mono_exps(mono), 1))
 
 
-def _parse_coef(s: str):
-    if "/" in s:
-        return Fraction(s)
-    return int(s)
+def _term(c, factors: list) -> tuple:
+    """(sign, text) of c times the factors; a coefficient 1 is left out unless alone."""
+    a = abs(c)
+    return "-" if c < 0 else "+", "*".join(([str(a)] if a != 1 or not factors else []) + factors)
 
 
-def _mono_text(mono, basis: str) -> str:
-    letter = _GEN_LETTER[basis]
-    parts = []
-    for i, e in enumerate(mono_exps(mono)):
-        if e == 1:
-            parts.append(f"{letter}{i + 1}")
-        elif e > 1:
-            parts.append(f"{letter}{i + 1}^{e}")
-    return "*".join(parts)
+def _join(chunks) -> str:
+    """'a - b + c' from (sign, text) chunks; the leading sign shows only when minus."""
+    text = "".join(f" {sign} {body}" for sign, body in chunks)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def poly_text(poly: GradedPoly, prime: int) -> str:
     """Render a polynomial; prime fixes the graded term order (0 = lex only)."""
-    if not poly.terms:
-        return "0"
-    if prime:
-        items = poly.sorted_terms(prime)
-    else:
-        items = sorted(poly.terms.items())
-    chunks = []
-    for mono, c in items:
-        mt = _mono_text(mono, poly.basis)
-        if not mono:
-            body = _coef_str(abs(c) if c < 0 else c)
-        elif abs(c) == 1:
-            body = mt
-        else:
-            body = f"{_coef_str(abs(c) if c < 0 else c)}*{mt}"
-        sign = "-" if c < 0 else "+"
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    out = (first_sign if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def _var_text(j: int, jx: int) -> str:
-    parts = []
-    if j == 1:
-        parts.append("xi")
-    elif j != 0:
-        parts.append(f"xi^{j}")
-    if jx == 1:
-        parts.append("x")
-    elif jx != 0:
-        parts.append(f"x^{jx}")
-    return "*".join(parts)
+    items = poly.sorted_terms(prime) if prime else sorted(poly.terms.items())
+    return _join(_term(c, _mono_factors(mono, poly.basis)) for mono, c in items)
 
 
 def series_text(s: Series, show_validity: bool = True) -> str:
-    items = sorted(s.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0]))
     chunks = []
-    for (j, jx), poly in items:
-        vt = _var_text(j, jx)
-        terms = poly.terms
-        if not vt:
+    for (j, jx), poly in sorted(s.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+        var = _powers((("xi", j), ("x", jx)))
+        if not var:
             chunks.append(("+", poly_text(poly, s.prime)))
-            continue
-        if len(terms) > 1:
-            chunks.append(("+", f"({poly_text(poly, s.prime)})*{vt}"))
+        elif len(poly.terms) > 1:
+            chunks.append(("+", f"({poly_text(poly, s.prime)})*" + "*".join(var)))
         else:
-            ((mono, c),) = terms.items()
-            mt = _mono_text(mono, s.basis)
-            sign = "-" if c < 0 else "+"
-            ac = abs(c)
-            factors = []
-            if ac != 1 or (not mt and not vt):
-                factors.append(_coef_str(ac))
-            if mt:
-                factors.append(mt)
-            factors.append(vt)
-            chunks.append((sign, "*".join(factors)))
-    if not chunks:
-        body = "0"
-    else:
-        first_sign, first_body = chunks[0]
-        body = (first_sign if first_sign == "-" else "") + first_body
-        for sign, b in chunks[1:]:
-            body += f" {sign} {b}"
+            ((mono, c),) = poly.terms.items()
+            chunks.append(_term(c, _mono_factors(mono, s.basis) + var))
+    body = _join(chunks)
     if show_validity:
         body += f" + O(xi)^{s.validity}" if s.is_univariate() else f" + O(xi,x)^{s.validity}"
     return body
@@ -123,59 +84,67 @@ def series_text(s: Series, show_validity: bool = True) -> str:
 
 # -- parsing ---------------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"^(?:(?P<num>-?\d+(?:/\d+)?)|(?P<gen>[vl])(?P<idx>\d+)(?:\^(?P<ge>\d+))?|(?P<var>xi|x)(?:\^(?P<ve>-?\d+))?)$")
+_FACTOR_RE = re.compile(r"(?P<num>-?\d+(?:/\d+)?)|(?P<gen>[vl])(?P<idx>\d+)(?:\^(?P<ge>\d+))?"
+                        r"|(?P<var>xi|x)(?:\^(?P<ve>-?\d+))?|\((?P<poly>.*)\)")
 
 
-def _split_top_terms(text: str):
-    """Split on top-level +/- (not inside parentheses), keeping signs."""
-    terms = []
-    depth = 0
-    cur = ""
+def _coef(text) -> int | Fraction:
+    """A decimal coefficient "c" or "c/d"; anything else, d = 0 included, raises ValueError."""
+    m = re.fullmatch(r"-?\d+(?:/(\d+))?", text) if isinstance(text, str) else None
+    if not m or m[1] and not int(m[1]):
+        raise ValueError(f"coefficient {json.dumps(text)} is not c or c/d with d nonzero")
+    return Fraction(text) if m[1] else int(text)
+
+
+def _split(text: str, seps: str) -> list:
+    """(separator, piece) pairs of text cut at separators outside parentheses; a
+    sign cuts only at the start or after a space, so xi^-2 stays whole."""
+    out, depth, start, sep = [], 0, 0, ""
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch in seps and not depth and (ch == "*" or i == 0 or text[i - 1] == " "):
+            out.append((sep, text[start:i].strip()))
+            start, sep = i + 1, ch
+    out.append((sep, text[start:].strip()))
+    return out
+
+
+def _terms(text: str, basis: str, series: bool):
+    """(xi exponent, x exponent, monomial, coefficient) for each monomial of each term."""
     sign = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-            cur += ch
-        elif ch == ")":
-            depth -= 1
-            cur += ch
-        elif ch in "+-" and depth == 0 and (i == 0 or text[i - 1] in " ("):
-            if cur.strip():
-                terms.append((sign, cur.strip()))
-                cur = ""
-            sign = -1 if ch == "-" else 1
-        else:
-            cur += ch
-        i += 1
-    if cur.strip():
-        terms.append((sign, cur.strip()))
-    return terms
+    for sep, term in _split(text, "+-"):
+        if sep == "-":
+            sign = -sign
+        if not term:
+            continue
+        coef, exps, var, poly, sign = sign, {}, [0, 0], GradedPoly.const(1, basis), 1
+        for _star, factor in _split(term, "*"):
+            m = _FACTOR_RE.fullmatch(factor)
+            if not m:
+                raise ValueError(f"cannot parse factor {factor!r}")
+            if m["num"]:
+                coef *= _coef(m["num"])
+            elif m["gen"]:
+                if m["gen"] != basis:
+                    raise ValueError(f"generator {factor!r} does not match basis {basis!r}")
+                idx = int(m["idx"])
+                exps[idx] = exps.get(idx, 0) + int(m["ge"] or 1)
+            elif m["var"]:
+                if not series:
+                    raise ValueError(f"series variable {factor!r} inside polynomial")
+                var[m["var"] == "x"] += int(m["ve"] or 1)
+            else:
+                poly = poly * parse_poly(m["poly"], basis)
+        for mono, c in (poly * GradedPoly({mono_from_exps(exps): coef}, basis)).terms.items():
+            yield var[0], var[1], mono, c
 
 
 def parse_poly(text: str, basis: str = "v") -> GradedPoly:
     """Parse polynomial text like '-8*v1^3 - 7*v2' or '1/2*l1^2 + 3'."""
-    out = GradedPoly.zero(basis)
-    for sign, term in _split_top_terms(text.strip()):
-        coef = sign
-        exps: dict = {}
-        for factor in term.split("*"):
-            factor = factor.strip()
-            m = _FACTOR_RE.match(factor)
-            if not m:
-                raise ValueError(f"cannot parse factor {factor!r}")
-            if m.group("num"):
-                coef *= _parse_coef(m.group("num"))
-            elif m.group("gen"):
-                if m.group("gen") != basis:
-                    raise ValueError(f"generator {factor!r} does not match basis {basis!r}")
-                idx = int(m.group("idx"))
-                exps[idx] = exps.get(idx, 0) + int(m.group("ge") or 1)
-            else:
-                raise ValueError(f"series variable {factor!r} inside polynomial")
-        out = out + GradedPoly({mono_from_exps(exps): coef}, basis)
-    return out
+    out: dict = {}
+    for _j, _jx, mono, c in _terms(text.strip(), basis, False):
+        out[mono] = out.get(mono, 0) + c
+    return GradedPoly(out, basis)
 
 
 def parse_series(text: str, prime: int, basis: str, validity: int | None = None,
@@ -193,58 +162,38 @@ def parse_series(text: str, prime: int, basis: str, validity: int | None = None,
     if validity is None:
         raise ValueError("no validity marker and none supplied")
     coeffs: dict = {}
-    if text and text != "0":
-        for sign, term in _split_top_terms(text):
-            coef = sign
-            exps: dict = {}
-            j = jx = 0
-            pmatch = re.match(r"^\((?P<inner>.*)\)\*(?P<rest>.*)$", term)
-            if pmatch:
-                poly = parse_poly(pmatch.group("inner"), basis).scale(sign)
-                rest = pmatch.group("rest")
-            else:
-                poly = None
-                rest = term
-            for factor in rest.split("*"):
-                factor = factor.strip()
-                fm = _FACTOR_RE.match(factor)
-                if not fm:
-                    raise ValueError(f"cannot parse factor {factor!r}")
-                if fm.group("num"):
-                    coef *= _parse_coef(fm.group("num"))
-                elif fm.group("gen"):
-                    idx = int(fm.group("idx"))
-                    exps[idx] = exps.get(idx, 0) + int(fm.group("ge") or 1)
-                else:
-                    e = int(fm.group("ve") or 1)
-                    if fm.group("var") == "xi":
-                        j += e
-                    else:
-                        jx += e
-            if poly is None:
-                poly = GradedPoly({mono_from_exps(exps): coef}, basis)
-            prev = coeffs.get((j, jx))
-            coeffs[(j, jx)] = poly if prev is None else prev + poly
+    for j, jx, mono, c in _terms(text, basis, True):
+        t = coeffs.setdefault((j, jx), {})
+        t[mono] = t.get(mono, 0) + c
     laurent = any(j < 0 or jx < 0 for j, jx in coeffs)
-    return Series(prime, basis, coeffs, validity, weight, laurent)
+    return Series(prime, basis, {e: GradedPoly(t, basis) for e, t in coeffs.items()},
+                  validity, weight, laurent)
 
 
 # -- JSON wire format -------------------------------------------------------
+
+def _wire_int(x, field: str) -> int:
+    """x as a JSON integer; true and false parse to bools, which Python counts as ints."""
+    if type(x) is not int:
+        raise ValueError(f"{field} is {json.dumps(x)}, not an integer")
+    return x
+
 
 def poly_to_obj(poly: GradedPoly, prime: int) -> list:
     out = []
     for mono, c in poly.sorted_terms(prime):
         exps = {str(i): e for i, e in enumerate(mono_exps(mono), 1) if e}
-        out.append({"coef": _coef_str(c), "exps": exps})
+        out.append({"coef": str(c), "exps": exps})
     return out
 
 
 def poly_from_obj(obj: list, basis: str) -> GradedPoly:
-    out = GradedPoly.zero(basis)
+    out: dict = {}
     for t in obj:
-        exps = {int(i): e for i, e in t["exps"].items()}
-        out = out + GradedPoly({mono_from_exps(exps): _parse_coef(t["coef"])}, basis)
-    return out
+        mono = mono_from_exps({int(i): _wire_int(e, f"exponent of generator {i}")
+                               for i, e in t["exps"].items()})
+        out[mono] = out.get(mono, 0) + _coef(t["coef"])
+    return GradedPoly(out, basis)
 
 
 def series_to_obj(s: Series, truncation: int | None = None) -> dict:
@@ -261,12 +210,20 @@ def series_to_obj(s: Series, truncation: int | None = None) -> dict:
 
 
 def series_from_obj(obj: dict) -> Series:
-    coeffs = {}
     basis = obj["basis"]
+    if basis not in ("v", "l"):
+        raise ValueError(f"basis is {json.dumps(basis)}, not \"v\" or \"l\"")
+    validity = _wire_int(obj["validity"], "validity")
+    coeffs = {}
     for t in obj["terms"]:
-        coeffs[(t["xi"], t.get("x", 0))] = poly_from_obj(t["poly"], basis)
-    laurent = any(e[0] < 0 for e in coeffs)
-    return Series(obj["prime"], basis, coeffs, obj["validity"], laurent=laurent)
+        e = _wire_int(t["xi"], "xi exponent"), _wire_int(t.get("x", 0), "x exponent")
+        if sum(e) >= validity:
+            raise ValueError(f"term xi^{e[0]}*x^{e[1]} lies at or beyond validity {validity}")
+        if e in coeffs:
+            raise ValueError(f"two terms at xi^{e[0]}*x^{e[1]}")
+        coeffs[e] = poly_from_obj(t["poly"], basis)
+    laurent = any(j < 0 or jx < 0 for j, jx in coeffs)
+    return Series(_wire_int(obj["prime"], "prime"), basis, coeffs, validity, laurent=laurent)
 
 
 def to_json(obj) -> str:

@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 import fglops.cli
+import fglops.powerop
 from fglops.cli import DEFAULT_TRUNCATION, main
 from fglops.fgl import MR_BOUND
 from fglops.golden import ENV_GOLDEN_DIR, golden_dir
@@ -201,6 +202,29 @@ def test_power_op_coeffs_below_the_euler_degree_are_zero(capsys):
     assert out == "".join(f"a_{i} = 0 + O(xi)^{6 - i}\n" for i in range(6))
 
 
+BILLION_PRIME = str(10**9 + 7)
+
+
+@pytest.mark.parametrize("argv,code,want_out,want_err", [
+    (("mc", "-p", BILLION_PRIME, "-k", "5", "--n", "2"), 1, "",
+     f"error: obstruction series would have validity 10 < p = {BILLION_PRIME}\n"),
+    (("power-op-coeffs", "-p", BILLION_PRIME, "-k", "5"), 0,
+     "".join(f"a_{i} = 0 + O(xi)^{6 - i}\n" for i in range(6)), ""),
+], ids=["mc", "power-op-coeffs"])
+def test_a_prime_far_above_k_forms_no_factorial_of_p(monkeypatch, capsys, argv, code,
+                                                      want_out, want_err):
+    # (p-1)! at p = 10^9 + 7 alone runs for minutes; the Euler-class check reads it
+    # only when xi^(p-1) lies below a_0's validity k + 1
+    real = fglops.powerop.factorial
+
+    def small(n):
+        assert n <= 10 ** 4, f"factorial({n})"
+        return real(n)
+
+    monkeypatch.setattr(fglops.powerop, "factorial", small)
+    assert run(capsys, *argv) == (code, want_out, want_err)
+
+
 def test_default_truncations():
     assert DEFAULT_TRUNCATION[2] == 14
     assert DEFAULT_TRUNCATION[3] == 25
@@ -271,6 +295,12 @@ BAD_GOLDEN = {  # case -> the file's text made from the good one; None: no file
     "bool-xi": _edited(lambda s: s["tables"][0]["series"]["terms"][1].update(xi=True, x=False)),
     "bool-exps": _edited(
         lambda s: s["tables"][0]["series"]["terms"][1]["poly"][0]["exps"].update({"1": True})),
+    # a validity below the table's own terms would drop the corrupted xi^3 coefficient
+    "term-beyond-validity": _edited(lambda s: (
+        s["tables"][0]["series"].update(validity=1),
+        s["tables"][0]["series"]["terms"][3]["poly"][0].update(coef="999"))),
+    "zero-denominator": _edited(
+        lambda s: s["tables"][0]["series"]["terms"][1]["poly"][0].update(coef="1/0")),
 }
 
 
@@ -286,6 +316,8 @@ def test_verify_bad_golden_file_is_one_error_line(tmp_path, monkeypatch, capsys,
     assert str(tmp_path / "p2.json") in err
     if case == "generator-beyond-horizon":  # the reader's own complaint names the generator
         assert "13" in err.replace(str(tmp_path), "")
+    if case == "term-beyond-validity":
+        assert "lies at or beyond validity 1" in err
 
 
 def test_progress_goes_to_stderr_only(capsys):

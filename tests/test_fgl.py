@@ -162,9 +162,23 @@ def test_packed_multipliers_are_exact(p, k):
         assert got.weight == want.weight == -1
 
 
+@pytest.mark.parametrize("p,k,j", [(3, 8, 5), (5, 24, 9)])
+def test_packed_multipliers_are_exact_for_a_corrupted_exp(p, k, j):
+    # below k only l_1 is present, so ||r||_1 = 1 and ||R||_1 = 2: 2^512 added to e_j
+    # meets C(j, s) >= 5 in R^j, a t = 1 digit a width taken from ||r||_1 cannot hold
+    ctx = FglContext(p, k)
+    coeffs = dict(ctx.exp.coeffs)
+    coeffs[(j, 0)] = coeffs[(j, 0)] + P("1", "l").scale(2 ** 512)
+    ctx.exp = Series(p, "l", coeffs, ctx.exp.validity, ctx.exp.weight)
+    for got, t in zip(ctx._exp_of_log_multiples((1, p)), (1, p)):
+        want = ctx.exp.compose(ctx.log.scale(t))
+        assert got.coeffs == want.coeffs and got.validity == want.validity == k + 1
+
+
 @pytest.mark.parametrize("p,k", [(2, 20), (3, 26), (5, 40)])
 def test_context_makes_no_series_product(monkeypatch, p, k):
-    # R^j comes from packed products, never from the partitions it is checked against
+    # H_0 comes from packed products of r = log/xi - 1, never from the partitions
+    # that build the exp it checks
     def refuse(*_args):
         raise AssertionError("a Series product in the context")
 

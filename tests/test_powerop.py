@@ -66,7 +66,7 @@ def test_euler_congruence(p, k):
 def test_euler_check_fires_on_bad_series():
     bad = S("7*xi", 2, "v", validity=5)
     with pytest.raises(EulerClassError):
-        _check_euler_class(bad, 2, 1)
+        _check_euler_class(bad, 2)
 
 
 def test_product_divisible_by_x_and_xi_zero_column(data27):

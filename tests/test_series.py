@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import fglops.series
 from fglops.poly import GradedPoly, mono_exps, mono_pack, sum_products
-from fglops.render import (parse_series, series_from_json, series_text, series_to_json,
-                           series_to_obj, to_json)
+from fglops.render import (parse_series, series_from_json, series_from_obj, series_text,
+                           series_to_json, series_to_obj, to_json)
 from fglops.series import NonUnitError, OutsideValidityError, PackedSeries, Series
 
 from conftest import P, S, rand_poly, rand_series
@@ -423,6 +423,53 @@ def test_laurent_text_roundtrip():
     for s in (in_x, in_xi):
         parsed = parse_series(series_text(s), 2, "v")
         assert parsed == s and parsed.laurent
+        read = series_from_json(series_to_json(s))
+        assert read == s and read.laurent
+
+
+def test_parse_series_applies_every_factor_of_a_term():
+    # the factors after a parenthesised polynomial multiply it too
+    assert (parse_series("(1 + v1)*3*xi + O(xi)^3", 2, "v")
+            == parse_series("(3 + 3*v1)*xi + O(xi)^3", 2, "v"))
+    assert (parse_series("(1 + v1)*v2*xi - 2*(v1 - 1)*xi^2 + O(xi)^3", 2, "v").coeffs
+            == {(1, 0): P("v2 + v1*v2"), (2, 0): P("2 - 2*v1")})
+
+
+@pytest.mark.parametrize("text,basis,match", [
+    ("1 + l1*xi + O(xi)^3", "v", "does not match basis"),
+    ("1 + v1*xi + O(xi)^3", "l", "does not match basis"),
+    ("(1 + l1)*xi + O(xi)^3", "v", "does not match basis"),
+    ("1/0*xi + O(xi)^3", "v", 'coefficient "1/0"'),
+])
+def test_parse_series_refuses_malformed_text(text, basis, match):
+    with pytest.raises(ValueError, match=match):
+        parse_series(text, 2, basis)
+
+
+_WIRE_SERIES = "2 - v1*xi + 1/2*v1^3*xi^3"
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda o: o.update(prime=True), "prime"),
+    (lambda o: o.update(validity=True), "validity"),
+    (lambda o: o.update(validity=5.0), "validity"),
+    (lambda o: o["terms"][1].update(xi=True), "xi exponent"),
+    (lambda o: o["terms"][1].update(x=False), "x exponent"),
+    (lambda o: o["terms"][1]["poly"][0]["exps"].update({"1": True}), "exponent of generator 1"),
+    (lambda o: o["terms"][1]["poly"][0]["exps"].update({"1": "1"}), "exponent of generator 1"),
+    (lambda o: o["terms"][2]["poly"][0].update(coef="1/0"), "coefficient"),
+    (lambda o: o["terms"][2]["poly"][0].update(coef=3), "coefficient"),
+    (lambda o: o.update(validity=3), r"xi\^3\*x\^0 lies at or beyond validity 3"),
+    (lambda o: o["terms"][1].update(xi=0), r"two terms at xi\^0"),
+    (lambda o: o.update(basis="w"), "basis"),
+])
+def test_series_from_obj_refuses_a_malformed_field(edit, field):
+    good = S(_WIRE_SERIES, 2, "v", validity=5)
+    obj = series_to_obj(good)
+    assert series_from_obj(obj) == good
+    edit(obj)
+    with pytest.raises(ValueError, match=field):
+        series_from_obj(obj)
 
 
 # every shape the CLI prints: empty exps {}, null, true/false, negative and
