@@ -15,16 +15,22 @@ FglContext(p, k) builds, exactly and truncated modulo degree k+1:
 from which it derives formal sums, n-series [n]xi = exp(n log xi), and the
 reduced p-series <p>xi = [p]xi / xi, whose integral-generator form must have
 integer coefficients (a denominator surviving the substitution signals a
-broken generator table and raises IntegralityError).
+broken generator table and raises IntegralityError).  The substitution
+(to_v) packs a whole series into one polynomial, each term's exponents in
+bits around its monomial, and substitutes it by generator in one
+GradedPoly.substitute call (poly.py).
 
 Every power of log/xi = 1 + sum_m l_m xi^(p^m - 1) has the closed form
 
-  [xi^d] (log/xi)^r = sum over partitions b of d into parts p^m - 1
+  [xi^d] (log/xi)^r = sum over the l-monomials l^b of weight d
                       of mu(r; b) * prod l_m^(b_m),
 
 mu being the generalized multinomial coefficient, for any integer r.  The
-package reads it only at negative r (Lagrange inversion, and d h_d in the
-power operation); the nonnegative powers are never formed (below).
+monomials of one weight come from one flat loop (FglContext._monomials):
+every weight p^m - 1 is a multiple of p - 1, so the exponents of l_2..l_h
+run as an odometer and the weight fixes the exponent of l_1.  The package
+reads the closed form only at negative r (Lagrange inversion, and d h_d in
+the power operation); the nonnegative powers are never formed (below).
 
 n-series and the identity check are one pass, no composition: with
 e_j = [xi^j] exp and R = log/xi = 1 + r,
@@ -47,7 +53,7 @@ mono << W | d with W = bit length of k+1: r against H_(s+1), with the
 terms of E_s added into its accumulator.  r has at most one term per
 generator, each with coefficient 1.  e_j vanishes unless j = 1 mod p-1 and
 is packed once, keyed mono << W | j, for every s.  Since exp comes from the
-partitions above, the check crosses two independent routes.
+closed form above, the check crosses two independent routes.
 
 The context runs t = 1 and t = p together, in one accumulator: e_j carries
 the scalar sum over i of t_i^j 2^(S i), and H_0 is read back once, at the
@@ -68,7 +74,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import MAX_TRUNCATION, GradedPoly, mono_pack
+from .poly import MAX_TRUNCATION, W, GradedPoly
 from .series import PackedSeries, Series, pack_terms, split_packed
 
 
@@ -199,7 +205,6 @@ class FglContext:
 
         self._n_series: dict = {1: Series.variable(p, "l", k + 1), p: pser}
         self._pser: dict = {}
-        self._subcache: dict = {}
         self._cp_images: dict = {}
 
     # -- construction ------------------------------------------------------
@@ -229,8 +234,8 @@ class FglContext:
         coeffs = {}
         for j in range(1, self.k + 1):
             terms = {}
-            for mono, c in self.log_ratio_power(-j, j - 1).terms.items():
-                terms[mono], rem = divmod(c, j)
+            for mono, b in self._monomials(j - 1):
+                terms[mono], rem = divmod(c := mu(-j, b), j)
                 if rem:
                     raise IntegralityError(f"[xi^{j}] exp has the non-integral coefficient "
                                            f"{Fraction(c, j)}; Lagrange inversion is broken")
@@ -238,13 +243,41 @@ class FglContext:
         return Series(self.p, "l", coeffs, self.k + 1, weight=-1)
 
     def log_ratio_power(self, r: int, d: int) -> GradedPoly:
-        """[xi^d] (log(xi)/xi)^r for any integer r, straight from the partitions.
+        """[xi^d] (log(xi)/xi)^r for any integer r, straight from the closed form.
 
         log/xi = 1 + sum_m l_m xi^(p^m - 1), so the coefficient is
-        sum mu(r; b) l^b over the partitions b of d into parts p^m - 1 of the
-        stored log; it is the true coefficient for d < k.
+        sum mu(r; b) l^b over the l-monomials l^b of weight d in the
+        generators of the stored log; it is the true coefficient for d < k.
         """
-        return GradedPoly({mono_pack(b): mu(r, b) for b in partitions(d, self._log_parts)}, "l")
+        return GradedPoly({mono: mu(r, b) for mono, b in self._monomials(d)}, "l")
+
+    def _monomials(self, d: int):
+        """(monomial, exponent tuple) of each l-monomial of weight d in the stored log's generators.
+
+        One flat loop: p^m - 1 = q c_m with q = p - 1 and c_m = 1 + p + ... + p^(m-1),
+        so a weight that q does not divide has none.  The exponents of
+        l_2..l_h run as an odometer, lowest first, over every choice with
+        sum b_m c_m <= d/q, and the rest d/q - sum b_m c_m is the exponent of l_1.
+        """
+        q = self.p - 1
+        if d % q or d and not self._log_parts:
+            return
+        rest, tail = d // q, 0  # the exponent of l_1; l_2^b_2 ... l_h^b_h packed
+        steps = [(part // q, 1 << W * m) for m, part in enumerate(self._log_parts[1:], 1)]
+        exps = [0] * len(steps)
+        while True:
+            yield tail | rest, (rest, *exps)
+            for i, (c, unit) in enumerate(steps):
+                if rest >= c:
+                    exps[i] += 1
+                    rest -= c
+                    tail += unit
+                    break
+                rest += exps[i] * c
+                tail -= exps[i] * unit
+                exps[i] = 0
+            else:
+                return
 
     def _exp_of_log_multiples(self, ts: tuple) -> list:
         """exp(t log xi) for each multiplier t in ts, by one Horner pass (module docstring).
@@ -331,24 +364,46 @@ class FglContext:
             self._pser[basis] = got
         return got
 
-    def to_v(self, s: Series, integral: bool = False) -> Series:
-        """Substitute every l_m by its v-basis expansion; weight is preserved."""
-        if s.basis != "l":
-            raise ValueError("substitution source must be in the l-basis")
-        need = max((c.max_gen_index() for c in s.coeffs.values()), default=0)
-        if need > self.horizon:
-            raise HorizonError(
-                f"series mentions l_{need} beyond the horizon {self.horizon} for k={self.k}"
-            )
-        out = s.map_polys(
-            lambda c: c.substitute(self._ell_table, "v", self._subcache), basis="v"
-        )
+    def to_v(self, s, integral: bool = False, shift: int = 0) -> Series:
+        """Substitute every l_m by its v-basis expansion, in one GradedPoly.substitute call.
+
+        s is an l-basis Series, packed here as PackedSeries.from_series packs
+        it, each term keyed x << S | mono << w | degree, w the bit length of
+        the degree span and S = w + poly.W bits per generator; or a
+        PackedSeries already so keyed, with S = shift (power_operation's
+        rows).  The substitution passes the x and degree fields through, so
+        the result is the v-basis Series at the same exponents and validity,
+        with a Series' weight and none for a PackedSeries.
+        """
+        if isinstance(s, PackedSeries):
+            packed, validity, weight, laurent, lo_xi, lo_x = s, s.validity, None, False, 0, 0
+            gens = (shift - s.width) // W
+        else:
+            if s.basis != "l":
+                raise ValueError("substitution source must be in the l-basis")
+            gens = max((c.max_gen_index() for c in s.coeffs.values()), default=0)
+            if gens > self.horizon:
+                raise HorizonError(
+                    f"series mentions l_{gens} beyond the horizon {self.horizon} for k={self.k}"
+                )
+            validity, weight, laurent = s.validity, s.weight, s.laurent
+            lo_xi = min([0] + [j for j, _m in s.coeffs])  # a Laurent series' offsets
+            lo_x = min([0] + [m for _j, m in s.coeffs])
+            width = max(validity - lo_xi - lo_x, 1).bit_length()
+            shift = width + W * gens
+            packed = PackedSeries.from_series(s, width, shift, lo_xi, lo_x)
+        poly = GradedPoly.zero("l")
+        poly.terms = dict(packed.terms)
+        out = poly.substitute(self._ell_table, "v", packed.width, gens)
+        coeffs = PackedSeries(out.terms.items(), validity, packed.width).split_bivariate(
+            shift, lo_xi, lo_x)
         if integral and not out.is_integral():
-            bad = next(e for e in sorted(out.coeffs) if not out.coeffs[e].is_integral())
+            bad = min(e for e, t in coeffs.items() if any(type(c) is not int for c in t.values()))
             raise IntegralityError(
                 f"non-integer v-basis coefficient at exponent {bad}; generator table is broken"
             )
-        return out
+        return Series(self.p, "v", {e: GradedPoly(t, "v") for e, t in coeffs.items()},
+                      validity, weight, laurent)
 
     def cp_image(self, i: int) -> GradedPoly:
         """Image of the i-th projective-space class: p^m l_m if i = p^m - 1, else 0; cached."""

@@ -41,6 +41,7 @@ class GoldenFileError(ValueError):
 
 
 def load_suite(name: str) -> dict:
+    """The suite file `name`, checked, with each table's series parsed once, under "parsed"."""
     path = golden_dir() / f"{name}.json"
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -56,7 +57,10 @@ def load_suite(name: str) -> dict:
 
 
 def _suite_problem(suite) -> str | None:
-    """Why verify_suite cannot run on a parsed suite file, or None if it can."""
+    """Why verify_suite cannot run on a parsed suite file, or None if it can.
+
+    Each table's series is parsed here and handed on as t["parsed"].
+    """
     if not _is_suite(suite):
         return ("is not an object with an integer prime and truncation and a list of "
                 "tables with a kind (mc or reduced-pseries), a series and, but for the "
@@ -72,7 +76,7 @@ def _suite_problem(suite) -> str | None:
         if t["kind"] == "mc" and not 0 <= t["n"] <= k:
             return f"has an MC_{t['n']} table, but n must lie in 0..truncation = {k}"
         try:
-            series_from_obj(t["series"])
+            t["parsed"] = series_from_obj(t["series"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             return (f"has a table of kind {t['kind']!r} whose series is not in the wire format "
                     f"({type(exc).__name__}: {exc})")
@@ -153,7 +157,7 @@ def verify_suite(name: str, progress=None, powerop_progress=None) -> list:
         data = power_operation(ctx, x_cap=max(mc_ns), progress=powerop_progress)
 
     for t in tables:
-        want = series_from_obj(t["series"])
+        want = t["parsed"]
         if t["kind"] == "reduced-pseries":
             got = ctx.reduced_p_series("v")
             label = f"p={p} reduced-pseries"

@@ -31,12 +31,18 @@ is exact; mixing bases raises BasisMismatchError.
 
 The grading assigns generator m the weight p^m - 1 for the ambient prime p,
 so weights depend on p and are supplied at the call sites that need them.
+
+GradedPoly.substitute replaces each generator by a polynomial, one
+generator at a time over the whole polynomial (Horner's rule in the image
+of the highest one, over integers).  A key may carry other fields below and
+above its generator fields, which pass through: FglContext.to_v packs a
+whole series so, its exponents in those fields, and substitutes it at once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 Mono = int  # packed exponents, W bits per generator; coefficients are int | Fraction
 
@@ -46,7 +52,6 @@ MAX_TRUNCATION = 4095  # keeps every exponent far below 2^W (module docstring)
 MAX_GENERATOR = 12  # the horizon at p = 2, k = MAX_TRUNCATION: 2^12 - 1 <= 4095
 
 UNIT_MONO: Mono = 0
-_UNIT_TERMS = {UNIT_MONO: 1}
 
 
 class BasisMismatchError(ValueError):
@@ -283,58 +288,106 @@ class GradedPoly:
         r.terms = {m: c for m, c in self.terms.items() if not m & mask}
         return r
 
-    def substitute(self, table: dict, basis: str, _cache: dict | None = None) -> "GradedPoly":
+    def substitute(self, table: dict, basis: str, low: int = 0,
+                   gens: int | None = None) -> "GradedPoly":
         """Replace generator m by table[m] (a GradedPoly in `basis`) in every monomial.
 
-        A monomial l_1^a * t is substituted as head times tail: the head is
-        the image of l_1^a, the tail the image of t = l_2^b ... l_h^e, keyed
-        by the monomial with its l_1 field cleared.  Images are cached as
-        (integral terms, denominator) by l-monomial, in `_cache` when given
-        (FglContext.to_v passes one per context), so a tail shared by many
-        monomials, coefficients or series is formed once.  A missing image
-        is one product: the image of the monomial one factor of its lowest
-        generator shorter, times that generator's image.  In the generator
-        table l_1 = v_1/p is one monomial, so every head is one term and each
-        monomial of self costs one pass over its tail's image.  The sum runs
-        in ints over one common denominator D, divided out at the end: an
-        int where D divides, a Fraction otherwise.
+        Substitution by generator: with l_h the highest generator present,
+        self = sum over e of l_h^e P_e, each P_e free of l_h and substituted
+        over l_1..l_(h-1) the same way.  The parts meet by Horner's rule in
+        the scaled image T = d phi(l_h), d the least common denominator of
+        table[h]: with E the largest e,
+
+            d^E phi(self) = (..(phi(P_E) T + d phi(P_(E-1))) T + ..) T + d^E phi(P_0),
+
+        each step one product of the accumulator by T.  At h = 1 the parts
+        are constants, and if T is one term c t, as l_1 = v_1/p is in the
+        generator table, each term only moves: l_1^e x goes to
+        c^e d^(E-e) t^e x, no product.  The denominators of self are
+        cleared once, so every part is integral; every level hands its image
+        up as integer terms over one denominator, so the sums run in ints
+        and one denominator is divided out at the end: an int where it
+        divides, a Fraction otherwise.
+
+        A key may carry bits outside its generator fields, `low` bits below
+        them and any above generator `gens` (by default the highest
+        present); they pass through unchanged.  FglContext.to_v packs a
+        whole series so, with its exponents in those bits, and substitutes
+        it in one call.
         """
-        cache = _cache if _cache is not None else {}
-        cache.setdefault(UNIT_MONO, (_UNIT_TERMS, 1))
+        gens = self.max_gen_index() if gens is None else gens
+        fields = ((1 << W * gens) - 1) << low
+        images: dict = {}
 
-        def generator_image(m: int) -> tuple:
-            if m not in table:
-                raise KeyError(f"no substitution for generator {m}")
-            terms = table[m].terms
-            d = lcm(*(c.denominator for c in terms.values()))
-            return {b: c.numerator * (d // c.denominator) for b, c in terms.items()}, d
-
-        def image(mono: Mono) -> tuple:
-            chain = []  # monomials still to form, each one factor longer than the next
-            while (got := cache.get(mono)) is None:
-                g = ((mono & -mono).bit_length() - 1) // W  # lowest generator present, from 0
-                unit = 1 << W * g
-                if mono == unit:
-                    got = cache[mono] = generator_image(g + 1)
-                    break
-                chain.append((mono, unit))
-                mono -= unit
-            for mono, unit in reversed(chain):
-                terms, den = image(unit)
-                got = cache[mono] = (add_products({}, got[0], terms), got[1] * den)
+        def image(h: int) -> tuple:  # (integer terms of T, d) for generator h
+            got = images.get(h)
+            if got is None:
+                if h not in table:
+                    raise KeyError(f"no substitution for generator {h}")
+                terms = table[h].terms
+                d = lcm(*(c.denominator for c in terms.values()))
+                got = images[h] = ({b << low: c.numerator * (d // c.denominator)
+                                    for b, c in terms.items()}, d)
             return got
 
-        plan = []
-        for mono, c in self.terms.items():
-            head, tail = image(mono & MAX_EXP), image(mono & ~MAX_EXP)
-            den = c.denominator * head[1] * tail[1]
-            g = gcd(c.numerator, den)
-            plan.append((head[0], tail[0], c.numerator // g, den // g))
-        big_d = lcm(*(den for _h, _t, _n, den in plan))
-        out = sum_products({}, ((num * (big_d // den), head.items(), tail.items())
-                                for head, tail, num, den in plan))
-        out = {m: c // big_d if c % big_d == 0 else Fraction(c, big_d) for m, c in out.items()}
-        return GradedPoly(out, basis)
+        def sub(terms: dict) -> tuple:  # (integer terms, denominator) of phi(terms), terms integral
+            present = 0
+            for key in terms:
+                present |= key
+            bits = ((present & fields) >> low).bit_length()
+            if not bits:
+                return terms, 1
+            h = (bits - 1) // W + 1
+            at = low + W * (h - 1)
+            t, d = image(h)
+            if h == 1 and len(t) == 1:  # T = c t and the parts are constants: each term moves
+                ((mono, c),) = t.items()
+                top = max(key >> at & MAX_EXP for key in terms)
+                factor = [c ** e * d ** (top - e) for e in range(top + 1)]
+                out: dict = {}
+                for key, x in terms.items():
+                    e = key >> at & MAX_EXP
+                    key += e * (mono - (1 << at))
+                    out[key] = out.get(key, 0) + factor[e] * x
+                return out, d ** top
+            parts: dict = {}
+            for key, c in terms.items():
+                e = key >> at & MAX_EXP
+                part = parts.get(e)
+                if part is None:
+                    parts[e] = {key - (e << at): c}
+                else:
+                    part[key - (e << at)] = c
+            parts = {e: sub(part) if h > 1 else (part, 1) for e, part in parts.items()}
+            big = lcm(*(den for _n, den in parts.values()))
+            top = max(parts)
+            acc, den = parts[top]
+            acc = {key: c * (big // den) for key, c in acc.items()} if den != big else acc
+            scale = 1
+            for e in range(top - 1, -1, -1):
+                scale *= d
+                got = parts.get(e)
+                if got is None:
+                    acc = sum_products({}, ((1, t.items(), acc.items()),))
+                else:
+                    num, den = got
+                    c = scale * (big // den)
+                    acc = sum_products({key: c * x for key, x in num.items()},
+                                       ((1, t.items(), acc.items()),))
+            return acc, scale * big
+
+        den = lcm(*(c.denominator for c in self.terms.values()))  # cleared once, for every part
+        out, d = sub(self.terms if den == 1 else {key: c.numerator * (den // c.denominator)
+                                                  for key, c in self.terms.items()})
+        den *= d
+        if den == 1:
+            out = {key: c for key, c in out.items() if c}
+        else:
+            out = {key: c // den if c % den == 0 else Fraction(c, den)
+                   for key, c in out.items() if c}
+        r = GradedPoly.zero(basis)
+        r.terms = out
+        return r
 
     def __repr__(self) -> str:
         from .render import poly_text

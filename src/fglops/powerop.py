@@ -30,12 +30,13 @@ only x^s with s >= a, so X-degrees above the largest i asked for are dropped.
 Forms sum C[a][b] X^a L^b become rows in xi with no series composed: with
 L = log(xi), X^a = L(x)^a, and the rows are one product of packed series,
 sum_a X^a W_a with W_a = sum_b C[a][b] L^b, whose part at x^s is row s
-(_rows).  One factor has
+(_row_product).  One factor has
 C[a][b] = binom(a+b, a) e_(a+b) i^b for exp = sum e_j xi^j; at p = 2 it is
 the whole product, and the left fold of the p - 2 products of single-factor
 rows is the cross-check route product_rows_by_fold.  Rows stay in the
-l-basis; one substitution lands in the v-basis, where every coefficient must
-be an integer.
+l-basis, packed: power_operation hands the product to one substitution
+(FglContext.to_v), which lands every row in the v-basis, where every
+coefficient must be an integer, and only then do the a_i become series.
 """
 
 from __future__ import annotations
@@ -62,16 +63,17 @@ class PowerOpData:
         self.a = a
 
 
-def _rows(ctx: FglContext, forms: list, cap: int) -> list:
-    """Rows 0..cap (in x) of the forms forms[a][b] X^a L^b, a + b <= k, as l-basis series in xi.
+def _row_product(ctx: FglContext, forms: list, cap: int) -> tuple:
+    """Rows 0..cap (in x) of the forms forms[a][b] X^a L^b, a + b <= k, as one packed product.
 
     L^b = L L^(b-1) and W_a = sum_b C[a][b] L^b are products at order k+1
     and k+1-a, and all the rows are one at order k+1, sum_a X^a W_a with
     X = L(x) below x^(cap+1).  Its part at x^s is row s, valid
     mod xi^(k+1-s) by the term a = s, [x^s] X^s being 1.  No validity
-    exceeds k+1, hence W.
+    exceeds k+1, hence W.  Returns the product, keyed
+    x << shift | mono << W | degree, and shift.
     """
-    p, k = ctx.p, ctx.k
+    k = ctx.k
     width = (k + 1).bit_length()
     powers = [PackedSeries.from_coeffs({0: {UNIT_MONO: 1}}, k + 1, width),
               PackedSeries.from_series(ctx.log, width)]
@@ -81,12 +83,17 @@ def _rows(ctx: FglContext, forms: list, cap: int) -> list:
                                         for b, c in form.items()), k + 1 - a)
           for a, form in enumerate(forms)]
     shift = PackedSeries.x_shift(width, powers[:cap + 1] + ws)
-    product = PackedSeries.sum_of_products(((1, powers[a].in_x(cap + 1, shift), w)
-                                            for a, w in enumerate(ws)), k + 1).split_bivariate(shift)
+    return PackedSeries.sum_of_products(((1, powers[a].in_x(cap + 1, shift), w)
+                                         for a, w in enumerate(ws)), k + 1), shift
+
+
+def _rows(ctx: FglContext, forms: list, cap: int) -> list:
+    """The rows of _row_product as l-basis series in xi, row s valid mod xi^(k+1-s)."""
+    product, shift = _row_product(ctx, forms, cap)
     rows = [{} for _s in range(cap + 1)]
-    for (e, s), t in product.items():
+    for (e, s), t in product.split_bivariate(shift).items():
         rows[s][(e, 0)] = GradedPoly(t, "l")
-    return [Series(p, "l", coeffs, k + 1 - s) for s, coeffs in enumerate(rows)]
+    return [Series(ctx.p, "l", coeffs, ctx.k + 1 - s) for s, coeffs in enumerate(rows)]
 
 
 def _factor_forms(ctx: FglContext, i: int, cap: int) -> list:
@@ -100,19 +107,24 @@ def _factor_forms(ctx: FglContext, i: int, cap: int) -> list:
 
 
 def product_rows(ctx: FglContext, cap: int, progress=None) -> list:
-    """Rows 0..cap (in x) of prod_{i=1..p-1} ([i]xi +_F x) by the exponential of power sums.
+    """Rows 0..cap (in x) of prod_{i=1..p-1} ([i]xi +_F x), as l-basis series in xi."""
+    return _rows(ctx, product_forms(ctx, cap, progress), cap)
+
+
+def product_forms(ctx: FglContext, cap: int, progress=None) -> list:
+    """prod_{i=1..p-1} ([i]xi +_F x) as forms[a][b] X^a L^b, by the exponential of power sums.
 
     `progress(j, top)` is called after each of the top Euler steps, which
     form N_1 .. N_top; p = 2 and p - 1 > k take none.
     """
     k, q = ctx.k, ctx.p - 1
     if q == 1:
-        return _rows(ctx, _factor_forms(ctx, 1, cap), cap)
+        return _factor_forms(ctx, 1, cap)
     forms = [{} for _ in range(cap + 1)]  # forms[a][b]: X^a L^b
     # P has degree >= q, so for q > k every row vanishes below its validity;
     # returning here also skips the Stirling product, O(q^2) big-int work
     if q > k:
-        return _rows(ctx, forms, cap)
+        return forms
     top = k // q - 1  # P_(q(j+1)) is needed for j <= top
     # each N_j is a series in X mod X^(cap+1), so cap+1 is every validity and
     # order; B_d N_(j-i) has X-degree at most q(j+1) by itself
@@ -144,7 +156,7 @@ def product_rows(ctx: FglContext, cap: int, progress=None) -> list:
                 exact[mono], r = divmod(v, den)
                 if r:
                     raise IntegralityError(f"X^{a} L^{q * (j + 1) - a} of the product is not integral")
-    return _rows(ctx, forms, cap)
+    return forms
 
 
 def product_rows_by_fold(ctx: FglContext, cap: int) -> list:
@@ -161,21 +173,21 @@ def product_rows_by_fold(ctx: FglContext, cap: int) -> list:
 def power_operation(ctx: FglContext, x_cap: int | None = None, progress=None) -> PowerOpData:
     """Build the truncated power-operation product and extract every a_i.
 
-    `progress` is handed to product_rows, which reports its Euler steps.
+    `progress` is handed to product_forms, which reports its Euler steps.
     """
     p, k = ctx.p, ctx.k
     if x_cap is not None and x_cap < 0:
         raise ValueError(f"the largest i of a_i must be >= 0, got {x_cap}")
     cap = k if x_cap is None else min(x_cap, k)
 
+    # every row in one substitution, straight from the packed product: x^s is row s
+    packed, shift = _row_product(ctx, product_forms(ctx, cap, progress), cap)
+    rows = ctx.to_v(packed, integral=True, shift=shift)
     coeffs = {}
-    a = []
-    for s, row in enumerate(product_rows(ctx, cap, progress)):
-        row_v = ctx.to_v(row, integral=True)
-        a.append(Series(ctx.p, "v", row_v.coeffs, k + 1 - s, weight=s + 1 - p))
-        for (j, _z), c in row_v.coeffs.items():
-            coeffs[(j, s + 1)] = c
-
+    a = [{} for _s in range(cap + 1)]
+    for (j, s), c in rows.coeffs.items():
+        a[s][(j, 0)] = coeffs[(j, s + 1)] = c
+    a = [Series(p, "v", row, k + 1 - s, weight=s + 1 - p) for s, row in enumerate(a)]
     product = Series(p, "v", coeffs, k + 2, weight=-p)
     _check_euler_class(a[0], p)
     return PowerOpData(ctx, product, a)

@@ -110,7 +110,7 @@ def _split(text: str, seps: str) -> list:
 
 
 def _terms(text: str, basis: str, series: bool):
-    """(xi exponent, x exponent, monomial, coefficient) for each monomial of each term."""
+    """(xi exponent, x exponent, monomial, coefficient, term text) per monomial of each term."""
     sign = 1
     for sep, term in _split(text, "+-"):
         if sep == "-":
@@ -136,13 +136,13 @@ def _terms(text: str, basis: str, series: bool):
             else:
                 poly = poly * parse_poly(m["poly"], basis)
         for mono, c in (poly * GradedPoly({mono_from_exps(exps): coef}, basis)).terms.items():
-            yield var[0], var[1], mono, c
+            yield var[0], var[1], mono, c, term
 
 
 def parse_poly(text: str, basis: str = "v") -> GradedPoly:
     """Parse polynomial text like '-8*v1^3 - 7*v2' or '1/2*l1^2 + 3'."""
     out: dict = {}
-    for _j, _jx, mono, c in _terms(text.strip(), basis, False):
+    for _j, _jx, mono, c, _term in _terms(text.strip(), basis, False):
         out[mono] = out.get(mono, 0) + c
     return GradedPoly(out, basis)
 
@@ -152,17 +152,23 @@ def parse_series(text: str, prime: int, basis: str, validity: int | None = None,
     """Parse series text as produced by series_text (the O-marker sets validity).
 
     A negative exponent of xi or x, as in xi^-1 or x^-2, gives a Laurent series.
+    A term at or beyond the text's own O-marker raises ValueError; a validity
+    the caller supplies wins over the marker and drops the terms at or beyond it.
     """
     text = text.strip()
+    marker = None
     m = re.search(r"\+\s*O\((?:xi|xi,x)\)\^(\d+)\s*$", text)
     if m:
-        if validity is None:
-            validity = int(m.group(1))
+        marker = int(m.group(1))
         text = text[: m.start()].strip()
+    if validity is None:
+        validity = marker
     if validity is None:
         raise ValueError("no validity marker and none supplied")
     coeffs: dict = {}
-    for j, jx, mono, c in _terms(text, basis, True):
+    for j, jx, mono, c, term in _terms(text, basis, True):
+        if marker is not None and j + jx >= marker:
+            raise ValueError(f"term {term!r} lies at or beyond the text's O-marker, order {marker}")
         t = coeffs.setdefault((j, jx), {})
         t[mono] = t.get(mono, 0) + c
     laurent = any(j < 0 or jx < 0 for j, jx in coeffs)

@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 import fglops.cli
+import fglops.golden
 import fglops.powerop
 from fglops.cli import DEFAULT_TRUNCATION, main
 from fglops.fgl import MR_BOUND
@@ -238,6 +239,20 @@ def test_verify_suite_ok(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "p2")
     assert code == 0
     assert out.strip() == "suite p2: ok"
+
+
+def test_verify_parses_each_table_once(monkeypatch):
+    parsed = []
+    reader = fglops.golden.series_from_obj
+
+    def recording(obj):
+        parsed.append(obj)
+        return reader(obj)
+
+    monkeypatch.setattr(fglops.golden, "series_from_obj", recording)
+    assert fglops.golden.verify_suite("p2") == []
+    tables = json.loads((golden_dir() / "p2.json").read_text())["tables"]
+    assert parsed == [t["series"] for t in tables]
 
 
 def test_verify_unknown_suite(capsys):

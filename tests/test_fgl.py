@@ -5,11 +5,12 @@ import pytest
 
 import fglops.fgl
 import fglops.poly
+import fglops.powerop
 import fglops.series
 from fglops import FglContext, HorizonError, IntegralityError, NotPrimeError, mc, power_operation
 from fglops.cli import DEFAULT_TRUNCATION
 from fglops.fgl import MR_BOUND, is_prime
-from fglops.poly import MAX_EXP, MAX_TRUNCATION, mono_weight
+from fglops.poly import MAX_EXP, MAX_TRUNCATION, GradedPoly, mono_pack, mono_weight
 from fglops.series import Series
 
 from conftest import P, S, rand_series
@@ -177,20 +178,20 @@ def test_packed_multipliers_are_exact_for_a_corrupted_exp(p, k, j):
 
 @pytest.mark.parametrize("p,k", [(2, 20), (3, 26), (5, 40)])
 def test_context_makes_no_series_product(monkeypatch, p, k):
-    # H_0 comes from packed products of r = log/xi - 1, never from the partitions
-    # that build the exp it checks
+    # H_0 comes from packed products of r = log/xi - 1, never from the closed form
+    # mu(-j; b) that builds the exp it checks
     def refuse(*_args):
         raise AssertionError("a Series product in the context")
 
     read = []
-    partitions = FglContext.log_ratio_power
+    closed_form = fglops.fgl.mu
 
-    def recording(self, r, d):
-        read.append(r)
-        return partitions(self, r, d)
+    def recording(n, abar):
+        read.append(n)
+        return closed_form(n, abar)
 
     monkeypatch.setattr(Series, "sum_of_products", refuse)
-    monkeypatch.setattr(FglContext, "log_ratio_power", recording)
+    monkeypatch.setattr(fglops.fgl, "mu", recording)
     ctx = FglContext(p, k)
     ctx.n_series(p + 1)
     ctx.reduced_p_series("v")
@@ -376,35 +377,95 @@ def test_integrality_violation_detected(ctx27):
     assert not ctx27.to_v(bad).is_integral()
 
 
-def test_to_v_forms_each_tail_once_per_context(monkeypatch):
-    # p=2, k=56: one product per cached image, then one head-by-tail pass
-    # per monomial; the per-monomial power chain took 360,973 pairs
-    handed = []
+def test_to_v_substitutes_the_whole_series_in_one_call(monkeypatch):
+    # p=2, k=56: one substitution by generator for the whole series; a cache of
+    # head and tail images per context took 126,220 pairs, the per-monomial power
+    # chain 360,973
+    handed, calls = [], []
     real = fglops.poly.sum_products
+    substitute = GradedPoly.substitute
 
     def counting(tgt, triples):
         triples = list(triples)
         handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
         return real(tgt, triples)
 
+    def recording(self, *args):
+        calls.append(len(self.terms))
+        return substitute(self, *args)
+
     ctx = FglContext(2, 56)
     pser = ctx.reduced_p_series("l")
     monkeypatch.setattr(fglops.poly, "sum_products", counting)
+    monkeypatch.setattr(GradedPoly, "substitute", recording)
     first = ctx.to_v(pser, integral=True)
-    assert sum(handed) <= 140_000
-    images = dict(ctx._subcache)
+    pairs = sum(handed)
+    assert pairs <= 65_000
+    assert calls == [sum(len(c.terms) for c in pser.coeffs.values())]
+    # no state carries from one call to the next: the second makes the same pairs
     handed.clear()
     assert ctx.to_v(pser, integral=True) == first
-    assert ctx._subcache.keys() == images.keys()
-    assert all(ctx._subcache[m] is got for m, got in images.items())
-    # the second call's only products are the head-by-tail passes
-    assert sum(handed) == sum(len(images[m & MAX_EXP][0]) * len(images[m & ~MAX_EXP][0])
-                              for c in pser.coeffs.values() for m in c.terms)
+    assert sum(handed) == pairs
+
+
+@pytest.mark.parametrize("p,k", [(2, 56), (3, 40), (5, 76)])
+def test_to_v_of_a_whole_series_matches_each_coefficient_alone(p, k):
+    # one substitution with the exponents packed below and above the monomials
+    ctx = FglContext(p, k)
+    rng = random.Random(p * k)
+    bivariate = Series(p, "l", {(j - j % 3, j % 3): c for (j, _z), c in ctx.exp.coeffs.items()},
+                       k + 1, weight=-1)
+    cases = [ctx.exp, ctx.reduced_p_series("l"), ctx.n_series(p).shift_xi(-2), bivariate]
+    cases += [rand_series(rng, prime=p, basis="l", validity=k, terms=8, integral=False)
+              .kill_generators(range(ctx.horizon + 1, 4)) for _ in range(5)]
+    for s in cases:
+        got = ctx.to_v(s)
+        want = s.map_polys(lambda c: c.substitute(ctx._ell_table, "v"), basis="v")
+        assert got == want and got.coeffs == want.coeffs
+        assert (got.weight, got.laurent) == (s.weight, s.laurent)
+
+
+@pytest.mark.parametrize("p,k,cap", [(2, 20, 8), (3, 25, 6), (5, 40, 10)])
+def test_power_operation_rows_match_each_coefficient_alone(p, k, cap):
+    # power_operation substitutes the packed product once; each row alone agrees
+    ctx = FglContext(p, k)
+    data = power_operation(ctx, x_cap=cap)
+    for s, row in enumerate(fglops.powerop.product_rows(ctx, cap)):
+        want = row.map_polys(lambda c: c.substitute(ctx._ell_table, "v"), basis="v")
+        assert data.a[s].coeffs == want.coeffs
+        assert data.a[s].validity == want.validity == k + 1 - s
+
+
+GOLDEN_CONTEXTS = sorted(DEFAULT_TRUNCATION.items()) + [(2, 80)]
+
+
+@pytest.mark.parametrize("p,k", GOLDEN_CONTEXTS)
+def test_exp_matches_the_lagrange_coefficients(p, k):
+    # the flat walk of exp against (1/j) [xi^(j-1)] (log/xi)^(-j), term by term
+    ctx = FglContext(p, k)
+    for j in range(1, k + 1):
+        want = ctx.log_ratio_power(-j, j - 1)
+        assert all(c % j == 0 for c in want.terms.values())
+        assert ctx.exp.coefficient(j) == GradedPoly({m: c // j for m, c in want.terms.items()}, "l")
+
+
+@pytest.mark.parametrize("p,k", [(2, 80), (3, 40), (5, 76), (7, 162), (13, 30), (13, 5)])
+def test_monomial_walk_matches_the_partitions(p, k):
+    # every l-monomial of each weight once, as the recursive enumerator finds them
+    ctx = FglContext(p, k)
+    for d in range(k + 1):
+        got = list(ctx._monomials(d))
+        want = {mono_pack(b): b for b in fglops.fgl.partitions(d, ctx._log_parts)}
+        assert sorted(mono for mono, _b in got) == sorted(want)
+        assert all(b[:len(want[mono])] == want[mono] and not any(b[len(want[mono]):])
+                   for mono, b in got)
 
 
 def test_exp_refuses_an_indivisible_lagrange_coefficient(monkeypatch):
-    # [xi^2] exp = (1/2) [xi] (log/xi)^(-2); a coefficient 1 there leaves a remainder
-    monkeypatch.setattr(FglContext, "log_ratio_power", lambda self, r, d: P("1", "l"))
+    # [xi^2] exp = (1/2) [xi] (log/xi)^(-2) = (1/2) mu(-2; (1)) l_1; one more in mu
+    # leaves a remainder
+    closed_form = fglops.fgl.mu
+    monkeypatch.setattr(fglops.fgl, "mu", lambda n, abar: closed_form(n, abar) + (n == -2))
     with pytest.raises(IntegralityError, match=r"xi\^2"):
         FglContext(2, 7)
 

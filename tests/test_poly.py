@@ -10,6 +10,7 @@ from fglops.poly import (
     MAX_EXP,
     MAX_GENERATOR,
     UNIT_MONO,
+    W,
     BasisMismatchError,
     GradedPoly,
     add_products,
@@ -181,21 +182,25 @@ def _naive_substitute(l_terms, table) -> GradedPoly:
     return out
 
 
+SUBSTITUTION_TABLES = [
+    # l_1 one monomial, as in the generator table: its image moves each part, no product
+    {1: P("1/2*v1"), 2: P("1/4*v1^3 + 1/2*v2"), 3: P("-2/9*v1*v2 + 5/3*v3 + 1"),
+     4: P("1/3*v4 - v1*v3 + 1/8*v2^2"), 5: P("1/5*v5 + 3/4*v1^2*v4 - 1/6*v3")},
+    # an image of several terms at l_1 still substitutes exactly
+    {1: P("1/2*v1 - 1/3*v2"), 2: P("1/4*v1^3 + 1/2*v2"), 3: P("v3"),
+     4: P("-1/7*v4 + v1"), 5: P("2*v5 - 1/9")},
+]
+
+
 def test_substitute_matches_naive_fraction_substitution():
     rng = random.Random(20261018)
-    # few tails, so polynomials share them through one cache, as the
-    # coefficients of a series do in to_v
+    # tails with gaps, so some parts skip an exponent of l_h or a generator
     tails = [{}, {2: 1}, {2: 2, 3: 1}, {3: 1, 5: 2}, {2: 1, 4: 1, 5: 1}, {4: 3}]
-    tables = [
-        # l_1 one monomial, as in the generator table: every head is one term
-        {1: P("1/2*v1"), 2: P("1/4*v1^3 + 1/2*v2"), 3: P("-2/9*v1*v2 + 5/3*v3 + 1"),
-         4: P("1/3*v4 - v1*v3 + 1/8*v2^2"), 5: P("1/5*v5 + 3/4*v1^2*v4 - 1/6*v3")},
-        # a head of several terms still substitutes exactly
-        {1: P("1/2*v1 - 1/3*v2"), 2: P("1/4*v1^3 + 1/2*v2"), 3: P("v3"),
-         4: P("-1/7*v4 + v1"), 5: P("2*v5 - 1/9")},
-    ]
-    for table in tables:
-        cache: dict = {}
+    # as FglContext.to_v packs a series: a field below the monomial and one
+    # above the last generator field pass through untouched
+    low, gens, field = 6, 5, 37
+    high = 3 << low + W * gens
+    for table in SUBSTITUTION_TABLES:
         non_integral = 0
         for _ in range(60):
             l_terms = _rand_l_terms(rng, tails)
@@ -206,10 +211,31 @@ def test_substitute_matches_naive_fraction_substitution():
             got = poly.substitute(table, "v")
             assert got == want
             assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
-            assert poly.substitute(table, "v", cache) == want  # cache shared as in to_v
             non_integral += not got.is_integral()
+            packed = GradedPoly({high | m << low | field: c for m, c in poly.terms.items()}, "l")
+            assert packed.substitute(table, "v", low, gens).terms == {
+                high | m << low | field: c for m, c in want.terms.items()}
         assert non_integral > 10
-        assert {mono_from_exps(t) for t in tails} <= cache.keys()  # tails keyed without l_1
+
+
+@pytest.mark.parametrize("table", SUBSTITUTION_TABLES)
+def test_substitute_edge_cases(table):
+    assert GradedPoly.zero("l").substitute(table, "v") == GradedPoly.zero("v")
+    assert GradedPoly.const(Fraction(-3, 4), "l").substitute(table, "v") == P("-3/4")
+    assert GradedPoly.const(6, "l").substitute(table, "v").terms == {UNIT_MONO: 6}
+    # only the generators present need an image; an absent one raises KeyError
+    partial = {m: table[m] for m in (1, 3)}
+    poly = parse_poly("l1^2*l3 - 1/2*l3^2", "l")
+    assert poly.substitute(partial, "v") == _naive_substitute(
+        [({1: 2, 3: 1}, 1), ({3: 2}, Fraction(-1, 2))], table)
+    with pytest.raises(KeyError):
+        (poly + parse_poly("l2", "l")).substitute(partial, "v")
+    # a constant image of l_1: the terms it moves onto one monomial are summed
+    assert parse_poly("l1^2 + 3*l1 + l1*l2", "l").substitute(
+        {1: P("1/2"), 2: table[2]}, "v") == P("7/4") + table[2].scale(Fraction(1, 2))
+    # the result is in the target basis, and cancelled terms are dropped
+    assert (parse_poly("l1 - l1", "l").substitute(table, "v")).terms == {}
+    assert parse_poly("l2", "l").substitute(table, "v").basis == "v"
 
 
 def test_substitute_keeps_a_non_integral_result(ctx27):

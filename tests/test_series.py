@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -444,6 +445,26 @@ def test_parse_series_applies_every_factor_of_a_term():
 def test_parse_series_refuses_malformed_text(text, basis, match):
     with pytest.raises(ValueError, match=match):
         parse_series(text, 2, basis)
+
+
+@pytest.mark.parametrize("text,term", [
+    ("v1*xi^5 + O(xi)^3", "v1*xi^5"),
+    ("1 - 2*xi^3 + O(xi)^3", "2*xi^3"),  # at the marker: the order is exclusive
+    ("xi + (v1 + v2)*xi^4 + O(xi)^4", "(v1 + v2)*xi^4"),
+    ("xi + 3*xi*x^2 + O(xi,x)^3", "3*xi*x^2"),
+])
+def test_parse_series_refuses_a_term_beyond_its_own_marker(text, term):
+    with pytest.raises(ValueError, match=re.escape(repr(term))):
+        parse_series(text, 2, "v")
+    with pytest.raises(ValueError, match="O-marker"):  # a supplied validity does not hide it
+        parse_series(text, 2, "v", validity=2)
+
+
+def test_parse_series_truncates_at_a_supplied_validity():
+    assert parse_series("1 + v1*xi^5", 2, "v", validity=3) == Series.from_const(1, 2, "v", 3)
+    got = parse_series("1 + v1*xi + xi^2 + O(xi)^5", 2, "v", validity=2)
+    assert got.validity == 2 and got.coeffs == {(0, 0): P("1"), (1, 0): P("v1")}
+    assert S("xi + v1*xi^4", 2, validity=3) == S("xi + O(xi)^3", 2)
 
 
 _WIRE_SERIES = "2 - v1*xi + 1/2*v1^3*xi^3"
