@@ -16,7 +16,7 @@ from .golden import SUITES, GoldenFileError, verify_suite
 from .obstruction import InsufficientTruncationError, check_truncation, mc
 from .poly import MAX_TRUNCATION
 from .powerop import power_operation, reduce_a_mod_p_series
-from .render import poly_text, series_text, series_to_obj, to_json
+from .render import poly_text, series_text, series_to_json, to_json
 from .series import Series
 
 # smallest truncation orders that make every published table coefficient valid
@@ -116,7 +116,7 @@ def apply_ideal(series: Series, ideal: list) -> Series:
 
 def _emit_series(series: Series, args, truncation: int) -> None:
     if args.format == "json":
-        print(to_json(series_to_obj(series, truncation)))
+        print(series_to_json(series, truncation))
     else:
         print(series_text(series))
 
@@ -208,8 +208,8 @@ def main(argv=None) -> int:
         entries = data.a if not args.reduced else [r.series for r in reduce_a_mod_p_series(data)]
         if args.format == "json":
             obj = {"prime": ctx.p, "truncation": ctx.k,
-                   "a": [series_to_obj(apply_ideal(s, ideal), ctx.k) for s in entries]}
-            print(to_json(obj))
+                   "a": [apply_ideal(s, ideal) for s in entries]}
+            print(to_json(obj, ctx.k))
         else:
             for i, s in enumerate(entries):
                 print(f"a_{i} = {series_text(apply_ideal(s, ideal))}")
@@ -234,9 +234,8 @@ def main(argv=None) -> int:
                 "prime": ctx.p,
                 "truncation": ctx.k,
                 "n": args.n,
-                "reduced": series_to_obj(reduced, ctx.k),
-                "raw": None if result.raw is None
-                       else series_to_obj(apply_ideal(result.raw, ideal), ctx.k),
+                "reduced": reduced,
+                "raw": None if result.raw is None else apply_ideal(result.raw, ideal),
                 "certificate": None if result.certificate is None else {
                     "xi_exponent": result.certificate[0],
                     "leading": poly_text(result.certificate[1], ctx.p),
@@ -244,7 +243,7 @@ def main(argv=None) -> int:
                 "obstruction_index": result.is_obstruction_index,
                 "sparseness_shortcut": result.used_shortcut,
             }
-            print(to_json(obj))
+            print(to_json(obj, ctx.k))
         else:
             print(f"MC_{args.n}(xi) mod <{ctx.p}>xi = {series_text(reduced)}")
             if args.show_raw and result.raw is not None:

@@ -28,7 +28,10 @@ Every power of log/xi = 1 + sum_m l_m xi^(p^m - 1) has the closed form
 mu being the generalized multinomial coefficient, for any integer r.  The
 monomials of one weight come from one flat loop (FglContext._monomials):
 every weight p^m - 1 is a multiple of p - 1, so the exponents of l_2..l_h
-run as an odometer and the weight fixes the exponent of l_1.  The package
+run as an odometer and the weight fixes the exponent of l_1.  mu(r; b) is
+a product of one generalized binomial per generator, so the loop carries
+it: each step updates one factor by an exact division, and each monomial
+takes one binomial, no factorial.  The package
 reads the closed form only at negative r (Lagrange inversion, and d h_d in
 the power operation); the nonnegative powers are never formed (below).
 
@@ -51,9 +54,12 @@ j + s(p-1) <= k; when p > k, r has no term and H_0 = E_0 takes no product.
 Each step is one PackedSeries.sum_of_products (series.py), keyed
 mono << W | d with W = bit length of k+1: r against H_(s+1), with the
 terms of E_s added into its accumulator.  r has at most one term per
-generator, each with coefficient 1.  e_j vanishes unless j = 1 mod p-1 and
-is packed once, keyed mono << W | j, for every s.  Since exp comes from the
-closed form above, the check crosses two independent routes.
+generator, each with coefficient 1, which the monomial loop adds without a
+multiplication.  e_j vanishes unless j = 1 mod p-1 and is packed once,
+keyed mono << W | j, and scaled once by its scalar (below), for every s;
+E_s takes each term times C(j, s), or as it is where C(j, s) = 1.  Since
+exp comes from the closed form above, the check crosses two independent
+routes.
 
 The context runs t = 1 and t = p together, in one accumulator: e_j carries
 the scalar sum over i of t_i^j 2^(S i), and H_0 is read back once, at the
@@ -234,8 +240,8 @@ class FglContext:
         coeffs = {}
         for j in range(1, self.k + 1):
             terms = {}
-            for mono, b in self._monomials(j - 1):
-                terms[mono], rem = divmod(c := mu(-j, b), j)
+            for mono, c in self._monomials(j - 1, -j):
+                terms[mono], rem = divmod(c, j)
                 if rem:
                     raise IntegralityError(f"[xi^{j}] exp has the non-integral coefficient "
                                            f"{Fraction(c, j)}; Lagrange inversion is broken")
@@ -249,15 +255,25 @@ class FglContext:
         sum mu(r; b) l^b over the l-monomials l^b of weight d in the
         generators of the stored log; it is the true coefficient for d < k.
         """
-        return GradedPoly({mono: mu(r, b) for mono, b in self._monomials(d)}, "l")
+        return GradedPoly(dict(self._monomials(d, r)), "l")
 
-    def _monomials(self, d: int):
-        """(monomial, exponent tuple) of each l-monomial of weight d in the stored log's generators.
+    def _monomials(self, d: int, r: int):
+        """(l^b, mu(r; b)) for each l-monomial l^b of weight d in the stored log's generators.
 
         One flat loop: p^m - 1 = q c_m with q = p - 1 and c_m = 1 + p + ... + p^(m-1),
         so a weight that q does not divide has none.  The exponents of
         l_2..l_h run as an odometer, lowest first, over every choice with
         sum b_m c_m <= d/q, and the rest d/q - sum b_m c_m is the exponent of l_1.
+
+        The multinomial rides along.  mu(r; b) = r (r-1) ... (r-s+1) / prod b_m!,
+        s = sum b_m, is the product of generalized binomials
+        C(r, b_h) C(r - b_h, b_(h-1)) ... C(r - b_h - ... - b_2, b_1),
+        C(x, e) = x (x-1) ... (x-e+1) / e!.  Each odometer digit keeps the
+        product of the binomials from it up; a step that raises a digit
+        takes its binomial from C(x, e) to C(x, e+1) = C(x, e) (x - e) / (e+1),
+        one exact division, and the digits below restart from its product.
+        Each monomial takes one more binomial, for l_1.  Zeros (r >= 0,
+        s > r) are yielded too.
         """
         q = self.p - 1
         if d % q or d and not self._log_parts:
@@ -265,19 +281,30 @@ class FglContext:
         rest, tail = d // q, 0  # the exponent of l_1; l_2^b_2 ... l_h^b_h packed
         steps = [(part // q, 1 << W * m) for m, part in enumerate(self._log_parts[1:], 1)]
         exps = [0] * len(steps)
+        above = [1] * (len(steps) + 1)  # the product of the binomials of digit m and up
+        x = r  # r - (sum of the digits)
         while True:
-            yield tail | rest, (rest, *exps)
+            if x >= 0:
+                yield tail | rest, above[0] * math.comb(x, rest)
+            else:  # C(-y, e) = (-1)^e C(y + e - 1, e)
+                n = math.comb(rest - x - 1, rest)
+                yield tail | rest, above[0] * (-n if rest & 1 else n)
             for i, (c, unit) in enumerate(steps):
-                if rest >= c:
+                if rest >= c:  # the lower digits are zero, so x = r - b_h - ... - b_m
+                    above[i] = above[i] * x // (exps[i] + 1)
                     exps[i] += 1
                     rest -= c
                     tail += unit
+                    x -= 1
                     break
                 rest += exps[i] * c
                 tail -= exps[i] * unit
+                x += exps[i]
                 exps[i] = 0
             else:
                 return
+            for j in range(i):
+                above[j] = above[i]
 
     def _exp_of_log_multiples(self, ts: tuple) -> list:
         """exp(t log xi) for each multiplier t in ts, by one Horner pass (module docstring).
@@ -302,15 +329,22 @@ class FglContext:
         norm = 1 + sum(abs(x) for _key, x in r.terms)  # R = 1 + r
         bound = sum((top * norm) ** j * sum(abs(x) for _key, x in e) for j, e in packed)
         shift = bound.bit_length() + 2
-        exps = [(j, sum(t ** j << shift * i for i, t in enumerate(ts)), e) for j, e in packed]
+        scaled = []  # t^j e_j, each term times its scalar once
+        for j, e in packed:
+            scale = sum(t ** j << shift * i for i, t in enumerate(ts))
+            scaled.append((j, [(key, scale * x) for key, x in e]))
         h = None  # H_(s+1)
         for s in range(k // p, -1, -1):
             cut = k + 1 - s * q
             acc = {}  # E_s
-            for j, scale, e in exps:
+            for j, e in scaled:
                 if s <= j < cut:
-                    c = math.comb(j, s) * scale
-                    acc.update((key, c * x) for key, x in e)
+                    if s == 0 or s == j:  # C(j, s) = 1
+                        acc.update(e)
+                    else:
+                        c = math.comb(j, s)
+                        for key, x in e:
+                            acc[key] = c * x
             h = (PackedSeries(list(acc.items()), cut, width) if h is None
                  else PackedSeries.sum_of_products(((1, r, h),), cut, acc))
         digits = [[] for _t in ts]

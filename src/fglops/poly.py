@@ -129,7 +129,8 @@ def sum_products(tgt: dict, triples) -> dict:
     series ends here.  t1 and t2 are re-iterable sequences of (key,
     coefficient) items, such as dict items; keys are added, so a key is a
     monomial, or a monomial packed with series exponents (series.PackedSeries).
-    The scalar c multiplies each term of t1 once.  Coefficients are left as
+    The scalar c multiplies each term of t1 once; where that gives 1, the
+    terms of t2 are added as they are.  Coefficients are left as
     summed: a cancelled term stays as a zero and a Fraction may have
     denominator 1; GradedPoly(tgt, basis) drops and normalizes them.
     """
@@ -137,9 +138,14 @@ def sum_products(tgt: dict, triples) -> dict:
     for c, items1, items2 in triples:
         for m1, c1 in items1:
             c1 *= c
-            for m2, c2 in items2:
-                m = m1 + m2
-                tgt[m] = get(m, 0) + c1 * c2
+            if c1 == 1:  # a unit term, as every term of the context's r is
+                for m2, c2 in items2:
+                    m = m1 + m2
+                    tgt[m] = get(m, 0) + c2
+            else:
+                for m2, c2 in items2:
+                    m = m1 + m2
+                    tgt[m] = get(m, 0) + c1 * c2
     return tgt
 
 

@@ -17,12 +17,17 @@ JSON wire format is
      "terms": [{"xi": j, "x": j2,
                 "poly": [{"coef": "c", "exps": {"1": e1, ...}}]}]}
 
-with coefficients rendered as decimal strings ("6", "-7", "1/2").  Both
-renderings parse back to equal values.  series_from_obj, which reads the
-golden tables, is strict: a prime, validity or exponent that is not a JSON
-integer, a coefficient other than c or c/d with d nonzero, a basis other
-than v or l, two terms at one exponent, or a term at or beyond the validity
-raises ValueError naming the field.
+with coefficients rendered as decimal strings ("6", "-7", "1/2"), series
+terms in ascending (x, xi) order and each polynomial's terms in
+GradedPoly.sorted_terms order.  to_json prints it as json.dumps(obj,
+indent=2) would: a Series anywhere in obj is written straight from its
+terms, one chunk per monomial, at its nesting depth; series_to_obj builds
+the same object as dicts and lists.  Both renderings parse back to equal
+values.  series_from_obj, which reads the golden tables, is strict: a
+prime, validity or exponent that is not a JSON integer, a coefficient other
+than c or c/d with d nonzero, a basis other than v or l, two terms at one
+exponent, or a term at or beyond the validity raises ValueError naming the
+field.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .poly import GradedPoly, mono_exps, mono_from_exps
+from .poly import MAX_EXP, W, GradedPoly, mono_exps, mono_from_exps
 from .series import Series
 
 
@@ -65,9 +70,15 @@ def poly_text(poly: GradedPoly, prime: int) -> str:
     return _join(_term(c, _mono_factors(mono, poly.basis)) for mono, c in items)
 
 
+def _exponents(s: Series) -> list:
+    """The exponent pairs (j_xi, j_x) of s's terms in written order: by x, then by xi."""
+    return sorted(s.coeffs, key=lambda e: (e[1], e[0]))
+
+
 def series_text(s: Series, show_validity: bool = True) -> str:
     chunks = []
-    for (j, jx), poly in sorted(s.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+    for j, jx in _exponents(s):
+        poly = s.coeffs[(j, jx)]
         var = _powers((("xi", j), ("x", jx)))
         if not var:
             chunks.append(("+", poly_text(poly, s.prime)))
@@ -204,7 +215,7 @@ def poly_from_obj(obj: list, basis: str) -> GradedPoly:
 
 def series_to_obj(s: Series, truncation: int | None = None) -> dict:
     terms = []
-    for (j, jx) in sorted(s.coeffs, key=lambda e: (e[1], e[0])):
+    for j, jx in _exponents(s):
         terms.append({"xi": j, "x": jx, "poly": poly_to_obj(s.coeffs[(j, jx)], s.prime)})
     return {
         "prime": s.prime,
@@ -232,16 +243,18 @@ def series_from_obj(obj: dict) -> Series:
     return Series(_wire_int(obj["prime"], "prime"), basis, coeffs, validity, laurent=laurent)
 
 
-def to_json(obj) -> str:
+def to_json(obj, truncation: int | None = None) -> str:
     """json.dumps(obj, indent=2), byte for byte, for dicts with str keys, lists,
-    str, int, bool and None; a direct walk instead of the stdlib's pure-Python
+    str, int, bool, None and Series; a Series stands for
+    series_to_obj(series, truncation) and is written straight from its terms,
+    one chunk per monomial.  A direct walk instead of the stdlib's pure-Python
     indenting encoder, which takes about twice as long and holds more chunks."""
     out = []
-    _write_json(obj, out, "\n")
+    _write_json(obj, out, "\n", truncation)
     return "".join(out)
 
 
-def _write_json(obj, out: list, newline: str) -> None:
+def _write_json(obj, out: list, newline: str, truncation: int | None) -> None:
     if isinstance(obj, str):
         out.append(_encode_str(obj))
     elif obj is None:
@@ -260,7 +273,7 @@ def _write_json(obj, out: list, newline: str) -> None:
         sep = "{" + inner
         for key, value in obj.items():
             out.append(sep + _encode_str(key) + ": ")
-            _write_json(value, out, inner)
+            _write_json(value, out, inner, truncation)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(obj, list):
@@ -271,15 +284,44 @@ def _write_json(obj, out: list, newline: str) -> None:
         sep = "[" + inner
         for value in obj:
             out.append(sep)
-            _write_json(value, out, inner)
+            _write_json(value, out, inner, truncation)
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(obj, Series):
+        _write_series(obj, out, newline, truncation)
     else:
         raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
+def _write_series(s: Series, out: list, newline: str, truncation: int | None) -> None:
+    """series_to_obj(s, truncation) as _write_json writes it at this newline's depth."""
+    i1, i2, i3, i4, i5, i6 = (newline + "  " * n for n in range(1, 7))
+    truncation = s.validity - 1 if truncation is None else truncation
+    out.append(f'{{{i1}"prime": {s.prime},{i1}"truncation": {truncation},'
+               f'{i1}"validity": {s.validity},{i1}"basis": {_encode_str(s.basis)},{i1}"terms": ')
+    if not s.coeffs:
+        out.append("[]" + newline + "}")
+        return
+    sep = "[" + i2
+    for j, jx in _exponents(s):
+        monos = []
+        for mono, c in s.coeffs[(j, jx)].sorted_terms(s.prime):
+            exps, i = [], 1
+            while mono:  # mono_exps, each nonzero exponent as a "generator": e line
+                if e := mono & MAX_EXP:
+                    exps.append(f'{i6}"{i}": {e}')
+                mono >>= W
+                i += 1
+            exps = "{" + ",".join(exps) + i5 + "}" if exps else "{}"
+            monos.append(f'{{{i5}"coef": "{c}",{i5}"exps": {exps}{i4}}}')
+        poly = "[" + i4 + ("," + i4).join(monos) + i3 + "]"
+        out.append(f'{sep}{{{i3}"xi": {j},{i3}"x": {jx},{i3}"poly": {poly}{i2}}}')
+        sep = "," + i2
+    out.append(i1 + "]" + newline + "}")
+
+
 def series_to_json(s: Series, truncation: int | None = None) -> str:
-    return to_json(series_to_obj(s, truncation))
+    return to_json(s, truncation)
 
 
 def series_from_json(text: str) -> Series:

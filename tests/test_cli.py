@@ -7,10 +7,11 @@ import pytest
 import fglops.cli
 import fglops.golden
 import fglops.powerop
+from fglops import FglContext, mc, power_operation, reduce_a_mod_p_series
 from fglops.cli import DEFAULT_TRUNCATION, main
 from fglops.fgl import MR_BOUND
 from fglops.golden import ENV_GOLDEN_DIR, golden_dir
-from fglops.render import parse_series, series_from_obj
+from fglops.render import parse_series, poly_text, series_from_obj, series_to_obj
 
 
 
@@ -148,6 +149,60 @@ def test_mc_command_json(capsys):
     assert obj["raw"] is None
     assert obj["certificate"] is None
     assert series_from_obj(obj["reduced"]).coeffs == {}
+
+
+def _json_reference(cmd, p, k, ideal=None, basis="v", reduced=False, n=None):
+    """The object a --format json command prints, its series built with series_to_obj."""
+    ctx = FglContext(p, k)
+    kill = (lambda s: s.kill_generators(ideal)) if ideal else (lambda s: s)
+    if cmd in ("log", "exp"):
+        return series_to_obj(kill(getattr(ctx, cmd)), k)
+    if cmd == "pseries":
+        return series_to_obj(kill(ctx.p_series(basis)), k)
+    if cmd == "reduced-pseries":
+        return series_to_obj(kill(ctx.reduced_p_series(basis)), k)
+    if cmd == "power-op-coeffs":
+        data = power_operation(ctx, x_cap=min(k, 16))
+        entries = [r.series for r in reduce_a_mod_p_series(data)] if reduced else data.a
+        return {"prime": p, "truncation": k, "a": [series_to_obj(kill(s), k) for s in entries]}
+    result = mc(ctx, power_operation(ctx, x_cap=n), n)
+    return {
+        "prime": p, "truncation": k, "n": n,
+        "reduced": series_to_obj(kill(result.reduced.series), k),
+        "raw": None if result.raw is None else series_to_obj(kill(result.raw), k),
+        "certificate": None if result.certificate is None else {
+            "xi_exponent": result.certificate[0],
+            "leading": poly_text(result.certificate[1], p)},
+        "obstruction_index": result.is_obstruction_index,
+        "sparseness_shortcut": result.used_shortcut,
+    }
+
+
+@pytest.mark.parametrize("argv,reference", [
+    (["log", "-p", "3", "-k", "20"], dict(cmd="log", p=3, k=20)),
+    (["exp", "-p", "2", "-k", "12"], dict(cmd="exp", p=2, k=12)),
+    (["pseries", "-p", "2", "-k", "9", "--basis", "l"],
+     dict(cmd="pseries", p=2, k=9, basis="l")),
+    (["pseries", "-p", "3", "-k", "12"], dict(cmd="pseries", p=3, k=12)),
+    (["reduced-pseries", "-p", "2", "-k", "14"], dict(cmd="reduced-pseries", p=2, k=14)),
+    (["reduced-pseries", "-p", "2", "-k", "14", "--ideal", "v2,v3"],
+     dict(cmd="reduced-pseries", p=2, k=14, ideal=[2, 3])),
+    (["power-op-coeffs", "-p", "2", "-k", "7"], dict(cmd="power-op-coeffs", p=2, k=7)),
+    (["power-op-coeffs", "-p", "3", "-k", "9", "--reduced"],
+     dict(cmd="power-op-coeffs", p=3, k=9, reduced=True)),
+    (["mc", "-p", "3", "-k", "13", "--n", "3"], dict(cmd="mc", p=3, k=13, n=3)),
+    (["mc", "-p", "2", "-k", "9", "--n", "5"], dict(cmd="mc", p=2, k=9, n=5)),
+    (["mc", "-p", "3", "-k", "13", "--n", "4", "--ideal", "v2"],
+     dict(cmd="mc", p=3, k=13, n=4, ideal=[2])),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_json_output_is_json_dumps_of_the_wire_object(capsys, argv, reference):
+    # the direct writer against the stdlib encoder on the object built from series_to_obj
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    want = _json_reference(**reference)
+    assert out == json.dumps(want, indent=2) + "\n"
+    if reference["cmd"] == "mc":
+        assert (want["raw"] is None) == (reference["n"] == 3)
 
 
 def test_mc_rejects_bad_n(capsys):

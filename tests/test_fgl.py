@@ -10,7 +10,7 @@ import fglops.series
 from fglops import FglContext, HorizonError, IntegralityError, NotPrimeError, mc, power_operation
 from fglops.cli import DEFAULT_TRUNCATION
 from fglops.fgl import MR_BOUND, is_prime
-from fglops.poly import MAX_EXP, MAX_TRUNCATION, GradedPoly, mono_pack, mono_weight
+from fglops.poly import MAX_EXP, MAX_TRUNCATION, GradedPoly, mono_exps, mono_pack, mono_weight
 from fglops.series import Series
 
 from conftest import P, S, rand_series
@@ -184,14 +184,14 @@ def test_context_makes_no_series_product(monkeypatch, p, k):
         raise AssertionError("a Series product in the context")
 
     read = []
-    closed_form = fglops.fgl.mu
+    closed_form = FglContext._monomials
 
-    def recording(n, abar):
-        read.append(n)
-        return closed_form(n, abar)
+    def recording(self, d, r):
+        read.append(r)
+        return closed_form(self, d, r)
 
     monkeypatch.setattr(Series, "sum_of_products", refuse)
-    monkeypatch.setattr(fglops.fgl, "mu", recording)
+    monkeypatch.setattr(FglContext, "_monomials", recording)
     ctx = FglContext(p, k)
     ctx.n_series(p + 1)
     ctx.reduced_p_series("v")
@@ -454,18 +454,39 @@ def test_monomial_walk_matches_the_partitions(p, k):
     # every l-monomial of each weight once, as the recursive enumerator finds them
     ctx = FglContext(p, k)
     for d in range(k + 1):
-        got = list(ctx._monomials(d))
+        got = [mono for mono, _c in ctx._monomials(d, -1)]
         want = {mono_pack(b): b for b in fglops.fgl.partitions(d, ctx._log_parts)}
-        assert sorted(mono for mono, _b in got) == sorted(want)
-        assert all(b[:len(want[mono])] == want[mono] and not any(b[len(want[mono]):])
-                   for mono, b in got)
+        assert sorted(got) == sorted(want)
+        assert all(mono_exps(mono) == want[mono] for mono in got)
+
+
+@pytest.mark.parametrize("p,k", [(2, 80), (3, 40), (5, 76), (13, 504)])
+def test_carried_multinomial_matches_mu_per_monomial(p, k):
+    # the odometer's carried multinomial against one mu(r; b) per monomial, for exp
+    # (r = -j, exact division by j) and for every r from -k to k, 0 and r > 0 included
+    ctx = FglContext(p, k)
+    parts = [list(fglops.fgl.partitions(d, ctx._log_parts)) for d in range(k + 1)]
+    for j in range(1, k + 1):
+        want = {}
+        for b in parts[j - 1]:
+            want[mono_pack(b)], rem = divmod(fglops.fgl.mu(-j, b), j)
+            assert rem == 0
+        assert ctx.exp.coefficient(j) == GradedPoly(want, "l"), j
+    for r in range(-k, k + 1):
+        for d in range(0, k + 1, p - 1):  # the weights with monomials
+            if p == 2 and d % 8 != r % 8:  # at p = 2 each r meets every eighth weight
+                continue
+            want = {mono_pack(b): fglops.fgl.mu(r, b) for b in parts[d]}
+            assert dict(ctx._monomials(d, r)) == want, (r, d)
+            assert ctx.log_ratio_power(r, d) == GradedPoly(want, "l"), (r, d)
 
 
 def test_exp_refuses_an_indivisible_lagrange_coefficient(monkeypatch):
-    # [xi^2] exp = (1/2) [xi] (log/xi)^(-2) = (1/2) mu(-2; (1)) l_1; one more in mu
-    # leaves a remainder
-    closed_form = fglops.fgl.mu
-    monkeypatch.setattr(fglops.fgl, "mu", lambda n, abar: closed_form(n, abar) + (n == -2))
+    # [xi^2] exp = (1/2) [xi] (log/xi)^(-2) = (1/2) mu(-2; (1)) l_1; one more in the
+    # carried multinomial leaves a remainder
+    walk = FglContext._monomials
+    monkeypatch.setattr(FglContext, "_monomials", lambda self, d, r: (
+        (mono, c + (r == -2)) for mono, c in walk(self, d, r)))
     with pytest.raises(IntegralityError, match=r"xi\^2"):
         FglContext(2, 7)
 

@@ -143,6 +143,31 @@ def test_sum_products_scales_each_triple_and_leaves_cancellations_as_zeros():
     assert GradedPoly(got, "v") == 0
 
 
+def _sum_products_by_the_general_path(tgt, triples):
+    for c, items1, items2 in triples:
+        for m1, c1 in items1:
+            for m2, c2 in items2:
+                tgt[m1 + m2] = tgt.get(m1 + m2, 0) + c1 * c * c2
+    return tgt
+
+
+def test_sum_products_with_a_unit_left_term_matches_the_general_path():
+    # a left term whose scaled coefficient is 1 adds the right coefficients as they are
+    rng = random.Random(20261020)
+    for _ in range(60):
+        a, b, tgt = (rand_poly(rng, rationals=True) for _ in range(3))
+        units = {m: rng.choice([1, Fraction(1), 2, Fraction(-1, 2)]) for m in a.terms}
+        units[1 << 15] = 1
+        c = rng.choice([1, 0, Fraction(1, 2), -1, 2])
+        triples = [(c, units.items(), b.terms.items()), (1, b.terms.items(), a.terms.items()),
+                   (0, units.items(), a.terms.items())]
+        want = _sum_products_by_the_general_path(dict(tgt.terms), triples)
+        assert sum_products(dict(tgt.terms), triples) == want
+    a = P("v1 + v2")
+    got = sum_products(dict((-a * a).terms), ((1, a.terms.items(), a.terms.items()),))
+    assert set(got) == set((a * a).terms) and not any(got.values())
+
+
 def test_pow():
     a = P("v1 + v2")
     assert a ** 0 == P("1")

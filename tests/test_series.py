@@ -523,11 +523,30 @@ def test_to_json_property(obj):
     assert to_json(obj) == json.dumps(obj, indent=2)
 
 
+# every shape a series takes on the wire: none stored, Laurent, x terms, Fraction
+# and big coefficients, generator 12, a unit monomial
+_WIRE_SHAPES = [
+    Series.zero(3, "l", 4),
+    S("2*xi^-2 - v1*xi^-1 + 1/3*v2 + O(xi)^2", 2),
+    S("x + (1 + v1)*xi*x - 7/2*v1^2*xi^3*x^2 + O(xi,x)^9", 5),
+    Series(2, "v", {(0, 0): GradedPoly.const(3 ** 200), (1, 0): GradedPoly.gen(12, exp=2),
+                    (4, 1): P(f"-{3 ** 200}*v1*v12")}, 7),
+]
+
+
 def test_to_json_matches_json_dumps_on_a_series():
     rng = random.Random(5)
-    for _ in range(10):
-        a = rand_series(rng, validity=9, terms=6, integral=False)
+    shapes = _WIRE_SHAPES + [rand_series(rng, validity=9, terms=6, integral=False)
+                             for _ in range(10)]
+    for a in shapes:
         assert series_to_json(a) == json.dumps(series_to_obj(a), indent=2)
+        assert series_to_json(a, 40) == json.dumps(series_to_obj(a, 40), indent=2)
+    # a series nested in the objects the CLI prints is written at its depth
+    nested = {"a": shapes[:3], "reduced": shapes[2], "raw": None, "pair": [[shapes[1]], {}]}
+    want = {"a": [series_to_obj(a, 11) for a in shapes[:3]],
+            "reduced": series_to_obj(shapes[2], 11), "raw": None,
+            "pair": [[series_to_obj(shapes[1], 11)], {}]}
+    assert to_json(nested, 11) == json.dumps(want, indent=2)
 
 
 def test_to_json_refuses_other_types():
