@@ -22,8 +22,6 @@ from .series import Series
 # smallest truncation orders that make every published table coefficient valid
 DEFAULT_TRUNCATION = {2: 14, 3: 25, 5: 76, 7: 162, 11: 370, 13: 504}
 
-PROGRESS_PRIMES = (11, 13)
-
 # accepted so that existing command lines keep parsing
 THREADS_HELP = "no effect: the kernel runs in one process"
 
@@ -216,12 +214,11 @@ def main(argv=None) -> int:
         return 0
 
     if cmd == "mc":
-        loud = args.progress or ctx.p in PROGRESS_PRIMES
         try:
-            data = power_operation(ctx, x_cap=args.n,
-                                   progress=_progress_printer(loud, "power-operation steps"))
+            data = power_operation(
+                ctx, x_cap=args.n, progress=_progress_printer(args.progress, "power-operation steps"))
             result = mc(ctx, data, args.n, force_full=args.force_full,
-                        progress=_progress_printer(loud, "recurrence steps"))
+                        progress=_progress_printer(args.progress, "recurrence steps"))
         except (InsufficientTruncationError, ValueError) as exc:
             return _fail(str(exc))
         reduced = apply_ideal(result.reduced.series, ideal)

@@ -403,14 +403,14 @@ class FglContext:
 
         s is an l-basis Series, packed here as PackedSeries.from_series packs
         it, each term keyed x << S | mono << w | degree, w the bit length of
-        the degree span and S = w + poly.W bits per generator; or a
+        its validity and S = w + poly.W bits per generator; or a
         PackedSeries already so keyed, with S = shift (power_operation's
         rows).  The substitution passes the x and degree fields through, so
         the result is the v-basis Series at the same exponents and validity,
         with a Series' weight and none for a PackedSeries.
         """
         if isinstance(s, PackedSeries):
-            packed, validity, weight, laurent, lo_xi, lo_x = s, s.validity, None, False, 0, 0
+            packed, validity, weight = s, s.validity, None
             gens = (shift - s.width) // W
         else:
             if s.basis != "l":
@@ -420,24 +420,21 @@ class FglContext:
                 raise HorizonError(
                     f"series mentions l_{gens} beyond the horizon {self.horizon} for k={self.k}"
                 )
-            validity, weight, laurent = s.validity, s.weight, s.laurent
-            lo_xi = min([0] + [j for j, _m in s.coeffs])  # a Laurent series' offsets
-            lo_x = min([0] + [m for _j, m in s.coeffs])
-            width = max(validity - lo_xi - lo_x, 1).bit_length()
+            validity, weight = s.validity, s.weight
+            width = max(validity, 1).bit_length()
             shift = width + W * gens
-            packed = PackedSeries.from_series(s, width, shift, lo_xi, lo_x)
+            packed = PackedSeries.from_series(s, width, shift)
         poly = GradedPoly.zero("l")
         poly.terms = dict(packed.terms)
         out = poly.substitute(self._ell_table, "v", packed.width, gens)
-        coeffs = PackedSeries(out.terms.items(), validity, packed.width).split_bivariate(
-            shift, lo_xi, lo_x)
+        coeffs = PackedSeries(out.terms.items(), validity, packed.width).split_bivariate(shift)
         if integral and not out.is_integral():
             bad = min(e for e, t in coeffs.items() if any(type(c) is not int for c in t.values()))
             raise IntegralityError(
                 f"non-integer v-basis coefficient at exponent {bad}; generator table is broken"
             )
         return Series(self.p, "v", {e: GradedPoly(t, "v") for e, t in coeffs.items()},
-                      validity, weight, laurent)
+                      validity, weight)
 
     def cp_image(self, i: int) -> GradedPoly:
         """Image of the i-th projective-space class: p^m l_m if i = p^m - 1, else 0; cached."""

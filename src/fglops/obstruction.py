@@ -35,7 +35,8 @@ certificate, the reduced class comes from the paper's closed form
 
     (2p-1) a_0^(2p-4) (-v_1 a_0 a_(p-1) - a_0 a_(2p-2) + p a_(p-1)^2),
 
-which needs three of the a_i and a handful of products.  It is not the raw
+which needs three of the a_i: the bracket, with 2p-1 multiplied in, is one
+Series.sum_of_products, then a power of a_0 multiplies it.  It is not the raw
 sum: the summands it drops are 0 modulo <p>xi, so the raw sum minus the
 closed form vanishes there and both have the same canonical representative.
 Its validity is checked, not assumed: it must reach the validity the sum
@@ -46,8 +47,8 @@ by the recurrence only when it is read, as the closed form's cross-check.
 Cross-check routes (exact agreement within joint validity):
   * the paper's multi-index sum, one product chain per summand (the only
     route that enumerates the multi-indices),
-  * a localized rearrangement through the inverse of sum a_i z^i, computed
-    over Laurent series in xi, and
+  * a localized rearrangement through the inverse of sum a_i z^i, with
+    xi^(p-1) factored out of a_0 so that every series stays a power series, and
   * at n = 2(p-1), the recurrence's raw sum, reduced.
 
 For odd p with n not divisible by p-1 the reduced class vanishes identically,
@@ -281,22 +282,26 @@ def mc_via_sum(ctx: FglContext, data: PowerOpData, n: int) -> Series:
 def mc_via_inverse(ctx: FglContext, data: PowerOpData, n: int) -> Series:
     """Localized cross-check: a_0^n * sum_k cp(n-k) * (sum a_i z^i)^-(n+1) [z^k].
 
-    Evaluated over Laurent series where a_0 is invertible; agrees exactly with
-    the raw sum within joint validity.  Cross-check route only.
+    With a_0 = xi^(p-1) u, u a unit of constant term (p-1)!, and
+    V = sum_{i>=1} (a_i / u) z^i, the t-th power of U = sum_{i>=1} (a_i / a_0) z^i
+    is xi^(-t(p-1)) V^t, so a_0^n [z^k] U^t is xi^((n-t)(p-1)) u^n [z^k] V^t,
+    and t <= k <= n keeps every exponent >= 0.  Agrees exactly with the raw
+    sum within joint validity.  Cross-check route only.
     """
     _check_inputs(ctx, data, n)
     p = ctx.p
-    a0 = data.a[0]
-    inv0 = a0.reciprocal()
-    # U = sum_{i>=1} (a_i / a_0) z^i; z-coefficient lists have slots 0..n
-    u = [None] * (n + 1)
+    d = p - 1
+    u = data.a[0].shift_xi(-d)
+    inv = u.reciprocal()
+    # V = sum_{i>=1} V_i z^i; z-coefficient lists have slots 0..n
+    v = [None] * (n + 1)
     for i in range(1, n + 1):
-        u[i] = data.a[i] * inv0
-    upow = [None]  # upow[t][kk] = [z^kk] U^t
+        v[i] = data.a[i] * inv
+    vpow = [None]  # vpow[t][kk] = [z^kk] V^t
     cur = None
     for _t in range(1, n + 1):
         if cur is None:
-            cur = list(u)
+            cur = list(v)
             cur[0] = None
         else:
             nxt = [None] * (n + 1)
@@ -304,15 +309,16 @@ def mc_via_inverse(ctx: FglContext, data: PowerOpData, n: int) -> Series:
                 if sa is None:
                     continue
                 for zb in range(1, n - za + 1):
-                    sb = u[zb]
+                    sb = v[zb]
                     if sb is None:
                         continue
                     prod = sa * sb
                     nxt[za + zb] = prod if nxt[za + zb] is None else nxt[za + zb] + prod
             cur = nxt
-        upow.append(list(cur))
+        vpow.append(list(cur))
     acc = None
-    a0n = a0 ** n if n else _one(ctx, data)
+    un = u ** n
+    a0n = un.shift_xi(n * d) if n else _one(ctx, data)
     for kk in range(0, n + 1):
         cp = ctx.cp_image(n - kk)
         if not cp:
@@ -324,20 +330,18 @@ def mc_via_inverse(ctx: FglContext, data: PowerOpData, n: int) -> Series:
             # [z^kk] (1+U)^-(n+1) = sum_t binom(-(n+1), t) U^t [z^kk]
             wk = None
             for t in range(1, n + 1):
-                part = upow[t][kk]
+                part = vpow[t][kk]
                 if part is None:
                     continue
                 c = (-1) ** t * math.comb(n + t, t)
-                term_t = part.scale(c)
+                term_t = part.scale(c).shift_xi((n - t) * d)
                 wk = term_t if wk is None else wk + term_t
             if wk is None:
                 continue
-            term = (a0n * wk).scale_poly(cp)
+            term = (un * wk).scale_poly(cp)
         acc = term if acc is None else acc + term
     if acc is None:
         return Series.zero(p, "v", data.a[0].validity, weight=-n * (p - 2))
-    if acc.coeffs and acc.val() < 0:
-        raise AssertionError("localized route left negative exponents")
     return acc
 
 
@@ -348,8 +352,7 @@ def mc_explicit_2p2(ctx: FglContext, data: PowerOpData) -> Series:
     if len(data.a) <= n or data.a[n].validity < 1:
         raise InsufficientTruncationError(f"a_{n} is not available at this truncation")
     a0, ap1, a2p2 = data.a[0], data.a[p - 1], data.a[n]
-    v1 = GradedPoly.gen(1, "v")
-    inner = (a0 * ap1).scale_poly(v1).scale(-1) - a0 * a2p2 + (ap1 * ap1).scale(p)
-    if 2 * p - 4 > 0:
-        inner = a0 ** (2 * p - 4) * inner
-    return inner.scale(2 * p - 1)
+    c = 2 * p - 1
+    bracket = Series.sum_of_products([(-c, a0.scale_poly(GradedPoly.gen(1, "v")), ap1),
+                                      (-c, a0, a2p2), (p * c, ap1, ap1)])
+    return a0 ** (2 * p - 4) * bracket if p > 2 else bracket

@@ -60,7 +60,7 @@ def _check_division_inputs(g: Series, pser: Series):
         raise ValueError("prime mismatch")
     if g.basis != "v" or pser.basis != "v":
         raise ValueError("division runs in the v-basis")
-    if g.laurent or not g.is_univariate() or not pser.is_univariate():
+    if not g.is_univariate() or not pser.is_univariate():
         raise ValueError("division requires univariate power series")
     if not g.is_integral():
         raise NonIntegralError("dividend has non-integer coefficients")

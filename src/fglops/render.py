@@ -10,8 +10,8 @@ and parse_series read the grammar that poly_text and series_text write:
     factor = c | c/d | v<m>[^e] | l<m>[^e] | xi[^j] | x[^j] | "(" text ")"
 
 with every factor of a term multiplied in, generators of the basis only,
-j possibly negative (a Laurent series), and xi and x in series only.  The
-JSON wire format is
+every exponent e and j a nonnegative integer, and xi and x in series only.
+The JSON wire format is
 
     {"prime": p, "truncation": k, "validity": V, "basis": "v"|"l",
      "terms": [{"xi": j, "x": j2,
@@ -24,10 +24,10 @@ indent=2) would: a Series anywhere in obj is written straight from its
 terms, one chunk per monomial, at its nesting depth; series_to_obj builds
 the same object as dicts and lists.  Both renderings parse back to equal
 values.  series_from_obj, which reads the golden tables, is strict: a
-prime, validity or exponent that is not a JSON integer, a coefficient other
-than c or c/d with d nonzero, a basis other than v or l, two terms at one
-exponent, or a term at or beyond the validity raises ValueError naming the
-field.
+prime, validity or exponent that is not a JSON integer, a negative exponent,
+a coefficient other than c or c/d with d nonzero, a basis other than v or l,
+two terms at one exponent, or a term at or beyond the validity raises
+ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def series_text(s: Series, show_validity: bool = True) -> str:
 # -- parsing ---------------------------------------------------------------
 
 _FACTOR_RE = re.compile(r"(?P<num>-?\d+(?:/\d+)?)|(?P<gen>[vl])(?P<idx>\d+)(?:\^(?P<ge>\d+))?"
-                        r"|(?P<var>xi|x)(?:\^(?P<ve>-?\d+))?|\((?P<poly>.*)\)")
+                        r"|(?P<var>xi|x)(?:\^(?P<ve>\d+))?|\((?P<poly>.*)\)")
 
 
 def _coef(text) -> int | Fraction:
@@ -109,7 +109,8 @@ def _coef(text) -> int | Fraction:
 
 def _split(text: str, seps: str) -> list:
     """(separator, piece) pairs of text cut at separators outside parentheses; a
-    sign cuts only at the start or after a space, so xi^-2 stays whole."""
+    sign cuts only at the start or after a space, so xi^-2 stays one factor,
+    which the grammar refuses."""
     out, depth, start, sep = [], 0, 0, ""
     for i, ch in enumerate(text):
         depth += (ch == "(") - (ch == ")")
@@ -162,7 +163,6 @@ def parse_series(text: str, prime: int, basis: str, validity: int | None = None,
                  weight: int | None = None) -> Series:
     """Parse series text as produced by series_text (the O-marker sets validity).
 
-    A negative exponent of xi or x, as in xi^-1 or x^-2, gives a Laurent series.
     A term at or beyond the text's own O-marker raises ValueError; a validity
     the caller supplies wins over the marker and drops the terms at or beyond it.
     """
@@ -182,17 +182,18 @@ def parse_series(text: str, prime: int, basis: str, validity: int | None = None,
             raise ValueError(f"term {term!r} lies at or beyond the text's O-marker, order {marker}")
         t = coeffs.setdefault((j, jx), {})
         t[mono] = t.get(mono, 0) + c
-    laurent = any(j < 0 or jx < 0 for j, jx in coeffs)
     return Series(prime, basis, {e: GradedPoly(t, basis) for e, t in coeffs.items()},
-                  validity, weight, laurent)
+                  validity, weight)
 
 
 # -- JSON wire format -------------------------------------------------------
 
-def _wire_int(x, field: str) -> int:
-    """x as a JSON integer; true and false parse to bools, which Python counts as ints."""
-    if type(x) is not int:
-        raise ValueError(f"{field} is {json.dumps(x)}, not an integer")
+def _wire_int(x, field: str, nonnegative: bool = False) -> int:
+    """x as a JSON integer, >= 0 if nonnegative; true and false parse to bools,
+    which Python counts as ints."""
+    if type(x) is not int or nonnegative and x < 0:
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise ValueError(f"{field} is {json.dumps(x)}, not {kind}")
     return x
 
 
@@ -207,7 +208,7 @@ def poly_to_obj(poly: GradedPoly, prime: int) -> list:
 def poly_from_obj(obj: list, basis: str) -> GradedPoly:
     out: dict = {}
     for t in obj:
-        mono = mono_from_exps({int(i): _wire_int(e, f"exponent of generator {i}")
+        mono = mono_from_exps({int(i): _wire_int(e, f"exponent of generator {i}", nonnegative=True)
                                for i, e in t["exps"].items()})
         out[mono] = out.get(mono, 0) + _coef(t["coef"])
     return GradedPoly(out, basis)
@@ -233,14 +234,14 @@ def series_from_obj(obj: dict) -> Series:
     validity = _wire_int(obj["validity"], "validity")
     coeffs = {}
     for t in obj["terms"]:
-        e = _wire_int(t["xi"], "xi exponent"), _wire_int(t.get("x", 0), "x exponent")
+        e = (_wire_int(t["xi"], "xi exponent", nonnegative=True),
+             _wire_int(t.get("x", 0), "x exponent", nonnegative=True))
         if sum(e) >= validity:
             raise ValueError(f"term xi^{e[0]}*x^{e[1]} lies at or beyond validity {validity}")
         if e in coeffs:
             raise ValueError(f"two terms at xi^{e[0]}*x^{e[1]}")
         coeffs[e] = poly_from_obj(t["poly"], basis)
-    laurent = any(j < 0 or jx < 0 for j, jx in coeffs)
-    return Series(_wire_int(obj["prime"], "prime"), basis, coeffs, validity, laurent=laurent)
+    return Series(_wire_int(obj["prime"], "prime"), basis, coeffs, validity)
 
 
 def to_json(obj, truncation: int | None = None) -> str:

@@ -20,9 +20,8 @@ Validity propagates through arithmetic:
   compose:  min(V_B + (val(A) - 1) val(B), V_A val(B))
 
 where the valuation of a series with no stored terms is its validity (a zero
-series is only known to vanish below its validity).  Negative xi exponents
-are permitted on Laurent series, used by the localized cross-check route;
-those never flow into the integral pipeline.
+series is only known to vanish below its validity).  Series are power
+series: no stored exponent is negative, and the constructor refuses one.
 
 Every product is a sum of products and every sum of products one
 PackedSeries.sum_of_products, one pass of the monomial loop
@@ -39,11 +38,9 @@ per generator up to the highest in any operand; no exponent field carries
 (poly.py), so no sum of operand monomials reaches 2^(S - W).  A univariate
 series, x = 0, is keyed mono << W | degree and needs no S.
 
-Series.sum_of_products packs each distinct operand once with its fields less
-the lowest exponents of any operand, x - lo_x and degree - lo_xi - lo_x; a
-product's degree then lies in 0 .. V - 2 lo_xi - 2 lo_x - 1, whose bit
-length is W.  No fixed W would do: V reaches 781 in the raw MC_24 at p = 13,
-k = 504.
+Series.sum_of_products packs each distinct operand once; a product's degree
+lies in 0 .. V - 1, and W is the bit length of V.  No fixed W would do: V
+reaches 781 in the raw MC_24 at p = 13, k = 504.
 """
 
 from __future__ import annotations
@@ -66,21 +63,21 @@ class NonUnitError(ValueError):
 
 
 class Series:
-    __slots__ = ("prime", "basis", "coeffs", "validity", "weight", "laurent")
+    __slots__ = ("prime", "basis", "coeffs", "validity", "weight")
 
     def __init__(self, prime: int, basis: str, coeffs: dict, validity: int,
-                 weight: int | None = None, laurent: bool = False):
+                 weight: int | None = None):
         self.prime = prime
         self.basis = basis
         self.validity = validity
         self.weight = weight
-        self.laurent = laurent
         self.coeffs = {
             e: c for e, c in coeffs.items()
             if c and e[0] + e[1] < validity
         }
-        if not laurent and any(e[0] < 0 or e[1] < 0 for e in self.coeffs):
-            raise ValueError("negative exponent in non-Laurent series")
+        if any(e[0] < 0 or e[1] < 0 for e in self.coeffs):
+            j, jx = min(self.coeffs, key=min)
+            raise ValueError(f"negative exponent at xi^{j}*x^{jx}: a Series is a power series")
 
     # -- constructors ------------------------------------------------------
 
@@ -121,23 +118,19 @@ class Series:
     def truncate(self, order: int) -> "Series":
         return Series(self.prime, self.basis,
                       {e: c for e, c in self.coeffs.items() if e[0] + e[1] < order},
-                      min(self.validity, order), self.weight, self.laurent)
+                      min(self.validity, order), self.weight)
 
     def shift_xi(self, d: int) -> "Series":
-        """Multiply by xi^d (d may be negative; going below xi^0 makes it Laurent)."""
-        coeffs = {}
-        laurent = self.laurent
-        for (j, jx), c in self.coeffs.items():
-            if j + d < 0:
-                laurent = True
-            coeffs[(j + d, jx)] = c
+        """Multiply by xi^d; a negative d must leave every stored exponent >= 0."""
+        coeffs = {(j + d, jx): c for (j, jx), c in self.coeffs.items()}
         w = None if self.weight is None else self.weight - d
-        return Series(self.prime, self.basis, coeffs, self.validity + d, w, laurent)
+        return Series(self.prime, self.basis, coeffs, self.validity + d, w)
 
     def shift_x(self, d: int) -> "Series":
+        """Multiply by x^d; a negative d must leave every stored exponent >= 0."""
         coeffs = {(j, jx + d): c for (j, jx), c in self.coeffs.items()}
         w = None if self.weight is None else self.weight - d
-        return Series(self.prime, self.basis, coeffs, self.validity + d, w, self.laurent)
+        return Series(self.prime, self.basis, coeffs, self.validity + d, w)
 
     def map_polys(self, fn, basis: str | None = None, keep_weight: bool = True) -> "Series":
         out = {}
@@ -146,7 +139,7 @@ class Series:
             if q:
                 out[e] = q
         w = self.weight if keep_weight else None
-        return Series(self.prime, basis or self.basis, out, self.validity, w, self.laurent)
+        return Series(self.prime, basis or self.basis, out, self.validity, w)
 
     def kill_generators(self, indices) -> "Series":
         return self.map_polys(lambda c: c.kill_generators(indices))
@@ -209,8 +202,7 @@ class Series:
         for e, c in other.coeffs.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return Series(self.prime, self.basis, out, v, self._merge_weight(other),
-                      self.laurent or other.laurent)
+        return Series(self.prime, self.basis, out, v, self._merge_weight(other))
 
     def __sub__(self, other: "Series") -> "Series":
         return self + -other
@@ -228,8 +220,7 @@ class Series:
         One PackedSeries.sum_of_products call over the operands, each packed
         once (module docstring).  The scalars c are ints or Fractions.
         Validity follows the module docstring; the weight is the products'
-        common weight (None if they differ or one is undeclared); the sum is
-        Laurent if any operand is.
+        common weight (None if they differ or one is undeclared).
         """
         terms = list(terms)
         first = terms[0][1]
@@ -239,25 +230,20 @@ class Series:
         v = product_validity(terms)
         weights = {None if a.weight is None or b.weight is None else a.weight + b.weight
                    for _c, a, b in terms}
-        laurent = any(a.laurent or b.laurent for _c, a, b in terms)
         operands = {id(s): s for _c, a, b in terms for s in (a, b)}
-        exps = [e for s in operands.values() for e in s.coeffs]
-        lo_xi = min([0] + [j for j, _m in exps])  # lowest exponents of any operand, the fields' offsets
-        lo_x = min([0] + [m for _j, m in exps])
-        width = max(v - 2 * (lo_xi + lo_x), 1).bit_length()
+        width = max(v, 1).bit_length()
         shift = _x_shift(width, max((max(c.terms) for s in operands.values()
                                      for c in s.coeffs.values()), default=0))
-        packed = {i: PackedSeries.from_series(s, width, shift, lo_xi, lo_x) for i, s in operands.items()}
+        packed = {i: PackedSeries.from_series(s, width, shift) for i, s in operands.items()}
         acc = PackedSeries.sum_of_products((c, packed[id(a)], packed[id(b)]) for c, a, b in terms)
         basis = first.basis
-        coeffs = {e: GradedPoly(t, basis)
-                  for e, t in acc.split_bivariate(shift, 2 * lo_xi, 2 * lo_x).items()}
+        coeffs = {e: GradedPoly(t, basis) for e, t in acc.split_bivariate(shift).items()}
         w = weights.pop() if len(weights) == 1 else None
-        return Series(first.prime, basis, coeffs, v, w, laurent)
+        return Series(first.prime, basis, coeffs, v, w)
 
     def scale(self, c) -> "Series":
         if not c:
-            return Series(self.prime, self.basis, {}, self.validity, self.weight, self.laurent)
+            return Series(self.prime, self.basis, {}, self.validity, self.weight)
         return self.map_polys(lambda q: q.scale(c))
 
     def scale_poly(self, poly: GradedPoly) -> "Series":
@@ -265,7 +251,7 @@ class Series:
         if self.basis != poly.basis:
             raise BasisMismatchError(f"cannot mix bases {self.basis!r} and {poly.basis!r}")
         if not poly:
-            return Series(self.prime, self.basis, {}, self.validity, None, self.laurent)
+            return Series(self.prime, self.basis, {}, self.validity, None)
         out = {}
         for e, c in self.coeffs.items():
             q = c * poly
@@ -279,7 +265,7 @@ class Series:
                 pw = None
             if pw is not None:
                 w = self.weight + pw
-        return Series(self.prime, self.basis, out, self.validity, w, self.laurent)
+        return Series(self.prime, self.basis, out, self.validity, w)
 
     def __pow__(self, n: int) -> "Series":
         if n < 0:
@@ -302,8 +288,6 @@ class Series:
         """self(inner) for univariate self; inner must have zero constant term."""
         if not self.is_univariate():
             raise ValueError("outer series of a composition must be univariate")
-        if self.laurent:
-            raise ValueError("cannot compose a Laurent outer series")
         if inner.validity > 0 and inner.coeffs.get((0, 0)):
             raise ValueError("inner series must have zero constant term")
         self._check(inner)
@@ -344,26 +328,20 @@ class Series:
         if const:
             out = out + Series(self.prime, self.basis, {(0, 0): const}, v, None)
         w = self.weight if (self.weight is not None and inner.weight == -1) else None
-        return Series(self.prime, self.basis, dict(out.coeffs), out.validity, w, inner.laurent)
+        return Series(self.prime, self.basis, dict(out.coeffs), out.validity, w)
 
     def reciprocal(self) -> "Series":
-        """Multiplicative inverse; the lowest coefficient must be a nonzero constant."""
+        """Multiplicative inverse of a unit: its coefficient at xi^0 is a nonzero constant."""
         if not self.is_univariate():
             raise ValueError("reciprocal implemented for univariate series only")
-        d = self.val()
-        if not self.coeffs:
-            raise NonUnitError("series is zero within its validity")
-        lead = self.coeffs.get((d, 0))
+        lead = self.coeffs.get((0, 0))
         if lead is None or set(lead.terms) != {UNIT_MONO}:
-            raise NonUnitError("lowest-order coefficient is not a nonzero constant")
-        u0 = lead.constant_term()
-        unit = self.shift_xi(-d)  # constant term u0, valid mod xi^(V-d)
-        vu = unit.validity
-        inv0 = Fraction(1) / Fraction(u0)
+            raise NonUnitError("constant term is not a nonzero constant")
+        inv0 = Fraction(1) / Fraction(lead.constant_term())
         out = {(0, 0): GradedPoly.const(_norm_coef(inv0), self.basis)}
-        src = unit.coeffs
+        src = self.coeffs
         neg = _norm_coef(-inv0)
-        for j in range(1, vu):
+        for j in range(1, self.validity):
             acc = GradedPoly(sum_products({}, (
                 (neg, ui.terms.items(), rj.terms.items()) for i in range(1, j + 1)
                 if (ui := src.get((i, 0))) is not None and (rj := out.get((j - i, 0))) is not None
@@ -371,9 +349,7 @@ class Series:
             if acc:
                 out[(j, 0)] = acc
         w = None if self.weight is None else -self.weight
-        res = Series(self.prime, self.basis, out, vu, None, self.laurent).shift_xi(-d)
-        res.weight = w
-        return res
+        return Series(self.prime, self.basis, out, self.validity, w)
 
     def __repr__(self) -> str:
         from .render import series_text
@@ -422,16 +398,15 @@ class PackedSeries:
         return cls(terms, validity, width, degrees, groups)
 
     @classmethod
-    def from_series(cls, s: Series, width: int, shift: int = 0, lo_xi: int = 0,
-                    lo_x: int = 0) -> "PackedSeries":
-        """s with x = j_x - lo_x at shift and degree j_xi + j_x - lo, validity less lo = lo_xi + lo_x."""
+    def from_series(cls, s: Series, width: int, shift: int = 0) -> "PackedSeries":
+        """s with x = j_x at shift and degree j_xi + j_x."""
         coeffs: dict = {}
         for (j, m), c in s.coeffs.items():
-            x = (m - lo_x) << shift >> width  # above the monomial once packed at width
+            x = m << shift >> width  # above the monomial once packed at width
             t = {x | mono: v for mono, v in c.terms.items()} if x else c.terms
-            d = j + m - lo_xi - lo_x
+            d = j + m
             coeffs[d] = {**coeffs[d], **t} if d in coeffs else t
-        return cls.from_coeffs(coeffs, s.validity - lo_xi - lo_x, width)
+        return cls.from_coeffs(coeffs, s.validity, width)
 
     @staticmethod
     def x_shift(width: int, operands) -> int:
@@ -482,14 +457,14 @@ class PackedSeries:
         """{degree: {mono: coefficient}} of a univariate series."""
         return split_packed(self.terms, self.width)
 
-    def split_bivariate(self, shift: int, lo_xi: int = 0, lo_x: int = 0) -> dict:
-        """{(j_xi, j_x): terms} from x = j_x - lo_x at shift and degree = j_xi + j_x - lo_xi - lo_x."""
+    def split_bivariate(self, shift: int) -> dict:
+        """{(j_xi, j_x): terms} from x = j_x at shift and degree = j_xi + j_x."""
         width = self.width
         low, monos = (1 << width) - 1, (1 << shift - width) - 1
         out: dict = {}
         for key, c in self.terms:
             x = key >> shift
-            got = out.get(e := ((key & low) - x + lo_xi, x + lo_x))
+            got = out.get(e := ((key & low) - x, x))
             if got is None:
                 out[e] = {key >> width & monos: c}
             else:

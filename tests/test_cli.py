@@ -371,6 +371,7 @@ BAD_GOLDEN = {  # case -> the file's text made from the good one; None: no file
         s["tables"][0]["series"]["terms"][3]["poly"][0].update(coef="999"))),
     "zero-denominator": _edited(
         lambda s: s["tables"][0]["series"]["terms"][1]["poly"][0].update(coef="1/0")),
+    "negative-xi": _edited(lambda s: s["tables"][0]["series"]["terms"][1].update(xi=-1)),
 }
 
 
@@ -388,6 +389,8 @@ def test_verify_bad_golden_file_is_one_error_line(tmp_path, monkeypatch, capsys,
         assert "13" in err.replace(str(tmp_path), "")
     if case == "term-beyond-validity":
         assert "lies at or beyond validity 1" in err
+    if case == "negative-xi":
+        assert "xi exponent is -1, not a nonnegative integer" in err
 
 
 def test_progress_goes_to_stderr_only(capsys):

@@ -210,13 +210,25 @@ def test_sparseness_shortcut_and_full_route():
             assert quick.reduced.validity == full.raw.validity, (p, n)
 
 
-# every table n of p = 2, 3, 5, 7 at small truncations, plus the seed's cases
+# every table n of p = 2, 3, 5, 7 at small truncations, plus the seed's cases,
+# and n = 0, 1 at p = 3, 5
 ROUTE_GRID = (
     [(2, 2, 9, 2), (3, 4, 13, 4), (5, 8, 30, 8)]
     + [(2, n, 14, n) for n in range(1, 6)]
     + [(3, n, 20, n) for n in (2, 4, 8)]
     + [(5, 8, 40, 8), (5, 12, 40, 12), (7, 12, 40, 12)]
+    + [(3, 0, 13, 0), (3, 1, 13, 1), (5, 0, 30, 0), (5, 1, 30, 1)]
 )
+
+# (p, n, k) -> the validity of mc_via_inverse when it inverted a_0 over Laurent
+# series in xi, as that route computed it
+INVERSE_VALIDITY = {
+    (2, 2, 9): 9, (3, 4, 13): 16, (5, 8, 30): 51,
+    (2, 1, 14): 14, (2, 2, 14): 14, (2, 3, 14): 14, (2, 4, 14): 14, (2, 5, 14): 14,
+    (3, 2, 20): 21, (3, 4, 20): 23, (3, 8, 20): 27,
+    (5, 8, 40): 61, (5, 12, 40): 73, (7, 12, 40): 95,
+    (3, 0, 13): 14, (3, 1, 13): 13, (5, 0, 30): 31, (5, 1, 30): 30,
+}
 
 
 @pytest.mark.parametrize("p,n,k,xcap", ROUTE_GRID)
@@ -228,6 +240,8 @@ def test_route_equivalence(p, n, k, xcap):
     assert r.raw == mc_via_sum(ctx, data, n), "recurrence must equal the multi-index sum"
     inv = mc_via_inverse(ctx, data, n)
     assert r.raw.agrees_with(inv), "localized route must agree exactly on the raw series"
+    # factoring xi^(p-1) out of a_0 loses no certified order
+    assert inv.validity == INVERSE_VALIDITY[(p, n, k)]
     # mc reduces the recurrence's raw sum, or, at n = 2(p - 1), the closed
     # form; == compares validity too
     assert canonical_rep(r.raw, ctx.reduced_p_series("v")) == r.reduced

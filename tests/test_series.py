@@ -73,7 +73,7 @@ def test_sum_of_products_matches_product_chain(seed):
         a, b = (rand_series(rng, validity=rng.randrange(1, 10), integral=rng.random() < 0.7)
                 for _ in range(2))
         if rng.random() < 0.3:
-            a = a.shift_xi(-rng.randrange(1, 3))  # Laurent operand
+            a = a.shift_x(rng.randrange(1, 3))  # a bivariate operand
         wa = rng.randrange(-4, 5)
         c = rng.choice([1, -1, 3, Fraction(2, 3), 0])
         terms.append((c, _weighted(a, wa), _weighted(b, weight - wa)))
@@ -83,7 +83,7 @@ def test_sum_of_products_matches_product_chain(seed):
     got = Series.sum_of_products(terms)
     want = _product_chain(terms)
     assert got == want
-    assert (got.weight, got.laurent) == (want.weight, want.laurent)
+    assert got.weight == want.weight
 
 
 def _naive_sum_of_products(terms) -> Series:
@@ -110,7 +110,7 @@ def _naive_sum_of_products(terms) -> Series:
             coeffs.setdefault((j, jx), {})[m] = coef
     basis = terms[0][1].basis
     return Series(terms[0][1].prime, basis,
-                  {e: GradedPoly(t, basis) for e, t in coeffs.items()}, v, laurent=True)
+                  {e: GradedPoly(t, basis) for e, t in coeffs.items()}, v)
 
 
 def _rand_bivariate(rng: random.Random) -> Series:
@@ -122,7 +122,7 @@ def _rand_bivariate(rng: random.Random) -> Series:
         if poly:
             coeffs[(rng.randrange(validity - jx), jx)] = poly
     s = Series(2, "v", coeffs, validity)
-    return s.shift_xi(-rng.randrange(1, 3)) if rng.random() < 0.25 else s
+    return s.shift_xi(rng.randrange(1, 3)) if rng.random() < 0.25 else s
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -147,21 +147,18 @@ def test_sum_of_products_reference_edge_cases():
     assert got == _naive_sum_of_products([(1, a, b)])
     assert got.coeffs[(5, 1)] == P("2*v2")  # degree 6, just below the cutoff
     assert (6, 1) not in got.coeffs  # degree 7, at the cutoff
-    lau = a.shift_xi(-2)
+    low = a.shift_xi(-1)  # down to its valuation: a constant term
     for terms in ([(0, a, b)],
                   [(Fraction(3, 2), a, b), (Fraction(-3, 2), b, a)],
-                  [(Fraction(-1, 3), lau, b), (4, b, b), (1, a, lau)]):
+                  [(Fraction(-1, 3), low, b), (4, b, b), (1, a, low)]):
         assert Series.sum_of_products(terms) == _naive_sum_of_products(terms)
     assert Series.sum_of_products([(0, a, b)]).coeffs == {}
     assert Series.sum_of_products([(2, a, b), (-2, b, a)]).coeffs == {}
 
-    # Laurent in xi and in x, bivariate, a negative validity, an empty operand
-    lau_x = lau.shift_x(-1) + b.shift_xi(-3)
-    assert min(jx for _j, jx in lau_x.coeffs) < 0 and min(j for j, _jx in lau_x.coeffs) < 0
-    assert Series.sum_of_products([(2, lau_x.shift_xi(-9), lau_x)]).validity < 0
-    for terms in ([(1, lau_x, lau_x)],
-                  [(2, lau_x.shift_xi(-9), lau_x)],
-                  [(5, lau_x, b), (-1, b, lau), (0, lau_x, a)],
+    # bivariate, an empty operand
+    biv = low.shift_x(2) + b
+    for terms in ([(1, biv, biv)],
+                  [(5, biv, b), (-1, b, low), (0, biv, a)],
                   [(1, a, b.shift_xi(7)), (1, Series.zero(2, "v", 3), a)]):
         assert Series.sum_of_products(terms) == _naive_sum_of_products(terms)
 
@@ -169,10 +166,9 @@ def test_sum_of_products_reference_edge_cases():
     # exponents far beyond 2^16, which a fixed 16-bit field would carry out of
     for shift in (700, 1 << 16, 1 << 17):
         big = a.shift_xi(shift) + b.shift_x(shift - 3)
-        lau_big = big.shift_xi(-5)
-        assert lau_big.laurent and min(j for j, _jx in lau_big.coeffs) < 0
+        up = big.shift_xi(5)
         for terms in ([(1, big, big)],
-                      [(3, big, lau_big), (-1, lau_big, lau_big), (Fraction(1, 2), lau_big, big)]):
+                      [(3, big, up), (-1, up, up), (Fraction(1, 2), up, big)]):
             got = Series.sum_of_products(terms)
             assert got.validity > 2 * shift - 10
             assert got == _naive_sum_of_products(terms)
@@ -205,7 +201,7 @@ def test_sum_of_products_hands_the_kernel_only_pairs_below_the_validity(monkeypa
 
 @pytest.mark.parametrize("seed", range(20))
 def test_sum_of_products_is_one_packed_product(monkeypatch, seed):
-    # 1 to 4 triples, bivariate and Laurent operands, recurring: one packed product over all
+    # 1 to 4 triples, bivariate operands, recurring: one packed product over all
     rng = random.Random(seed)
     pool = [_rand_bivariate(rng) for _ in range(3)]
     terms = [(rng.choice([1, -1, Fraction(2, 3), 0]), rng.choice(pool), rng.choice(pool))
@@ -294,17 +290,15 @@ def test_sum_of_products_cancelling_pairs_keep_validity():
     assert got.validity == (a * b).validity == 5
 
 
-def test_sum_of_products_weight_and_laurent():
+def test_sum_of_products_weight():
     a = S("xi + v1*xi^2", 2, "v", validity=6, weight=-1)
     b = S("1 + v1*xi", 2, "v", validity=6, weight=0)
     single = Series.sum_of_products([(1, a, b)])
-    assert single == a * b and single.weight == -1 and not single.laurent
+    assert single == a * b and single.weight == -1
     assert Series.sum_of_products([(1, a, b), (1, a, a)]).weight is None
     assert Series.sum_of_products([(1, a, b), (1, b, Series.variable(2, "v", 6))]).weight == -1
     b.weight = None
     assert Series.sum_of_products([(1, a, b), (1, b, a)]).weight is None
-    lau = Series.sum_of_products([(1, a, b), (1, a.shift_xi(-2), b)])
-    assert lau.laurent and lau == a * b + a.shift_xi(-2) * b
 
 
 def test_compose_identity():
@@ -415,17 +409,18 @@ def test_text_and_json_roundtrip():
         assert parsed.validity == a.validity
 
 
-def test_laurent_text_roundtrip():
-    # negative exponents print as xi^-1 and x^-2 and parse back to the same Laurent series
-    in_x = Series(2, "v", {(1, -2): P("3"), (1, 0): P("5"), (0, 3): P("v1")}, 4, laurent=True)
-    in_xi = S("1 + 2*v1*xi^3", 2, "v", validity=6).shift_xi(-2)
-    assert series_text(in_x) == "3*xi*x^-2 + 5*xi + v1*x^3 + O(xi,x)^4"
-    assert series_text(in_xi) == "xi^-2 + 2*v1*xi + O(xi)^4"
-    for s in (in_x, in_xi):
-        parsed = parse_series(series_text(s), 2, "v")
-        assert parsed == s and parsed.laurent
-        read = series_from_json(series_to_json(s))
-        assert read == s and read.laurent
+def test_a_negative_exponent_is_refused():
+    for coeffs in ({(-1, 0): P("1")}, {(1, -2): P("3"), (0, 0): P("v1")}):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Series(2, "v", coeffs, 4)
+    a = S("xi^2 + v1*xi^3", 2, "v", validity=6, weight=-2)
+    down = a.shift_xi(-2)  # down to the valuation, no further
+    assert down == S("1 + v1*xi + O(xi)^4", 2) and down.weight == 0
+    for shift in (lambda: a.shift_xi(-3), lambda: a.shift_x(-1), lambda: a.shift_x(1).shift_x(-2)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            shift()
+    # a series with no stored term shifts down freely; it only loses validity
+    assert Series.zero(2, "v", 3).shift_xi(-5).validity == -2
 
 
 def test_parse_series_applies_every_factor_of_a_term():
@@ -441,6 +436,8 @@ def test_parse_series_applies_every_factor_of_a_term():
     ("1 + v1*xi + O(xi)^3", "l", "does not match basis"),
     ("(1 + l1)*xi + O(xi)^3", "v", "does not match basis"),
     ("1/0*xi + O(xi)^3", "v", 'coefficient "1/0"'),
+    ("xi^-1 + O(xi)^3", "v", "cannot parse factor 'xi\\^-1'"),
+    ("1 + v1*x^-2 + O(xi,x)^3", "v", "cannot parse factor 'x\\^-2'"),
 ])
 def test_parse_series_refuses_malformed_text(text, basis, match):
     with pytest.raises(ValueError, match=match):
@@ -483,6 +480,10 @@ _WIRE_SERIES = "2 - v1*xi + 1/2*v1^3*xi^3"
     (lambda o: o.update(validity=3), r"xi\^3\*x\^0 lies at or beyond validity 3"),
     (lambda o: o["terms"][1].update(xi=0), r"two terms at xi\^0"),
     (lambda o: o.update(basis="w"), "basis"),
+    (lambda o: o["terms"][1].update(xi=-1), "xi exponent is -1, not a nonnegative integer"),
+    (lambda o: o["terms"][1].update(x=-1), "x exponent is -1, not a nonnegative integer"),
+    (lambda o: o["terms"][1]["poly"][0]["exps"].update({"1": -1}),
+     "exponent of generator 1 is -1, not a nonnegative integer"),
 ])
 def test_series_from_obj_refuses_a_malformed_field(edit, field):
     good = S(_WIRE_SERIES, 2, "v", validity=5)
@@ -523,11 +524,11 @@ def test_to_json_property(obj):
     assert to_json(obj) == json.dumps(obj, indent=2)
 
 
-# every shape a series takes on the wire: none stored, Laurent, x terms, Fraction
-# and big coefficients, generator 12, a unit monomial
+# every shape a series takes on the wire: none stored, a negative coefficient at
+# xi^0, x terms, Fraction and big coefficients, generator 12, a unit monomial
 _WIRE_SHAPES = [
     Series.zero(3, "l", 4),
-    S("2*xi^-2 - v1*xi^-1 + 1/3*v2 + O(xi)^2", 2),
+    S("-2 - v1*xi + 1/3*v2*xi^3 + O(xi)^5", 2),
     S("x + (1 + v1)*xi*x - 7/2*v1^2*xi^3*x^2 + O(xi,x)^9", 5),
     Series(2, "v", {(0, 0): GradedPoly.const(3 ** 200), (1, 0): GradedPoly.gen(12, exp=2),
                     (4, 1): P(f"-{3 ** 200}*v1*v12")}, 7),
