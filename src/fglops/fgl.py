@@ -233,7 +233,7 @@ class FglContext:
         while p ** m <= k:
             coeffs[(p ** m, 0)] = GradedPoly.gen(m, "l")
             m += 1
-        return Series(p, "l", coeffs, k + 1, weight=-1)
+        return Series(p, "l", coeffs, k + 1)
 
     def _build_exp(self) -> Series:
         # Lagrange inversion: [xi^j] exp = (1/j) [xi^(j-1)] (log/xi)^(-j), exact in Z[l]
@@ -246,7 +246,7 @@ class FglContext:
                     raise IntegralityError(f"[xi^{j}] exp has the non-integral coefficient "
                                            f"{Fraction(c, j)}; Lagrange inversion is broken")
             coeffs[(j, 0)] = GradedPoly(terms, "l")
-        return Series(self.p, "l", coeffs, self.k + 1, weight=-1)
+        return Series(self.p, "l", coeffs, self.k + 1)
 
     def log_ratio_power(self, r: int, d: int) -> GradedPoly:
         """[xi^d] (log(xi)/xi)^r for any integer r, straight from the closed form.
@@ -356,7 +356,7 @@ class FglContext:
                 x = (x - lo) >> shift
             digits[-1].append((key, x))
         return [Series(p, "l", {(n, 0): GradedPoly(t, "l")
-                                for n, t in split_packed(out, width).items()}, k + 1, weight=-1)
+                                for n, t in split_packed(out, width).items()}, k + 1)
                 for out in digits]
 
     # -- operations --------------------------------------------------------
@@ -375,7 +375,7 @@ class FglContext:
         got = self._n_series.get(n)
         if got is None:
             if n == 0:
-                got = Series.zero(self.p, "l", self.k + 1, weight=-1)
+                got = Series.zero(self.p, "l", self.k + 1)
             else:
                 got, = self._exp_of_log_multiples((n,))
             self._n_series[n] = got
@@ -406,11 +406,10 @@ class FglContext:
         its validity and S = w + poly.W bits per generator; or a
         PackedSeries already so keyed, with S = shift (power_operation's
         rows).  The substitution passes the x and degree fields through, so
-        the result is the v-basis Series at the same exponents and validity,
-        with a Series' weight and none for a PackedSeries.
+        the result is the v-basis Series at the same exponents and validity.
         """
         if isinstance(s, PackedSeries):
-            packed, validity, weight = s, s.validity, None
+            packed, validity = s, s.validity
             gens = (shift - s.width) // W
         else:
             if s.basis != "l":
@@ -420,7 +419,7 @@ class FglContext:
                 raise HorizonError(
                     f"series mentions l_{gens} beyond the horizon {self.horizon} for k={self.k}"
                 )
-            validity, weight = s.validity, s.weight
+            validity = s.validity
             width = max(validity, 1).bit_length()
             shift = width + W * gens
             packed = PackedSeries.from_series(s, width, shift)
@@ -433,8 +432,7 @@ class FglContext:
             raise IntegralityError(
                 f"non-integer v-basis coefficient at exponent {bad}; generator table is broken"
             )
-        return Series(self.p, "v", {e: GradedPoly(t, "v") for e, t in coeffs.items()},
-                      validity, weight)
+        return Series(self.p, "v", {e: GradedPoly(t, "v") for e, t in coeffs.items()}, validity)
 
     def cp_image(self, i: int) -> GradedPoly:
         """Image of the i-th projective-space class: p^m l_m if i = p^m - 1, else 0; cached."""

@@ -76,10 +76,14 @@ def _suite_problem(suite) -> str | None:
         if t["kind"] == "mc" and not 0 <= t["n"] <= k:
             return f"has an MC_{t['n']} table, but n must lie in 0..truncation = {k}"
         try:
-            t["parsed"] = series_from_obj(t["series"])
+            s = t["parsed"] = series_from_obj(t["series"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             return (f"has a table of kind {t['kind']!r} whose series is not in the wire format "
                     f"({type(exc).__name__}: {exc})")
+        if (s.prime, s.basis) != (p, "v"):
+            table = "reduced p-series" if t["kind"] == "reduced-pseries" else f"MC_{t['n']}"
+            return (f"has a {table} table whose series is at prime {s.prime} in the "
+                    f"{s.basis!r} basis, not at the suite's prime {p} in the 'v' basis")
     return None
 
 

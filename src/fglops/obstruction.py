@@ -193,7 +193,7 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
             )
         # identically zero in the quotient, so any validity claim is sound;
         # report the one the raw sum would have carried
-        reduced = ReducedSeries(Series.zero(p, "v", predicted, weight=-n * (p - 2)))
+        reduced = ReducedSeries(Series.zero(p, "v", predicted))
         return ObstructionResult(n, None, reduced, None, is_obstruction, True)
 
     def recurrence():
@@ -224,9 +224,8 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
 
 
 def _checked(series: Series, n: int) -> Series:
-    """series with the weight of MC_n, which it must have, and integral."""
-    series.weight = -n * (series.prime - 2)
-    series.assert_weight()
+    """series, which must be homogeneous of MC_n's weight -n(p-2) and integral."""
+    series.assert_weight(-n * (series.prime - 2))
     if not series.is_integral():
         raise AssertionError("obstruction series is not integral")
     return series
@@ -341,7 +340,7 @@ def mc_via_inverse(ctx: FglContext, data: PowerOpData, n: int) -> Series:
             term = (un * wk).scale_poly(cp)
         acc = term if acc is None else acc + term
     if acc is None:
-        return Series.zero(p, "v", data.a[0].validity, weight=-n * (p - 2))
+        return Series.zero(p, "v", data.a[0].validity)
     return acc
 
 

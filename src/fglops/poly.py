@@ -206,23 +206,9 @@ class GradedPoly:
     def constant_term(self):
         return self.terms.get(UNIT_MONO, 0)
 
-    def is_homogeneous(self, p: int, weight: int | None = None) -> bool:
-        """Zero is homogeneous of every weight."""
-        ws = {mono_weight(m, p) for m in self.terms}
-        if not ws:
-            return True
-        if len(ws) > 1:
-            return False
-        return weight is None or ws == {weight}
-
-    def weight(self, p: int) -> int | None:
-        """Common weight of all monomials; None for the zero polynomial."""
-        ws = {mono_weight(m, p) for m in self.terms}
-        if not ws:
-            return None
-        if len(ws) > 1:
-            raise ValueError(f"polynomial is not homogeneous: weights {sorted(ws)}")
-        return ws.pop()
+    def is_homogeneous(self, p: int, weight: int) -> bool:
+        """Every monomial has the given weight at prime p; zero is homogeneous of every weight."""
+        return all(mono_weight(m, p) == weight for m in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 

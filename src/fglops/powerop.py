@@ -53,13 +53,12 @@ class EulerClassError(AssertionError):
 
 
 class PowerOpData:
-    """Product series and extracted coefficient list for one context."""
+    """The coefficients a_i of the power operation for one context."""
 
-    __slots__ = ("ctx", "product", "a")
+    __slots__ = ("ctx", "a")
 
-    def __init__(self, ctx: FglContext, product: Series, a: list):
+    def __init__(self, ctx: FglContext, a: list):
         self.ctx = ctx
-        self.product = product
         self.a = a
 
 
@@ -183,14 +182,12 @@ def power_operation(ctx: FglContext, x_cap: int | None = None, progress=None) ->
     # every row in one substitution, straight from the packed product: x^s is row s
     packed, shift = _row_product(ctx, product_forms(ctx, cap, progress), cap)
     rows = ctx.to_v(packed, integral=True, shift=shift)
-    coeffs = {}
     a = [{} for _s in range(cap + 1)]
     for (j, s), c in rows.coeffs.items():
-        a[s][(j, 0)] = coeffs[(j, s + 1)] = c
-    a = [Series(p, "v", row, k + 1 - s, weight=s + 1 - p) for s, row in enumerate(a)]
-    product = Series(p, "v", coeffs, k + 2, weight=-p)
+        a[s][(j, 0)] = c
+    a = [Series(p, "v", row, k + 1 - s) for s, row in enumerate(a)]
     _check_euler_class(a[0], p)
-    return PowerOpData(ctx, product, a)
+    return PowerOpData(ctx, a)
 
 
 def _check_euler_class(a0: Series, p: int):

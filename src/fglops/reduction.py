@@ -106,16 +106,16 @@ def divide(g: Series, pser: Series, on_step=None):
                         break
                     sum_products(work.setdefault(t, {}), ((-1, q_items, p_j_items),))
                 if on_step is not None:
-                    on_step(m, d[(m, 0)], _series(work, p, validity, g.weight))
+                    on_step(m, d[(m, 0)], _series(work, p, validity))
         m += 1
-    s = _series(work, p, validity, g.weight)
-    dser = Series(p, "v", d, validity, g.weight)
+    s = _series(work, p, validity)
+    dser = Series(p, "v", d, validity)
     return dser, ReducedSeries(s)
 
 
-def _series(work: dict, p: int, validity: int, weight) -> Series:
+def _series(work: dict, p: int, validity: int) -> Series:
     """The running terms as a Series, zeros dropped."""
-    return Series(p, "v", {(j, 0): GradedPoly(t, "v") for j, t in work.items()}, validity, weight)
+    return Series(p, "v", {(j, 0): GradedPoly(t, "v") for j, t in work.items()}, validity)
 
 
 def canonical_rep(g: Series, pser: Series, on_step=None) -> ReducedSeries:

@@ -159,8 +159,7 @@ def parse_poly(text: str, basis: str = "v") -> GradedPoly:
     return GradedPoly(out, basis)
 
 
-def parse_series(text: str, prime: int, basis: str, validity: int | None = None,
-                 weight: int | None = None) -> Series:
+def parse_series(text: str, prime: int, basis: str, validity: int | None = None) -> Series:
     """Parse series text as produced by series_text (the O-marker sets validity).
 
     A term at or beyond the text's own O-marker raises ValueError; a validity
@@ -182,8 +181,7 @@ def parse_series(text: str, prime: int, basis: str, validity: int | None = None,
             raise ValueError(f"term {term!r} lies at or beyond the text's O-marker, order {marker}")
         t = coeffs.setdefault((j, jx), {})
         t[mono] = t.get(mono, 0) + c
-    return Series(prime, basis, {e: GradedPoly(t, basis) for e, t in coeffs.items()},
-                  validity, weight)
+    return Series(prime, basis, {e: GradedPoly(t, basis) for e, t in coeffs.items()}, validity)
 
 
 # -- JSON wire format -------------------------------------------------------

@@ -5,10 +5,9 @@ xi^j_xi * x^j_x, together with
 
   validity V : the series is asserted correct modulo (xi, x)^V; every stored
                exponent pair satisfies j_xi + j_x < V,
-  weight  w  : optional; when declared, the coefficient at (j_xi, j_x) is
-               homogeneous of weight w + j_xi + j_x (xi and x both carry
-               weight -1),
   prime, basis : the ambient prime and generator basis.
+
+Homogeneity is not stored: assert_weight(w) checks it against a stated weight w.
 
 Validity propagates through arithmetic:
 
@@ -63,14 +62,12 @@ class NonUnitError(ValueError):
 
 
 class Series:
-    __slots__ = ("prime", "basis", "coeffs", "validity", "weight")
+    __slots__ = ("prime", "basis", "coeffs", "validity")
 
-    def __init__(self, prime: int, basis: str, coeffs: dict, validity: int,
-                 weight: int | None = None):
+    def __init__(self, prime: int, basis: str, coeffs: dict, validity: int):
         self.prime = prime
         self.basis = basis
         self.validity = validity
-        self.weight = weight
         self.coeffs = {
             e: c for e, c in coeffs.items()
             if c and e[0] + e[1] < validity
@@ -82,17 +79,17 @@ class Series:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, prime: int, basis: str, validity: int, weight: int | None = None) -> "Series":
-        return cls(prime, basis, {}, validity, weight)
+    def zero(cls, prime: int, basis: str, validity: int) -> "Series":
+        return cls(prime, basis, {}, validity)
 
     @classmethod
     def variable(cls, prime: int, basis: str, validity: int, var: str = "xi") -> "Series":
         e = (1, 0) if var == "xi" else (0, 1)
-        return cls(prime, basis, {e: GradedPoly.const(1, basis)}, validity, weight=-1)
+        return cls(prime, basis, {e: GradedPoly.const(1, basis)}, validity)
 
     @classmethod
     def from_const(cls, c, prime: int, basis: str, validity: int) -> "Series":
-        return cls(prime, basis, {(0, 0): GradedPoly.const(c, basis)}, validity, weight=0)
+        return cls(prime, basis, {(0, 0): GradedPoly.const(c, basis)}, validity)
 
     # -- structure ---------------------------------------------------------
 
@@ -118,28 +115,25 @@ class Series:
     def truncate(self, order: int) -> "Series":
         return Series(self.prime, self.basis,
                       {e: c for e, c in self.coeffs.items() if e[0] + e[1] < order},
-                      min(self.validity, order), self.weight)
+                      min(self.validity, order))
 
     def shift_xi(self, d: int) -> "Series":
         """Multiply by xi^d; a negative d must leave every stored exponent >= 0."""
         coeffs = {(j + d, jx): c for (j, jx), c in self.coeffs.items()}
-        w = None if self.weight is None else self.weight - d
-        return Series(self.prime, self.basis, coeffs, self.validity + d, w)
+        return Series(self.prime, self.basis, coeffs, self.validity + d)
 
     def shift_x(self, d: int) -> "Series":
         """Multiply by x^d; a negative d must leave every stored exponent >= 0."""
         coeffs = {(j, jx + d): c for (j, jx), c in self.coeffs.items()}
-        w = None if self.weight is None else self.weight - d
-        return Series(self.prime, self.basis, coeffs, self.validity + d, w)
+        return Series(self.prime, self.basis, coeffs, self.validity + d)
 
-    def map_polys(self, fn, basis: str | None = None, keep_weight: bool = True) -> "Series":
+    def map_polys(self, fn, basis: str | None = None) -> "Series":
         out = {}
         for e, c in self.coeffs.items():
             q = fn(c)
             if q:
                 out[e] = q
-        w = self.weight if keep_weight else None
-        return Series(self.prime, basis or self.basis, out, self.validity, w)
+        return Series(self.prime, basis or self.basis, out, self.validity)
 
     def kill_generators(self, indices) -> "Series":
         return self.map_polys(lambda c: c.kill_generators(indices))
@@ -147,14 +141,12 @@ class Series:
     def is_integral(self) -> bool:
         return all(c.is_integral() for c in self.coeffs.values())
 
-    def assert_weight(self):
-        """Homogeneity scan: every stored coefficient matches the declared weight."""
-        if self.weight is None:
-            return
+    def assert_weight(self, w: int):
+        """Homogeneity scan: the coefficient at (j, jx) has weight w + j + jx (xi, x weigh -1)."""
         for (j, jx), c in self.coeffs.items():
-            if not c.is_homogeneous(self.prime, self.weight + j + jx):
+            if not c.is_homogeneous(self.prime, w + j + jx):
                 raise AssertionError(
-                    f"coefficient at ({j},{jx}) is not homogeneous of weight {self.weight + j + jx}"
+                    f"coefficient at ({j},{jx}) is not homogeneous of weight {w + j + jx}"
                 )
 
     # -- comparisons -------------------------------------------------------
@@ -185,16 +177,6 @@ class Series:
         if self.basis != other.basis:
             raise BasisMismatchError(f"cannot mix bases {self.basis!r} and {other.basis!r}")
 
-    def _merge_weight(self, other: "Series"):
-        # a stored-empty series is homogeneous of every weight
-        if not self.coeffs:
-            return other.weight
-        if not other.coeffs:
-            return self.weight
-        if self.weight == other.weight:
-            return self.weight
-        return None
-
     def __add__(self, other: "Series") -> "Series":
         self._check(other)
         v = min(self.validity, other.validity)
@@ -202,7 +184,7 @@ class Series:
         for e, c in other.coeffs.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return Series(self.prime, self.basis, out, v, self._merge_weight(other))
+        return Series(self.prime, self.basis, out, v)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + -other
@@ -219,8 +201,7 @@ class Series:
 
         One PackedSeries.sum_of_products call over the operands, each packed
         once (module docstring).  The scalars c are ints or Fractions.
-        Validity follows the module docstring; the weight is the products'
-        common weight (None if they differ or one is undeclared).
+        Validity follows the module docstring.
         """
         terms = list(terms)
         first = terms[0][1]
@@ -228,8 +209,6 @@ class Series:
             first._check(a)
             a._check(b)
         v = product_validity(terms)
-        weights = {None if a.weight is None or b.weight is None else a.weight + b.weight
-                   for _c, a, b in terms}
         operands = {id(s): s for _c, a, b in terms for s in (a, b)}
         width = max(v, 1).bit_length()
         shift = _x_shift(width, max((max(c.terms) for s in operands.values()
@@ -238,12 +217,11 @@ class Series:
         acc = PackedSeries.sum_of_products((c, packed[id(a)], packed[id(b)]) for c, a, b in terms)
         basis = first.basis
         coeffs = {e: GradedPoly(t, basis) for e, t in acc.split_bivariate(shift).items()}
-        w = weights.pop() if len(weights) == 1 else None
-        return Series(first.prime, basis, coeffs, v, w)
+        return Series(first.prime, basis, coeffs, v)
 
     def scale(self, c) -> "Series":
         if not c:
-            return Series(self.prime, self.basis, {}, self.validity, self.weight)
+            return Series.zero(self.prime, self.basis, self.validity)
         return self.map_polys(lambda q: q.scale(c))
 
     def scale_poly(self, poly: GradedPoly) -> "Series":
@@ -251,21 +229,13 @@ class Series:
         if self.basis != poly.basis:
             raise BasisMismatchError(f"cannot mix bases {self.basis!r} and {poly.basis!r}")
         if not poly:
-            return Series(self.prime, self.basis, {}, self.validity, None)
+            return Series.zero(self.prime, self.basis, self.validity)
         out = {}
         for e, c in self.coeffs.items():
             q = c * poly
             if q:
                 out[e] = q
-        w = None
-        if self.weight is not None:
-            try:
-                pw = poly.weight(self.prime)
-            except ValueError:
-                pw = None
-            if pw is not None:
-                w = self.weight + pw
-        return Series(self.prime, self.basis, out, self.validity, w)
+        return Series(self.prime, self.basis, out, self.validity)
 
     def __pow__(self, n: int) -> "Series":
         if n < 0:
@@ -302,7 +272,7 @@ class Series:
         v = min(inner.validity + (vA - 1) * dB, self.validity * dB)
 
         if not terms:
-            out = Series(self.prime, self.basis, {}, v, None)
+            out = Series.zero(self.prime, self.basis, v)
         else:
             pow_cache: dict = {}
 
@@ -317,7 +287,7 @@ class Series:
             acc = None
             prev_exp = None
             for j, c in terms:
-                cpoly = Series(self.prime, self.basis, {(0, 0): c}, v - j * dB, None)
+                cpoly = Series(self.prime, self.basis, {(0, 0): c}, v - j * dB)
                 if acc is None:
                     acc = cpoly
                 else:
@@ -326,9 +296,8 @@ class Series:
             out = (acc * inner_pow(prev_exp)).truncate(v)
 
         if const:
-            out = out + Series(self.prime, self.basis, {(0, 0): const}, v, None)
-        w = self.weight if (self.weight is not None and inner.weight == -1) else None
-        return Series(self.prime, self.basis, dict(out.coeffs), out.validity, w)
+            out = out + Series(self.prime, self.basis, {(0, 0): const}, v)
+        return out
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse of a unit: its coefficient at xi^0 is a nonzero constant."""
@@ -348,8 +317,7 @@ class Series:
             )), self.basis)
             if acc:
                 out[(j, 0)] = acc
-        w = None if self.weight is None else -self.weight
-        return Series(self.prime, self.basis, out, self.validity, w)
+        return Series(self.prime, self.basis, out, self.validity)
 
     def __repr__(self) -> str:
         from .render import series_text

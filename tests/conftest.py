@@ -80,5 +80,5 @@ def P(text: str, basis: str = "v") -> GradedPoly:
     return parse_poly(text, basis)
 
 
-def S(text: str, prime: int, basis: str = "v", validity=None, weight=None) -> Series:
-    return parse_series(text, prime, basis, validity=validity, weight=weight)
+def S(text: str, prime: int, basis: str = "v", validity=None) -> Series:
+    return parse_series(text, prime, basis, validity=validity)

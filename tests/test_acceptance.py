@@ -131,7 +131,7 @@ def test_criterion_6_mc24_p13():
 def test_criterion_7_worked_example_trace(ctx27, data27):
     with criterion(7, "p=2, k=7 worked-example trace reproduced exactly"):
         # logarithm and exponential
-        assert ctx27.log == S("xi + l1*xi^2 + l2*xi^4", 2, "l", validity=8, weight=-1)
+        assert ctx27.log == S("xi + l1*xi^2 + l2*xi^4", 2, "l", validity=8)
         exp_want = S(
             "xi - l1*xi^2 + 2*l1^2*xi^3 + (-5*l1^3 - l2)*xi^4 "
             "+ (14*l1^4 + 6*l1*l2)*xi^5 + (-42*l1^5 - 28*l1^2*l2)*xi^6 "
@@ -206,18 +206,17 @@ def test_criterion_8_exp_log_identity(p, k):
 def test_criterion_8_homogeneity_scan(p, k):
     with criterion("8.weights", f"homogeneity scan of every produced series (p={p})"):
         ctx = FglContext(p, k)
-        for s in (ctx.log, ctx.exp, ctx.n_series(2), ctx.reduced_p_series("l"),
-                  ctx.reduced_p_series("v")):
-            s.assert_weight()
+        for s in (ctx.log, ctx.exp, ctx.n_series(2)):
+            s.assert_weight(-1)
+        for basis in ("l", "v"):
+            ctx.reduced_p_series(basis).assert_weight(0)
         data = power_operation(ctx)
-        data.product.assert_weight()
-        for ai in data.a:
-            ai.assert_weight()
+        for i, ai in enumerate(data.a):
+            ai.assert_weight(i + 1 - p)
         for n in (1, 2):
             res = mc(ctx, data, n, force_full=True)
-            res.raw.assert_weight()
-            assert res.raw.weight == -n * (p - 2)
-            res.reduced.series.assert_weight()
+            res.raw.assert_weight(-n * (p - 2))
+            res.reduced.series.assert_weight(-n * (p - 2))
 
 
 @pytest.mark.parametrize("p,n,k,xcap", [(2, 2, 9, 2), (3, 4, 13, 4), (5, 8, 30, 8)])

@@ -372,6 +372,9 @@ BAD_GOLDEN = {  # case -> the file's text made from the good one; None: no file
     "zero-denominator": _edited(
         lambda s: s["tables"][0]["series"]["terms"][1]["poly"][0].update(coef="1/0")),
     "negative-xi": _edited(lambda s: s["tables"][0]["series"]["terms"][1].update(xi=-1)),
+    # a table's series at another prime or basis than the suite computes
+    "table-prime": _edited(lambda s: [t["series"].update(prime=3) for t in s["tables"]]),
+    "table-basis": _edited(lambda s: s["tables"][0]["series"].update(basis="l")),
 }
 
 
@@ -391,6 +394,10 @@ def test_verify_bad_golden_file_is_one_error_line(tmp_path, monkeypatch, capsys,
         assert "lies at or beyond validity 1" in err
     if case == "negative-xi":
         assert "xi exponent is -1, not a nonnegative integer" in err
+    if case == "table-prime":
+        assert "reduced p-series table whose series is at prime 3 in the 'v' basis" in err
+    if case == "table-basis":
+        assert "reduced p-series table whose series is at prime 2 in the 'l' basis" in err
 
 
 def test_progress_goes_to_stderr_only(capsys):

@@ -176,8 +176,7 @@ def test_mc2_worked_example(ctx27, data27):
     assert r.certificate == (6, P("v1^6 + v2^2"))
     assert r.is_obstruction_index
     assert not r.used_shortcut
-    assert r.raw.weight == 0
-    r.raw.assert_weight()
+    r.raw.assert_weight(0)
 
 
 def test_mc_annotation(ctx27, data27):
@@ -191,6 +190,24 @@ def test_mc_zero_index_degenerate(ctx27, data27):
     assert r.raw.coeffs == {(0, 0): P("1")}
     inv = mc_via_inverse(ctx27, data27, 0)
     assert inv.agrees_with(r.raw)
+
+
+@pytest.mark.parametrize("p,k,n,i", [
+    pytest.param(3, 13, 4, 2, id="closed-form"),  # n = 2(p-1) reads a_(p-1)
+    pytest.param(2, 9, 3, 1, id="recurrence"),
+])
+def test_mc_refuses_a_series_of_the_wrong_weight(monkeypatch, p, k, n, i):
+    # a_i gains v1 (weight p - 1) at its valuation xi^j, where it has weight i + 1 - p + j
+    if n == 2 * (p - 1):  # the closed form alone must see it
+        monkeypatch.setattr(fglops.obstruction, "_power_recurrence", None)
+    ctx = FglContext(p, k)
+    data = power_operation(ctx, x_cap=n)
+    ai = data.a[i]
+    j = ai.val()
+    assert i + 1 - p + j != p - 1
+    data.a[i] = ai + Series(p, "v", {(j, 0): GradedPoly.gen(1, "v")}, ai.validity)
+    with pytest.raises(AssertionError, match="not homogeneous"):
+        mc(ctx, data, n)
 
 
 def test_sparseness_shortcut_and_full_route():
@@ -504,7 +521,7 @@ def _packed_cases(draw):
 def test_packed_routes_equal_their_references(case):
     # Miller's recurrence and the Euler step run on packed term lists; the
     # raw series must be the multi-index sum and the rows the fold's, ==
-    # comparing validity, the weight compared on its own
+    # comparing validity, the weight scanned on its own
     p, k, n = case
     data = _packed_data(p, k)
     ctx = data.ctx
@@ -516,7 +533,7 @@ def test_packed_routes_equal_their_references(case):
         return
     via_sum = mc_via_sum(ctx, data, n)
     assert raw == via_sum
-    assert raw.weight == via_sum.weight == -n * (p - 2)
+    raw.assert_weight(-n * (p - 2))
 
 
 def test_insufficient_truncation():

@@ -62,14 +62,14 @@ def test_coefficients_normalized_to_int():
 
 
 def test_weights():
-    assert P("v1").weight(2) == 1
-    assert P("v2").weight(2) == 3
-    assert P("v2").weight(3) == 8
-    assert P("v1^6 + v2^2").weight(2) == 6
-    assert GradedPoly.zero().weight(5) is None  # zero: every weight
-    assert GradedPoly.zero().is_homogeneous(5, 17)
-    with pytest.raises(ValueError):
-        P("v1 + v2").weight(2)
+    assert P("v1").is_homogeneous(2, 1)
+    assert not P("v1").is_homogeneous(2, 2)
+    assert P("v2").is_homogeneous(2, 3)
+    assert P("v2").is_homogeneous(3, 8)
+    assert P("v1^6 + v2^2").is_homogeneous(2, 6)
+    assert GradedPoly.zero().is_homogeneous(5, 17)  # zero: every weight
+    assert not P("v1 + v2").is_homogeneous(2, 1)
+    assert not P("v1 + v2").is_homogeneous(2, 3)
 
 
 def test_homogeneity_under_arithmetic():

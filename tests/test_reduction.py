@@ -161,7 +161,7 @@ def test_division_validity_uses_dividend_valuation():
     # dividend valuation shifts where the divisor's validity starts to matter
     ctx = FglContext(3, 25)
     pser = _pser(ctx)
-    g = S("48*v1*xi^2", 3, "v", validity=26, weight=0)
+    g = S("48*v1*xi^2", 3, "v", validity=26)
     d, s = divide(g, pser)
     assert s.validity == min(26, 2 + pser.validity) == 26
 

@@ -59,31 +59,23 @@ def _product_chain(terms) -> Series:
     return acc
 
 
-def _weighted(s: Series, w) -> Series:
-    s.weight = w
-    return s
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_sum_of_products_matches_product_chain(seed):
     rng = random.Random(seed)
-    weight = rng.randrange(-3, 4)
     terms = []
     for _ in range(rng.randrange(1, 5)):
         a, b = (rand_series(rng, validity=rng.randrange(1, 10), integral=rng.random() < 0.7)
                 for _ in range(2))
         if rng.random() < 0.3:
             a = a.shift_x(rng.randrange(1, 3))  # a bivariate operand
-        wa = rng.randrange(-4, 5)
         c = rng.choice([1, -1, 3, Fraction(2, 3), 0])
-        terms.append((c, _weighted(a, wa), _weighted(b, weight - wa)))
+        terms.append((c, a, b))
     if rng.random() < 0.3:
         c, a, b = terms[-1]
         terms.append((-c, a, b))  # cancels the last pair
     got = Series.sum_of_products(terms)
     want = _product_chain(terms)
     assert got == want
-    assert got.weight == want.weight
 
 
 def _naive_sum_of_products(terms) -> Series:
@@ -290,17 +282,6 @@ def test_sum_of_products_cancelling_pairs_keep_validity():
     assert got.validity == (a * b).validity == 5
 
 
-def test_sum_of_products_weight():
-    a = S("xi + v1*xi^2", 2, "v", validity=6, weight=-1)
-    b = S("1 + v1*xi", 2, "v", validity=6, weight=0)
-    single = Series.sum_of_products([(1, a, b)])
-    assert single == a * b and single.weight == -1
-    assert Series.sum_of_products([(1, a, b), (1, a, a)]).weight is None
-    assert Series.sum_of_products([(1, a, b), (1, b, Series.variable(2, "v", 6))]).weight == -1
-    b.weight = None
-    assert Series.sum_of_products([(1, a, b), (1, b, a)]).weight is None
-
-
 def test_compose_identity():
     b = S("xi + l1*xi^3", 3, "l", validity=7)
     ident = Series.variable(3, "l", 9)
@@ -381,22 +362,23 @@ def test_validity_soundness_under_retruncation():
 
 
 def test_shift_and_rows():
-    a = S("2*xi + v1*xi^2", 2, "v", validity=6, weight=0)
+    a = S("2*xi + v1*xi^2", 2, "v", validity=6)
     down = a.shift_xi(-1)
     assert down.validity == 5
     assert down.coefficient(0) == P("2")
-    assert down.weight == 1
     b = a.shift_x(1)
     assert b.validity == 7
     assert b.coeffs == {(j, 1): c for (j, _z), c in a.coeffs.items()}
 
 
 def test_weight_scan():
-    good = S("2 - v1*xi + 2*v1^2*xi^2", 2, "v", validity=3, weight=0)
-    good.assert_weight()
-    bad = S("2 - v2*xi", 2, "v", validity=3, weight=0)
+    good = S("2 - v1*xi + 2*v1^2*xi^2", 2, "v", validity=3)
+    good.assert_weight(0)
+    with pytest.raises(AssertionError, match="not homogeneous of weight -1"):
+        good.assert_weight(-1)
+    bad = S("2 - v2*xi", 2, "v", validity=3)
     with pytest.raises(AssertionError):
-        bad.assert_weight()
+        bad.assert_weight(0)
 
 
 def test_text_and_json_roundtrip():
@@ -413,9 +395,9 @@ def test_a_negative_exponent_is_refused():
     for coeffs in ({(-1, 0): P("1")}, {(1, -2): P("3"), (0, 0): P("v1")}):
         with pytest.raises(ValueError, match="negative exponent"):
             Series(2, "v", coeffs, 4)
-    a = S("xi^2 + v1*xi^3", 2, "v", validity=6, weight=-2)
+    a = S("xi^2 + v1*xi^3", 2, "v", validity=6)
     down = a.shift_xi(-2)  # down to the valuation, no further
-    assert down == S("1 + v1*xi + O(xi)^4", 2) and down.weight == 0
+    assert down == S("1 + v1*xi + O(xi)^4", 2)
     for shift in (lambda: a.shift_xi(-3), lambda: a.shift_x(-1), lambda: a.shift_x(1).shift_x(-2)):
         with pytest.raises(ValueError, match="negative exponent"):
             shift()
