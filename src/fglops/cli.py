@@ -9,6 +9,7 @@ bytes.  Exit codes: 0 success, 1 invalid configuration, 2 golden mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .fgl import MR_BOUND, FglContext, is_prime
@@ -26,19 +27,8 @@ DEFAULT_TRUNCATION = {2: 14, 3: 25, 5: 76, 7: 162, 11: 370, 13: 504}
 THREADS_HELP = "no effect: the kernel runs in one process"
 
 
-def _add_common(sub, need_prime=True):
-    if need_prime:
-        sub.add_argument("--prime", "-p", type=int, required=True)
-        sub.add_argument("--truncation", "-k", type=int, default=None,
-                         help="truncation order; defaults to the table-reproducing order for the prime")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--threads", type=int, help=THREADS_HELP)
-    sub.add_argument("--ideal", default=None,
-                     help="comma-separated generators to kill, e.g. 'v2,v3'; a letter "
-                          "must match the printed basis, bare digits mean that basis")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole command line; `main` builds one per process."""
     ap = argparse.ArgumentParser(
         prog="fglops",
         description="Exact truncated formal-group-law series, power-operation "
@@ -46,6 +36,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "coefficient ring.",
     )
     sp = ap.add_subparsers(dest="command", required=True)
+    # the options of every series subcommand, as a parent: argparse copies a
+    # parent's actions without re-checking each one, most of what adding them costs
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--prime", "-p", type=int, required=True)
+    common.add_argument("--truncation", "-k", type=int, default=None,
+                        help="truncation order; defaults to the table-reproducing order for the prime")
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--threads", type=int, help=THREADS_HELP)
+    common.add_argument("--ideal", default=None,
+                        help="comma-separated generators to kill, e.g. 'v2,v3'; a letter "
+                             "must match the printed basis, bare digits mean that basis")
 
     for name, hlp in (
         ("log", "p-typical logarithm (l-basis)"),
@@ -53,19 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("pseries", "the p-series [p]xi"),
         ("reduced-pseries", "the reduced p-series [p]xi / xi"),
     ):
-        sub = sp.add_parser(name, help=hlp)
-        _add_common(sub)
+        sub = sp.add_parser(name, help=hlp, parents=[common])
         if name in ("pseries", "reduced-pseries"):
             sub.add_argument("--basis", choices=("l", "v"), default="v")
 
-    sub = sp.add_parser("power-op-coeffs", help="coefficient series a_i of the power operation")
-    _add_common(sub)
+    sub = sp.add_parser("power-op-coeffs", help="coefficient series a_i of the power operation",
+                        parents=[common])
     sub.add_argument("--max-i", type=int, default=None, help="largest i to print")
     sub.add_argument("--reduced", action="store_true",
                      help="reduce each a_i modulo the reduced p-series")
 
-    sub = sp.add_parser("mc", help="obstruction series for a given n")
-    _add_common(sub)
+    sub = sp.add_parser("mc", help="obstruction series for a given n", parents=[common])
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--force-full", action="store_true",
                      help="disable the sparseness shortcut at odd primes")
@@ -78,6 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--threads", type=int, help=THREADS_HELP)
     sub.add_argument("--progress", action="store_true")
     return ap
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call and reused by every later one.
+
+    Parsing leaves the parser as it was, and the help width is read each time
+    help is printed, so nothing of one call reaches the next.
+    """
+    return build_parser()
 
 
 def _parse_ideal(text: str | None, basis: str) -> list:
@@ -147,7 +156,7 @@ def _progress_printer(enabled: bool, unit: str):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cmd = args.command
     if args.threads is not None and args.threads < 1:
         return _fail(f"--threads must be >= 1, got {args.threads}")

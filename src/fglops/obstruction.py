@@ -183,7 +183,6 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
     _check_inputs(ctx, data, n)
     p = ctx.p
     predicted = _sum_validity(ctx, data, n)
-    pser = ctx.reduced_p_series("v")
     is_obstruction = not ctx.cp_image(n)
 
     if p > 2 and n % (p - 1) != 0 and not force_full:
@@ -195,6 +194,8 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
         # report the one the raw sum would have carried
         reduced = ReducedSeries(Series.zero(p, "v", predicted))
         return ObstructionResult(n, None, reduced, None, is_obstruction, True)
+
+    pser = ctx.reduced_p_series("v")
 
     def recurrence():
         series = _power_recurrence(ctx, data, n, progress)

@@ -1,6 +1,10 @@
+import argparse
 import json
 import multiprocessing.process
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -472,3 +476,75 @@ def test_threads_below_one_is_one_error_line(capsys, argv, threads):
     code, out, err = run(capsys, *argv, "--threads", threads)
     assert code == 1 and out == ""
     assert err == f"error: --threads must be >= 1, got {threads}\n"
+
+
+# -- one parser per process ----------------------------------------------------
+
+def call(capsys, argv):
+    """exit code, stdout and stderr of main(argv), argparse's own exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert call(capsys, ["log", "-p", "2", "-k", "7"])[0] == 0
+    built.clear()
+    assert call(capsys, ["mc", "-p", "3", "--n", "4"])[0] == 0
+    assert built == [], "the second call built a parser"
+    # build_parser itself still returns a new parser on each call
+    assert fglops.cli.build_parser() is not fglops.cli.build_parser()
+
+
+# pairs that differ in one option, so a value kept from the call before would show
+REUSE_SEQUENCE = [
+    ["reduced-pseries", "-p", "2", "-k", "14", "--ideal", "v2,v3"],
+    ["reduced-pseries", "-p", "2", "-k", "14"],
+    ["mc", "-p", "3", "--n", "4", "--format", "json"],
+    ["mc", "-p", "3", "--n", "4", "--show-raw"],
+    ["mc", "-p", "5"],
+    ["mc", "-p", "5"],
+    ["log", "-p", "3", "-k", "40", "--threads", "0"],
+    ["log", "-p", "3", "-k", "40"],
+]
+
+
+def test_no_state_leaks_between_calls_of_one_process(monkeypatch, capsys):
+    # the usage lines of argparse's errors wrap at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fglops.cli.__file__)))
+    alone = []
+    for argv in REUSE_SEQUENCE:
+        run_alone = subprocess.run([sys.executable, "-m", "fglops.cli", *argv],
+                                   capture_output=True, text=True, env=env, timeout=120)
+        alone.append((run_alone.returncode, run_alone.stdout, run_alone.stderr))
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 2, 2, 1, 0]
+    fglops.cli._parser.cache_clear()
+    assert [call(capsys, argv) for argv in REUSE_SEQUENCE] == alone
+
+
+def test_help_follows_the_width_at_call_time(monkeypatch, capsys):
+    fglops.cli._parser.cache_clear()
+    helps = []
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = call(capsys, ["mc", "--help"])
+        assert code == 0
+        with pytest.raises(SystemExit):
+            fglops.cli.build_parser().parse_args(["mc", "--help"])
+        assert out == capsys.readouterr().out
+        helps.append(out)
+    narrow, wide = helps
+    assert narrow.splitlines() != wide.splitlines()
+    assert max(map(len, narrow.splitlines())) <= 60 < max(map(len, wide.splitlines()))

@@ -227,6 +227,19 @@ def test_sparseness_shortcut_and_full_route():
             assert quick.reduced.validity == full.raw.validity, (p, n)
 
 
+
+def test_sparseness_shortcut_reads_no_reduced_p_series(monkeypatch):
+    # the shortcut's zero needs no <p>xi; mc -p 5 --n 6 used to reduce it to the v-basis anyway
+    ctx = FglContext(5, 76)
+    data = power_operation(ctx, x_cap=6)
+
+    def refuse(self, basis="l"):
+        raise AssertionError("the sparseness shortcut read the reduced p-series")
+
+    monkeypatch.setattr(FglContext, "reduced_p_series", refuse)
+    result = mc(ctx, data, 6)
+    assert result.used_shortcut and result.reduced.is_zero()
+
 # every table n of p = 2, 3, 5, 7 at small truncations, plus the seed's cases,
 # and n = 0, 1 at p = 3, 5
 ROUTE_GRID = (
