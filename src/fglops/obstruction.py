@@ -35,9 +35,9 @@ certificate, the reduced class comes from the paper's closed form
 
     (2p-1) a_0^(2p-4) (-v_1 a_0 a_(p-1) - a_0 a_(2p-2) + p a_(p-1)^2),
 
-which needs three of the a_i: the bracket, with 2p-1 multiplied in, is one
-Series.sum_of_products, then a power of a_0 multiplies it.  It is not the raw
-sum: the summands it drops are 0 modulo <p>xi, so the raw sum minus the
+which needs three of the a_i, packed once: the bracket, with 2p-1
+multiplied in, is one PackedSeries.sum_of_products, and a power of a_0,
+from packed squarings, multiplies it.  It is not the raw sum: the summands it drops are 0 modulo <p>xi, so the raw sum minus the
 closed form vanishes there and both have the same canonical representative.
 Its validity is checked, not assumed: it must reach the validity the sum
 predicts, and it is truncated to exactly that, so the reduced class carries
@@ -261,9 +261,7 @@ def _power_recurrence(ctx: FglContext, data: PowerOpData, n: int, progress) -> S
         if cp := ctx.cp_image(n - k):
             cp_packed = PackedSeries.from_coeffs({0: cp.terms}, a0_pow[n - k].validity, width)
             terms.append((1, PackedSeries.sum_of_products(((1, cp_packed, a0_pow[n - k]),)), f[k]))
-    raw = PackedSeries.sum_of_products(terms)
-    return Series(ctx.p, "v", {(d, 0): GradedPoly(t, "v") for d, t in raw.split().items()},
-                  raw.validity)
+    return _series(ctx.p, PackedSeries.sum_of_products(terms))
 
 
 def mc_via_sum(ctx: FglContext, data: PowerOpData, n: int) -> Series:
@@ -346,13 +344,44 @@ def mc_via_inverse(ctx: FglContext, data: PowerOpData, n: int) -> Series:
 
 
 def mc_explicit_2p2(ctx: FglContext, data: PowerOpData) -> Series:
-    """Closed form of the obstruction at n = 2(p-1), equal to MC_n modulo <p>xi."""
+    """Closed form of the obstruction at n = 2(p-1), equal to MC_n modulo <p>xi.
+
+    a_0, a_(p-1) and a_(2p-2) are packed once, v_1 a_0 by moving keys, the
+    bracket is one PackedSeries.sum_of_products and a_0^(2p-4) the same
+    squarings and products as Series.__pow__, so every validity is the one
+    the Series products would give.  A product's validity is at most
+    V_A + V_B, so the bracket's is at most 2 V_max and a_0^(2p-4)'s
+    (2p - 4) V_0, V_max the largest validity of the three: W is the bit
+    length of (2p - 2) V_max.  The power times the bracket stays one
+    Series product: perfbench's trace sees the mc layer's products only
+    through Series.__mul__ (series.mul), and its self-tests expect some in
+    mc -p 5 --n 8.
+    """
     p = ctx.p
     n = 2 * (p - 1)
     if len(data.a) <= n or data.a[n].validity < 1:
         raise InsufficientTruncationError(f"a_{n} is not available at this truncation")
-    a0, ap1, a2p2 = data.a[0], data.a[p - 1], data.a[n]
+    a = (data.a[0], data.a[p - 1], data.a[n])
+    width = (n * max(ai.validity for ai in a)).bit_length()
+    a0, ap1, a2p2 = (PackedSeries.from_series(ai, width) for ai in a)
+    v1a0 = PackedSeries([(key + (1 << width), x) for key, x in a0.terms],
+                        a0.validity, width, a0.degrees)  # v_1 is the monomial 1
     c = 2 * p - 1
-    bracket = Series.sum_of_products([(-c, a0.scale_poly(GradedPoly.gen(1, "v")), ap1),
-                                      (-c, a0, a2p2), (p * c, ap1, ap1)])
-    return a0 ** (2 * p - 4) * bracket if p > 2 else bracket
+    bracket = _series(p, PackedSeries.sum_of_products([(-c, v1a0, ap1), (-c, a0, a2p2),
+                                                       (p * c, ap1, ap1)]))
+    if p == 2:
+        return bracket
+    power, base, e = None, a0, 2 * p - 4
+    while e:
+        if e & 1:
+            power = base if power is None else PackedSeries.sum_of_products(((1, power, base),))
+        if e > 1:
+            base = PackedSeries.sum_of_products(((1, base, base),))
+        e >>= 1
+    return _series(p, power) * bracket
+
+
+def _series(p: int, packed: PackedSeries) -> Series:
+    """A univariate v-basis PackedSeries as a Series."""
+    return Series(p, "v", {(d, 0): GradedPoly(t, "v") for d, t in packed.split().items()},
+                  packed.validity)

@@ -22,11 +22,13 @@ where the valuation of a series with no stored terms is its validity (a zero
 series is only known to vanish below its validity).  Series are power
 series: no stored exponent is negative, and the constructor refuses one.
 
-Every product is a sum of products and every sum of products one
+Every Series product is a sum of products and every sum of products one
 PackedSeries.sum_of_products, one pass of the monomial loop
 (poly.sum_products) over lists of packed int keys, so that adding two keys
 multiplies two terms; product_validity is the rule above, and a pair is
-formed only below it.  A PackedSeries is a series packed once, each term
+formed only below it.  Where every operand is valid as far as the product's
+order, the rule gives that order, and the power operation calls the loop
+itself and cuts by hand (powerop.py).  A PackedSeries is a series packed once, each term
 keyed x << S | mono << W | degree, degree = j_xi + j_x.  The product caps V
 at an optional order, cuts each run of A at degree d against B's terms below
 V - d, and requires V <= 2^W, so that no degree field of a pair carries; each
@@ -364,6 +366,11 @@ class PackedSeries:
             terms += t
             degrees += [d] * len(t)
         return cls(terms, validity, width, degrees, groups)
+
+    @classmethod
+    def from_terms(cls, items, validity: int, width: int) -> "PackedSeries":
+        """Packed (key, coefficient) items, such as a kernel accumulator's, with the zeros dropped."""
+        return cls(list(filter(itemgetter(1), items)), validity, width)
 
     @classmethod
     def from_series(cls, s: Series, width: int, shift: int = 0) -> "PackedSeries":

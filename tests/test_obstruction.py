@@ -20,10 +20,10 @@ from fglops import (
 import fglops.obstruction
 import fglops.series
 from fglops.fgl import IntegralityError
-from fglops.golden import compare_series, load_suite
+from fglops.golden import SUITES, compare_series, load_suite
 from fglops.obstruction import _power_recurrence, _sum_validity, multi_weighted_size
 from fglops.poly import GradedPoly, sum_products
-from fglops.powerop import product_rows, product_rows_by_fold
+from fglops.powerop import PowerOpData, product_rows, product_rows_by_fold
 from fglops.reduction import canonical_rep, nonvanishing_certificate
 from fglops.render import series_from_obj
 from fglops.series import Series
@@ -284,6 +284,45 @@ def _closed_form_data(p, k):
     return power_operation(FglContext(p, k), x_cap=2 * (p - 1))
 
 
+def _closed_form_by_series(ctx, data):
+    """The closed form by Series products, the reference for mc_explicit_2p2's packed route."""
+    p = ctx.p
+    n = 2 * (p - 1)
+    a0, ap1, a2p2 = data.a[0], data.a[p - 1], data.a[n]
+    c = 2 * p - 1
+    bracket = Series.sum_of_products([(-c, a0.scale_poly(GradedPoly.gen(1, "v")), ap1),
+                                      (-c, a0, a2p2), (p * c, ap1, ap1)])
+    return a0 ** (2 * p - 4) * bracket if p > 2 else bracket
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_packed_closed_form_equals_the_series_route(name):
+    # at every golden suite's (p, k): the same coefficients and the same validity
+    suite = load_suite(name)
+    p = suite["prime"]
+    data = _closed_form_data(p, suite["truncation"])
+    got = mc_explicit_2p2(data.ctx, data)
+    assert got == _closed_form_by_series(data.ctx, data)  # == compares validity too
+    assert got.val() < got.validity
+
+
+@pytest.mark.parametrize("p,k", [(2, 14), (3, 25), (5, 76)])
+def test_mc_refuses_a_closed_form_below_the_predicted_validity(monkeypatch, p, k):
+    # the closed form sees a_(2p-2) valid one order less than the prediction does
+    data = _closed_form_data(p, k)
+    n = 2 * (p - 1)
+    closed = fglops.obstruction.mc_explicit_2p2
+
+    def lowered(ctx, data):
+        a = list(data.a)
+        a[n] = a[n].truncate(a[n].validity - 1)
+        return closed(ctx, PowerOpData(ctx, a))
+
+    monkeypatch.setattr(fglops.obstruction, "mc_explicit_2p2", lowered)
+    with pytest.raises(AssertionError, match=r"closed form has validity \d+ < predicted \d+"):
+        mc(data.ctx, data, n)
+
+
 @st.composite
 def _closed_form_cases(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
@@ -299,7 +338,9 @@ def test_closed_form_route_property(case):
     p, k = case
     data = _closed_form_data(p, k)
     ctx, n = data.ctx, 2 * (p - 1)
-    assert mc_explicit_2p2(ctx, data).validity >= _sum_validity(ctx, data, n)
+    closed = mc_explicit_2p2(ctx, data)
+    assert closed == _closed_form_by_series(ctx, data)
+    assert closed.validity >= _sum_validity(ctx, data, n)
     try:
         r = mc(ctx, data, n)
     except InsufficientTruncationError:

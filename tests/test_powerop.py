@@ -176,12 +176,26 @@ def test_inexact_division_raises(monkeypatch):
         product_rows(FglContext(3, 13), 6)
 
 
+def _as_dicts(ctx, forms, cap):
+    """The forms as dicts[a][b] = {mono: coefficient}, the coefficient of X^a L^b."""
+    width = (ctx.k + 1).bit_length()
+    dicts = [{} for _a in range(cap + 1)]
+    for d, runs in forms:
+        for a, terms in runs:
+            assert d - a not in dicts[a], "two forms share a coefficient"
+            dicts[a][d - a] = {key >> width: x for key, x in terms}
+            assert len(dicts[a][d - a]) == len(terms) and all(key == key >> width << width
+                                                              for key, _x in terms)
+    return dicts
+
+
 def _rows_by_closed_form(ctx, forms, cap):
     """Rows and inner sums W_a from the partition closed form of [xi^d] (log/xi)^r.
 
     Independent of the series kernel: term dicts and add_products only.
     """
     k, q = ctx.k, ctx.p - 1
+    forms = _as_dicts(ctx, forms, cap)
     ws = []  # ws[a] = sum_b forms[a][b] xi^b R^b as {xi degree: terms}, valid mod xi^(k+1-a)
     for a in range(cap + 1):
         w = {}
@@ -237,15 +251,17 @@ def test_rows_hand_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, 
         handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
         return sum_products(tgt, triples)
 
-    monkeypatch.setattr(fglops.series, "sum_products", counting)
+    monkeypatch.setattr(powerop, "sum_products", counting)  # L^b and W_a
+    monkeypatch.setattr(fglops.series, "sum_products", counting)  # the rows' product
 
     def size(r, e):  # terms of [xi^e] L^r = [xi^(e-r)] R^r
         return len(ctx.log_ratio_power(r, e - r).terms) if e >= r else 0
 
-    for forms in _forms_of(ctx, cap):
+    for packed in _forms_of(ctx, cap):
         handed.clear()
-        _rows(ctx, forms, cap)
-        ws = _rows_by_closed_form(ctx, forms, cap)[1]
+        _rows(ctx, packed, cap)
+        ws = _rows_by_closed_form(ctx, packed, cap)[1]
+        forms = _as_dicts(ctx, packed, cap)
         top = max([cap] + [b for f in forms for b in f])
         want = sum(size(1, f) * size(b - 1, e) for b in range(2, top + 1)
                    for f in range(1, k + 1) for e in range(k + 1 - f))
@@ -258,22 +274,30 @@ def test_rows_hand_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, 
 
 @pytest.mark.parametrize("p,k,cap", ROWS_GRID)
 def test_rows_are_one_product_after_the_powers_and_forms(monkeypatch, p, k, cap):
-    # L^2 .. L^top at order k+1, W_a at order k+1-a, then every row in one product
+    # L^2 .. L^top, then W_0 .. W_cap, one kernel pass each, then every row in
+    # one product at order k+1, the only PackedSeries product
     ctx = FglContext(p, k)
-    orders = []
+    calls = []
     product = PackedSeries.sum_of_products
 
     def counting(triples, order=None):
-        orders.append(order)
+        calls.append(("product", order))
         return product(triples, order)
 
-    for forms in _forms_of(ctx, cap):
-        orders.clear()
+    def kernel(tgt, triples):
+        calls.append(("pass", len(tgt)))
+        return sum_products(tgt, triples)
+
+    for packed in _forms_of(ctx, cap):
+        calls.clear()
         with monkeypatch.context() as mp:
             mp.setattr(PackedSeries, "sum_of_products", staticmethod(counting))
-            _rows(ctx, forms, cap)
+            mp.setattr(powerop, "sum_products", kernel)
+            _rows(ctx, packed, cap)
+        forms = _as_dicts(ctx, packed, cap)
         top = max([cap] + [b for f in forms for b in f])
-        assert orders == [k + 1] * max(top - 1, 0) + [k + 1 - a for a in range(len(forms))] + [k + 1]
+        # every pass starts from an empty accumulator of its own
+        assert calls == [("pass", 0)] * (max(top - 1, 0) + cap + 1) + [("product", k + 1)]
 
 
 # cap < q(j+1) for the later steps of the first two, cap >= q(j+1) for every step of the
@@ -293,7 +317,7 @@ def test_euler_step_hands_the_kernel_only_pairs_below_each_validity(monkeypatch,
         handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
         return sum_products(tgt, triples)
 
-    monkeypatch.setattr(fglops.series, "sum_products", counting)
+    monkeypatch.setattr(powerop, "sum_products", counting)
     monkeypatch.setattr(powerop, "_rows", lambda ctx, forms, cap: None)
     product_rows(ctx, cap)
     # the same recurrence on plain dicts keyed (monomial, X-degree)
@@ -321,3 +345,24 @@ def test_euler_step_hands_the_kernel_only_pairs_below_each_validity(monkeypatch,
             scale *= q * (j - i)
         n.append({key: x for key, x in nj.items() if x})
     assert sum(handed) == want
+
+
+@pytest.mark.parametrize("p,k,cap", [(5, 40, 10), (3, 25, 25)])
+def test_each_euler_step_is_at_most_two_kernel_passes(monkeypatch, p, k, cap):
+    # one pass for every B_(qi) N_(j-i) of step j, one for N_j from those parts
+    passes, per_step = [0], []
+
+    def counting(tgt, triples):
+        passes[0] += 1
+        return sum_products(tgt, triples)
+
+    def progress(j, top):
+        per_step.append(passes[0])
+        passes[0] = 0
+
+    ctx = FglContext(p, k)
+    monkeypatch.setattr(powerop, "sum_products", counting)
+    monkeypatch.setattr(fglops.series, "sum_products", counting)
+    powerop.product_forms(ctx, cap, progress)
+    assert len(per_step) == k // (p - 1) - 1 and passes == [0]
+    assert all(n <= 2 for n in per_step), per_step
