@@ -3,7 +3,8 @@
 Subcommands: log, exp, pseries, reduced-pseries, power-op-coeffs, mc, verify.
 Results go to stdout (text by default, --format json for the wire format);
 progress checkpoints for long runs go to stderr and never change the output
-bytes.  Exit codes: 0 success, 1 invalid configuration, 2 golden mismatch.
+bytes.  Exit codes: 0 success, 1 invalid configuration (a usage error
+included, as one `error:` line), 2 golden mismatch.
 """
 
 from __future__ import annotations
@@ -27,9 +28,20 @@ DEFAULT_TRUNCATION = {2: 14, 3: 25, 5: 76, 7: 162, 11: 370, 13: 504}
 THREADS_HELP = "no effect: the kernel runs in one process"
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one `error:` line and exit 1, as for any invalid configuration.
+
+    argparse would print the usage lines and exit 2, the code of a golden
+    mismatch.  The subcommand parsers are of this class too (parser_class).
+    """
+
+    def error(self, message):
+        raise SystemExit(_fail(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the whole command line; `main` builds one per process."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fglops",
         description="Exact truncated formal-group-law series, power-operation "
                     "coefficients, and obstruction series over the Brown-Peterson "

@@ -126,13 +126,15 @@ def sum_products(tgt: dict, triples) -> dict:
     """tgt += sum of c * t1 * t2 over (c, t1, t2) triples, in place.
 
     This is the one monomial product loop: every product of polynomials and
-    series ends here.  t1 and t2 are re-iterable sequences of (key,
-    coefficient) items, such as dict items; keys are added, so a key is a
-    monomial, or a monomial packed with series exponents (series.PackedSeries).
-    The scalar c multiplies each term of t1 once; where that gives 1, the
-    terms of t2 are added as they are.  Coefficients are left as
-    summed: a cancelled term stays as a zero and a Fraction may have
-    denominator 1; GradedPoly(tgt, basis) drops and normalizes them.
+    series ends here, except those of the power operation's Euler loop, whose
+    series in X are dense int lists (powerop._convolve).  t1 and t2 are
+    re-iterable sequences of (key, coefficient) items, such as dict items;
+    keys are added, so a key is a monomial, or a monomial packed with series
+    exponents (series.PackedSeries).  The scalar c multiplies each term of
+    t1 once; where that gives 1, the terms of t2 are added as they are.
+    Coefficients are left as summed: a cancelled term stays as a zero and a
+    Fraction may have denominator 1; GradedPoly(tgt, basis) drops and
+    normalizes them.
     """
     get = tgt.get
     for c, items1, items2 in triples:

@@ -25,12 +25,12 @@ with leading coefficient 1); a remainder raises IntegralityError.
 Truncation mod (X, L)^(k+1) is truncation mod (xi, x)^(k+1), and X^a feeds
 only x^s with s >= a, so X-degrees above the largest i asked for are dropped.
 
-Each N_j is a series.PackedSeries in X, put in order of X-degree once, when
-it is formed.  Each Euler step is two passes of the monomial loop, straight
-into poly.sum_products with no product object: one forms every
-B_(qi) N_(j-i) into one accumulator, each key of part i carrying i in a
-field above the keys of N, and the other forms N_j from those parts and the
-d h_d, whose keys take the tag away again (product_forms).
+Each N_j is held dense in X: {l-monomial: its column}, the column the
+coefficients at X^0 .. X^min(cap, q(j+1)), N_0 the Stirling column.  Each
+part B_(qi) N_(j-i) is one truncated convolution of two int lists per
+l-monomial of N_(j-i) (_convolve), added times each term of d h_d into the
+column of N_j at the sum of the monomials; no key is hashed per pair, and
+the Euler loop (_euler_columns) makes no pass of poly.sum_products.
 
 A form is the part of total degree D in X and L, as (D, runs), runs the
 (a, C[a][D-a]) by ascending X-degree a, each coefficient C[a][b] an
@@ -50,12 +50,10 @@ coefficient must be an integer, and only then do the a_i become series.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import comb, factorial
-from operator import itemgetter
+from operator import add
 
 from .fgl import FglContext, IntegralityError
-from .poly import W as EXP_BITS
 from .poly import UNIT_MONO, GradedPoly, sum_products
 from .series import PackedSeries, Series
 
@@ -134,21 +132,57 @@ def product_rows(ctx: FglContext, cap: int, progress=None) -> list:
     return _rows(ctx, product_forms(ctx, cap, progress), cap)
 
 
+def _convolve(b: list, col: list, length: int) -> list:
+    """(sum_a b[a] X^a)(sum_e col[e] X^e) at X^0 .. X^(length-1); a zero of col meets no b[a]."""
+    out = [0] * length
+    for e, x in enumerate(col):
+        if x:
+            for a, y in enumerate(b[:length - e], e):
+                out[a] += x * y
+    return out
+
+
+def _euler_columns(ctx: FglContext, cap: int, progress=None) -> list:
+    """N_0 .. N_top (module docstring) as {l-monomial: column}, for 2 <= q <= k.
+
+    N_j is a sum of products of series in X mod X^(cap+1), homogeneous of
+    degree q(j+1) in X and L, so every column of N_j has min(cap, q(j+1)) + 1
+    entries and each B_(qi) N_(j-i) is cut there by hand, with no validity
+    rule.  A column that cancels to zero is dropped.
+    """
+    q = ctx.p - 1
+    top = ctx.k // q - 1  # P_(q(j+1)) is needed for j <= top
+    sums = [sum(i ** c for i in range(1, q + 1)) for c in range(q * top + 1)]  # S_c
+    bcol = {i: [comb(q * i, a) * sums[q * i - a] for a in range(min(q * i, cap) + 1)]
+            for i in range(1, top + 1)}  # B_(qi) below X^(cap+1)
+    g = {i: ctx.log_ratio_power(-q * i, q * i).terms.items() for i in range(1, top + 1)}  # d h_d
+    stirling = [1]  # prod_i (X + iL), by X-degree
+    for i in range(1, q + 1):
+        stirling = [x + i * y for x, y in zip([0] + stirling, stirling + [0])]
+    n = [{UNIT_MONO: stirling[:cap + 1]}]
+    for j in range(1, top + 1):
+        length, nj, scale = min(cap, q * (j + 1)) + 1, {}, 1  # scale = q^(i-1) (j-1)! / (j-i)!
+        for i in range(1, j + 1):
+            gs = [(gm, scale * gx) for gm, gx in g[i]]
+            for m, col in n[j - i].items():
+                part = _convolve(bcol[i], col, length)
+                for gm, c in gs:
+                    got = nj.get(m + gm)
+                    nj[m + gm] = (list(map(c.__mul__, part)) if got is None
+                                  else list(map(add, got, map(c.__mul__, part))))
+            scale *= q * (j - i)
+        n.append({m: col for m, col in nj.items() if any(col)})
+        if progress is not None:
+            progress(j, top)
+    return n
+
+
 def product_forms(ctx: FglContext, cap: int, progress=None) -> list:
     """prod_{i=1..p-1} ([i]xi +_F x) as forms (module docstring), by the exponential of power sums.
 
     `progress(j, top)` is called after each of the top Euler steps, which
-    form N_1 .. N_top; p = 2 and p - 1 > k take none.
-
-    Each step is two passes of poly.sum_products, called directly, not two
-    PackedSeries.sum_of_products calls: the first pass's parts share one
-    accumulator, which a PackedSeries would not hand on apart, and each
-    call pays for a validity rule, a sort and a new object around a few
-    dozen pairs.  At p=5, k=76, cap 8 that is 36 passes for the 15,390
-    pairs that one product per convolution formed in 189 calls.  No
-    validity rule is needed: every N_j is a series in X mod X^(cap+1), and
-    so is each part and each B_d, so cap+1 is every validity and every
-    order, and the cuts are made by hand.
+    form N_1 .. N_top (_euler_columns); p = 2 and p - 1 > k take none.  Each
+    N_j is divided by q^j j! once, as its forms are read off.
     """
     k, q = ctx.k, ctx.p - 1
     if q == 1:
@@ -157,52 +191,18 @@ def product_forms(ctx: FglContext, cap: int, progress=None) -> list:
     # returning here also skips the Stirling product, O(q^2) big-int work
     if q > k:
         return []
-    top = k // q - 1  # P_(q(j+1)) is needed for j <= top
-    # N_j is keyed mono << width | X-degree, and the field from tag up marks
-    # part i of a step with i.  N_j has weight qj < k, so the exponent of the
-    # horizon's l_h in it is at most k // (p^h - 1), which bounds mono.
-    width, h = cap.bit_length(), ctx.horizon
-    tag = width + EXP_BITS * (h - 1) + (k // (ctx.p ** h - 1)).bit_length()
-    sums = [sum(i ** c for i in range(1, q + 1)) for c in range(q * top + 1)]  # S_c
-    # B_(qi)[a] X^a, keyed i << tag | a, one term each, and the bound cap + 1 - a
-    # on the X-degree of the terms of N_(j-i) it meets
-    bform = {i: [(cap + 1 - a, [(i << tag | a, comb(q * i, a) * sums[q * i - a])])
-                 for a in range(min(q * i, cap) + 1)] for i in range(1, top + 1)}
-    # d h_d at d = qi, keyed so that adding it to a key of part i takes the tag away
-    g = {i: [((m << width) - (i << tag), x) for m, x in ctx.log_ratio_power(-q * i, q * i).terms.items()]
-         for i in range(1, top + 1)}
-    stirling = [1]  # prod_i (X + iL), by X-degree
-    for i in range(1, q + 1):
-        stirling = [x + i * y for x, y in zip([0] + stirling, stirling + [0])]
-    n = [PackedSeries.from_terms(enumerate(stirling[:cap + 1]), cap + 1, width)]
-    below = [[n[0].below(e) for e in range(cap + 2)]]  # below[m][e]: N_m below X^e
-    for j in range(1, top + 1):
-        parts = list(sum_products({}, [(1, b, below[j - i][e]) for i in range(1, j + 1)
-                                       for e, b in bform[i]]).items())
-        # a key of part i is first formed by a triple of i, and the triples come
-        # by ascending i, so the accumulator holds the parts in order of their tags
-        cuts = [bisect_left(parts, i << tag, key=itemgetter(0)) for i in range(1, j + 2)]
-        triples, scale = [], 1  # scale = q^(i-1) (j-1)! / (j-i)!
-        for i in range(1, j + 1):
-            triples.append((scale, g[i], parts[cuts[i - 1]:cuts[i]]))
-            scale *= q * (j - i)
-        n.append(PackedSeries.from_terms(sum_products({}, triples).items(), cap + 1, width))
-        below.append([n[j].below(e) for e in range(cap + 2)])
-        if progress is not None:
-            progress(j, top)
-    forms, form_width = [], (k + 1).bit_length()
-    for j, nj in enumerate(n):
+    forms, width = [], (k + 1).bit_length()
+    for j, nj in enumerate(_euler_columns(ctx, cap, progress)):
         den = q ** j * factorial(j)
-        runs = []
-        for a, run in nj.groups():
-            exact = []
-            for key, v in run:
-                x, r = divmod(v, den)
-                if r:
-                    raise IntegralityError(f"X^{a} L^{q * (j + 1) - a} of the product is not integral")
-                exact.append((key >> width << form_width, x))
-            runs.append((a, exact))
-        forms.append((q * (j + 1), runs))
+        runs = [[] for _a in range(min(cap, q * (j + 1)) + 1)]
+        for m, col in nj.items():
+            for a, v in enumerate(col):
+                if v:
+                    x, r = divmod(v, den)
+                    if r:
+                        raise IntegralityError(f"X^{a} L^{q * (j + 1) - a} of the product is not integral")
+                    runs[a].append((m << width, x))
+        forms.append((q * (j + 1), [(a, run) for a, run in enumerate(runs) if run]))
     return forms
 
 

@@ -521,7 +521,7 @@ REUSE_SEQUENCE = [
 
 
 def test_no_state_leaks_between_calls_of_one_process(monkeypatch, capsys):
-    # the usage lines of argparse's errors wrap at the terminal width
+    # a usage message, were one printed, would wrap at the terminal width
     monkeypatch.setenv("COLUMNS", "80")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fglops.cli.__file__)))
     alone = []
@@ -529,7 +529,7 @@ def test_no_state_leaks_between_calls_of_one_process(monkeypatch, capsys):
         run_alone = subprocess.run([sys.executable, "-m", "fglops.cli", *argv],
                                    capture_output=True, text=True, env=env, timeout=120)
         alone.append((run_alone.returncode, run_alone.stdout, run_alone.stderr))
-    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 2, 2, 1, 0]
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 1, 1, 1, 0]
     fglops.cli._parser.cache_clear()
     assert [call(capsys, argv) for argv in REUSE_SEQUENCE] == alone
 
@@ -548,3 +548,29 @@ def test_help_follows_the_width_at_call_time(monkeypatch, capsys):
     narrow, wide = helps
     assert narrow.splitlines() != wide.splitlines()
     assert max(map(len, narrow.splitlines())) <= 60 < max(map(len, wide.splitlines()))
+
+
+# -- usage errors --------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--suite", "p5", "--threads", "x"], "argument --threads: invalid int value: 'x'"),
+    (["log", "-p", "3", "-k", "7", "--threads", "abc"],
+     "argument --threads: invalid int value: 'abc'"),
+    (["log", "-p", "x"], "argument --prime/-p: invalid int value: 'x'"),
+    (["mc", "-p", "5"], "the following arguments are required: --n"),
+    (["mc", "-p", "5", "--n", "2", "--bogus"], "unrecognized arguments: --bogus"),
+    (["curve", "-p", "5"], "argument command: invalid choice: 'curve'"),
+    ([], "the following arguments are required: command"),
+], ids=["verify-threads", "threads", "prime", "mc-without-n", "unknown-option", "command",
+        "no-command"])
+def test_usage_errors_are_one_error_line_and_exit_1(capsys, argv, message):
+    # exit 2 is a golden mismatch: argparse's own code would read as one
+    code, out, err = call(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["mc", "--help"], ["verify", "-h"]):
+        code, out, err = call(capsys, argv)
+        assert code == 0 and out.startswith("usage: fglops") and err == ""

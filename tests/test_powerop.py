@@ -1,8 +1,10 @@
+import functools
 import math
 
 import pytest
 
 from fglops import FglContext, IntegralityError, power_operation, reduce_a_mod_p_series
+import fglops.poly
 import fglops.series
 from fglops import powerop
 from fglops.poly import GradedPoly, add_products, sum_products
@@ -301,32 +303,25 @@ def test_rows_are_one_product_after_the_powers_and_forms(monkeypatch, p, k, cap)
 
 
 # cap < q(j+1) for the later steps of the first two, cap >= q(j+1) for every step of the
-# next two, and cap = 0
-EULER_GRID = [(3, 20, 5), (5, 40, 10), (7, 30, 30), (3, 25, 25), (5, 30, 0)]
+# next two, cap = 0, no column cut by cap (3, 40, 40), and a golden cap (11, 370, 20)
+EULER_GRID = [(3, 20, 5), (5, 40, 10), (7, 30, 30), (3, 25, 25), (5, 30, 0), (3, 40, 40),
+              (11, 370, 20)]
 
 
-@pytest.mark.parametrize("p,k,cap", EULER_GRID)
-def test_euler_step_hands_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, cap):
-    # B_d[a1] X^a1 meets the terms of N_(j-i) of X-degree e only for a1 + e <= min(cap, q(j+1)),
-    # and d h_d meets every key that convolution formed, a cancelled one included
-    ctx = FglContext(p, k)
-    q, handed = p - 1, []
+@functools.cache
+def _euler_reference(p, k, cap):
+    """N_0 .. N_top as plain dicts keyed (monomial, X-degree), and the pairs B_d[a1] X^a1 * term.
 
-    def counting(tgt, triples):
-        triples = list(triples)
-        handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
-        return sum_products(tgt, triples)
-
-    monkeypatch.setattr(powerop, "sum_products", counting)
-    monkeypatch.setattr(powerop, "_rows", lambda ctx, forms, cap: None)
-    product_rows(ctx, cap)
-    # the same recurrence on plain dicts keyed (monomial, X-degree)
+    The same recurrence, one term at a time: B_d[a1] X^a1 meets a term of N_(j-i) of
+    X-degree e only for a1 + e <= min(cap, q(j+1)), and the zeros are dropped.
+    """
+    ctx, q = FglContext(p, k), p - 1
     top = k // q - 1
     stirling = [1]
     for i in range(1, q + 1):
         stirling = [x + i * y for x, y in zip([0] + stirling, stirling + [0])]
     n = [{(0, a): c for a, c in enumerate(stirling[:cap + 1])}]
-    want = 0
+    pairs = 0
     for j in range(1, top + 1):
         nj, scale = {}, 1
         for i in range(1, j + 1):
@@ -335,34 +330,114 @@ def test_euler_step_hands_the_kernel_only_pairs_below_each_validity(monkeypatch,
                 b = math.comb(d, a1) * sum(t ** (d - a1) for t in range(1, q + 1))
                 for (m, e), x in n[j - i].items():
                     if a1 + e <= min(cap, q * (j + 1)):
-                        want += 1
+                        pairs += 1
                         part[(m, a1 + e)] = part.get((m, a1 + e), 0) + b * x
             g = ctx.log_ratio_power(-d, d).terms
-            want += len(g) * len(part)
             for (m, e), x in part.items():
                 for gm, gx in g.items():
                     nj[(m + gm, e)] = nj.get((m + gm, e), 0) + scale * gx * x
             scale *= q * (j - i)
         n.append({key: x for key, x in nj.items() if x})
-    assert sum(handed) == want
+    return n, pairs
 
 
-@pytest.mark.parametrize("p,k,cap", [(5, 40, 10), (3, 25, 25)])
-def test_each_euler_step_is_at_most_two_kernel_passes(monkeypatch, p, k, cap):
-    # one pass for every B_(qi) N_(j-i) of step j, one for N_j from those parts
-    passes, per_step = [0], []
+@pytest.mark.parametrize("p,k,cap", EULER_GRID)
+def test_euler_columns_equal_the_dict_reference(p, k, cap):
+    # every N_j before its division by q^j j!, and the forms after it
+    columns = powerop._euler_columns(FglContext(p, k), cap)
+    n, _pairs = _euler_reference(p, k, cap)
+    assert [{(m, e): x for m, col in nj.items() for e, x in enumerate(col) if x}
+            for nj in columns] == n
+    q, width = p - 1, (k + 1).bit_length()
+    forms = {(d, a): dict(run) for d, runs in powerop.product_forms(FglContext(p, k), cap)
+             for a, run in runs}
+    want = {}
+    for j, nj in enumerate(n):
+        for (m, e), x in nj.items():
+            want.setdefault((q * (j + 1), e), {})[m << width] = x // (q ** j * math.factorial(j))
+    assert forms == want
+
+
+@pytest.mark.parametrize("p,k,cap", EULER_GRID)
+def test_euler_columns_have_the_length_of_their_step(p, k, cap):
+    q = p - 1
+    columns = powerop._euler_columns(FglContext(p, k), cap)
+    assert len(columns) == k // q
+    assert list(columns[0]) == [0] and len(columns[0][0]) == min(cap, q) + 1
+    for j, nj in enumerate(columns):
+        assert nj and all(len(col) == min(cap, q * (j + 1)) + 1 and any(col)
+                          for col in nj.values())
+
+
+def test_euler_columns_that_cancel_are_dropped(monkeypatch):
+    # with every part zero, N_1 .. N_top keep no column, and only P_q has forms
+    ctx, cap = FglContext(5, 40), 10
+    monkeypatch.setattr(powerop, "_convolve", lambda b, col, length: [0] * length)
+    columns = powerop._euler_columns(ctx, cap)
+    assert len(columns) == 10 and columns[1:] == [{}] * 9
+    forms = powerop.product_forms(ctx, cap)
+    assert [d for d, _runs in forms] == list(range(4, 44, 4))
+    assert all(runs == [] for _d, runs in forms[1:]) and len(forms[0][1]) == 5
+
+
+class _Counted(int):
+    """An int that counts the products it is a factor of; each product is a plain int."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("p,k,cap", EULER_GRID)
+def test_euler_convolutions_make_only_pairs_below_each_validity(monkeypatch, p, k, cap):
+    # the multiply-adds of every B_(qi) N_(j-i) are the reference's pairs, no more
+    convolve = powerop._convolve
+    monkeypatch.setattr(powerop, "_convolve",
+                        lambda b, col, length: convolve([_Counted(y) for y in b], col, length))
+    _Counted.products = 0
+    powerop.product_forms(FglContext(p, k), cap)
+    assert _Counted.products == _euler_reference(p, k, cap)[1]
+
+
+def test_convolve_is_cut_at_its_length_and_skips_zeros():
+    _Counted.products = 0
+    got = powerop._convolve([_Counted(y) for y in (1, 2, 3)], [4, 0, 5], 4)
+    assert got == [4, 8, 12 + 5, 10] and type(got[0]) is int
+    assert _Counted.products == 3 + 2  # 4 meets 1, 2, 3; 5 meets 1, 2 below X^4
+
+
+@pytest.mark.parametrize("p,k,cap", EULER_GRID)
+def test_euler_loop_makes_no_kernel_pass(monkeypatch, p, k, cap):
+    # no poly.sum_products call, and one progress report after each step
+    ctx, passes, steps = FglContext(p, k), [], []
 
     def counting(tgt, triples):
-        passes[0] += 1
+        passes.append(tgt)
         return sum_products(tgt, triples)
 
-    def progress(j, top):
-        per_step.append(passes[0])
-        passes[0] = 0
+    for module in (powerop, fglops.series, fglops.poly):  # every importer reachable from here
+        monkeypatch.setattr(module, "sum_products", counting)
+    powerop.product_forms(ctx, cap, lambda j, top: steps.append((j, top)))
+    top = k // (p - 1) - 1
+    assert passes == [] and steps == [(j, top) for j in range(1, top + 1)]
 
-    ctx = FglContext(p, k)
-    monkeypatch.setattr(powerop, "sum_products", counting)
-    monkeypatch.setattr(fglops.series, "sum_products", counting)
-    powerop.product_forms(ctx, cap, progress)
-    assert len(per_step) == k // (p - 1) - 1 and passes == [0]
-    assert all(n <= 2 for n in per_step), per_step
+
+@pytest.mark.parametrize("p,k,cap", [(3, 20, 5), (5, 40, 10), (7, 30, 30), (3, 40, 40)])
+@pytest.mark.parametrize("i", [1, 2])
+def test_corrupted_log_ratio_is_an_inexact_division(p, k, cap, i):
+    # one more l_1^i in d h_d at d = qi: the division by q^j j! leaves a remainder,
+    # never a wrong form
+    ctx, d = FglContext(p, k), (p - 1) * i
+    good = ctx.log_ratio_power
+
+    def corrupted(r, e):
+        c = good(r, e)
+        return c + GradedPoly({i: 1}, "l") if (r, e) == (-d, d) else c
+
+    ctx.log_ratio_power = corrupted
+    with pytest.raises(IntegralityError):
+        powerop.product_forms(ctx, cap)
