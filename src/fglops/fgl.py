@@ -198,7 +198,6 @@ class FglContext:
         self.horizon = m
         self.ell = hazewinkel_ell(p, m)
         self._ell_table = {i: self.ell[i] for i in range(1, m + 1)}
-        self._check_ell_recursion()
 
         self.log = self._build_log()
         self._log_parts = tuple(j - 1 for j, _z in sorted(self.log.coeffs) if j > 1)
@@ -214,17 +213,6 @@ class FglContext:
         self._cp_images: dict = {}
 
     # -- construction ------------------------------------------------------
-
-    def _check_ell_recursion(self):
-        p, ell = self.p, self.ell
-        for n in range(1, len(ell)):
-            acc = GradedPoly.zero("v")
-            q = 1
-            for i in range(n):
-                acc = acc + ell[i] * GradedPoly.gen(n - i, "v", exp=q)
-                q *= p
-            if ell[n].scale(p) - acc:
-                raise AssertionError(f"generator table violates the recursion at n={n}")
 
     def _build_log(self) -> Series:
         p, k = self.p, self.k

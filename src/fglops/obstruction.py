@@ -19,8 +19,9 @@ and the main route computes F by J.C.P. Miller's power recurrence
     k F_k = sum_{i=1..k} (-n*i - k) G_i F_(k-i),
 
 whose division by k is exact and runs in integers (a remainder raises
-IntegralityError): O(n^2) products of series.PackedSeries, no division by
-a_0, and only the raw sum becomes a Series (_power_recurrence).
+IntegralityError): O(n^2) products of series.ColumnSeries, each pair of
+v_1-columns one truncated convolution, no division by a_0, and only the raw
+sum becomes a Series (_power_recurrence).
 The reduced form modulo the reduced p-series is the obstruction class; its
 lowest nonzero coefficient is the nonvanishing certificate.
 
@@ -65,7 +66,7 @@ from .fgl import FglContext, IntegralityError, mu, partitions
 from .poly import UNIT_MONO, GradedPoly
 from .powerop import PowerOpData
 from .reduction import ReducedSeries, canonical_rep, nonvanishing_certificate
-from .series import PackedSeries, Series
+from .series import ColumnSeries, PackedSeries, Series
 
 
 class InsufficientTruncationError(ValueError):
@@ -235,33 +236,32 @@ def _checked(series: Series, n: int) -> Series:
 def _power_recurrence(ctx: FglContext, data: PowerOpData, n: int, progress) -> Series:
     """raw(n) = sum_k cp(n-k) a_0^(n-k) F_k, with F_k from Miller's recurrence.
 
-    A product's validity is at most V_A + val(B) and at most V_B + val(A),
-    val <= V, so with V_max the largest validity of a_0..a_n, a_0^j, G_j and
-    F_j (through its pair G_j F_0) stay within j V_max and each summand of
-    raw within n V_max: W is the bit length of max(n, 1) V_max.
+    Every operand is a ColumnSeries: a_0..a_n, the powers of a_0, the G_i,
+    each F_k and cp(n-k) a_0^(n-k); only the raw sum becomes a Series.
     """
-    a = data.a[:n + 1]
-    width = (max(n, 1) * max(ai.validity for ai in a)).bit_length()
-    ops = [PackedSeries.from_series(ai, width) for ai in a]
-    one = PackedSeries.from_coeffs({0: {UNIT_MONO: 1}}, a[0].validity, width)
-    a0_pow, g = [one, ops[0]], [None] + ops[1:2]  # a0_pow[j] = a_0^j, g[i] = G_i
+    p = ctx.p
+    a = [ColumnSeries.from_series(ai) for ai in data.a[:n + 1]]
+    one = ColumnSeries({(UNIT_MONO, 0): [1]}, data.a[0].validity, p)
+    a0_pow, g = [one, a[0]], [None] + a[1:2]  # a0_pow[j] = a_0^j, g[i] = G_i
     for i in range(2, n + 1):
-        a0_pow.append(PackedSeries.sum_of_products(((1, ops[0], a0_pow[-1]),)))
-        g.append(PackedSeries.sum_of_products(((1, ops[i], a0_pow[i - 1]),)))
+        a0_pow.append(ColumnSeries.sum_of_products(((1, a[0], a0_pow[-1]),)))
+        g.append(ColumnSeries.sum_of_products(((1, a[i], a0_pow[i - 1]),)))
     f = [one]
     for k in range(1, n + 1):
-        step = PackedSeries.sum_of_products((-n * i - k, g[i], f[k - i]) for i in range(1, k + 1))
-        if any(x % k for _key, x in step.terms):
+        step = ColumnSeries.sum_of_products((-n * i - k, g[i], f[k - i]) for i in range(1, k + 1))
+        if any(x % k for col in step.columns.values() for x in col):
             raise IntegralityError(f"step {k} of the power recurrence is not divisible by {k}")
-        f.append(PackedSeries([(key, x // k) for key, x in step.terms], step.validity, width))
+        f.append(ColumnSeries({key: [x // k for x in col] for key, col in step.columns.items()},
+                              step.validity, p))
         if progress is not None:
             progress(k, n)
     terms = []
     for k in range(n + 1):
         if cp := ctx.cp_image(n - k):
-            cp_packed = PackedSeries.from_coeffs({0: cp.terms}, a0_pow[n - k].validity, width)
-            terms.append((1, PackedSeries.sum_of_products(((1, cp_packed, a0_pow[n - k]),)), f[k]))
-    return _series(ctx.p, PackedSeries.sum_of_products(terms))
+            power = a0_pow[n - k]
+            cp_cols = ColumnSeries.from_series(Series(p, "v", {(0, 0): cp}, power.validity))
+            terms.append((1, ColumnSeries.sum_of_products(((1, cp_cols, power),)), f[k]))
+    return ColumnSeries.sum_of_products(terms).series()
 
 
 def mc_via_sum(ctx: FglContext, data: PowerOpData, n: int) -> Series:

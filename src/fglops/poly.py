@@ -126,8 +126,9 @@ def sum_products(tgt: dict, triples) -> dict:
     """tgt += sum of c * t1 * t2 over (c, t1, t2) triples, in place.
 
     This is the one monomial product loop: every product of polynomials and
-    series ends here, except those of the power operation's Euler loop, whose
-    series in X are dense int lists (powerop._convolve).  t1 and t2 are
+    series ends here, except those of the power operation's Euler loop and
+    of Miller's recurrence, whose series are dense int lists in X and in v_1
+    (series.convolve).  t1 and t2 are
     re-iterable sequences of (key, coefficient) items, such as dict items;
     keys are added, so a key is a monomial, or a monomial packed with series
     exponents (series.PackedSeries).  The scalar c multiplies each term of

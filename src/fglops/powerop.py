@@ -28,9 +28,10 @@ only x^s with s >= a, so X-degrees above the largest i asked for are dropped.
 Each N_j is held dense in X: {l-monomial: its column}, the column the
 coefficients at X^0 .. X^min(cap, q(j+1)), N_0 the Stirling column.  Each
 part B_(qi) N_(j-i) is one truncated convolution of two int lists per
-l-monomial of N_(j-i) (_convolve), added times each term of d h_d into the
-column of N_j at the sum of the monomials; no key is hashed per pair, and
-the Euler loop (_euler_columns) makes no pass of poly.sum_products.
+l-monomial of N_(j-i) (series.convolve), added times each term of d h_d
+into the column of N_j at the sum of the monomials; no key is hashed per
+pair, and the Euler loop (_euler_columns) makes no pass of
+poly.sum_products.
 
 A form is the part of total degree D in X and L, as (D, runs), runs the
 (a, C[a][D-a]) by ascending X-degree a, each coefficient C[a][b] an
@@ -55,7 +56,7 @@ from operator import add
 
 from .fgl import FglContext, IntegralityError
 from .poly import UNIT_MONO, GradedPoly, sum_products
-from .series import PackedSeries, Series
+from .series import PackedSeries, Series, convolve
 
 
 class EulerClassError(AssertionError):
@@ -132,16 +133,6 @@ def product_rows(ctx: FglContext, cap: int, progress=None) -> list:
     return _rows(ctx, product_forms(ctx, cap, progress), cap)
 
 
-def _convolve(b: list, col: list, length: int) -> list:
-    """(sum_a b[a] X^a)(sum_e col[e] X^e) at X^0 .. X^(length-1); a zero of col meets no b[a]."""
-    out = [0] * length
-    for e, x in enumerate(col):
-        if x:
-            for a, y in enumerate(b[:length - e], e):
-                out[a] += x * y
-    return out
-
-
 def _euler_columns(ctx: FglContext, cap: int, progress=None) -> list:
     """N_0 .. N_top (module docstring) as {l-monomial: column}, for 2 <= q <= k.
 
@@ -165,7 +156,7 @@ def _euler_columns(ctx: FglContext, cap: int, progress=None) -> list:
         for i in range(1, j + 1):
             gs = [(gm, scale * gx) for gm, gx in g[i]]
             for m, col in n[j - i].items():
-                part = _convolve(bcol[i], col, length)
+                part = convolve([0] * length, 1, bcol[i], col)
                 for gm, c in gs:
                     got = nj.get(m + gm)
                     nj[m + gm] = (list(map(c.__mul__, part)) if got is None

@@ -28,7 +28,24 @@ PackedSeries.sum_of_products, one pass of the monomial loop
 multiplies two terms; product_validity is the rule above, and a pair is
 formed only below it.  Where every operand is valid as far as the product's
 order, the rule gives that order, and the power operation calls the loop
-itself and cuts by hand (powerop.py).  A PackedSeries is a series packed once, each term
+itself and cuts by hand (powerop.py).
+
+Series whose coefficients are dense along one variable are multiplied by
+the one dense loop instead, convolve: a truncated convolution of two int
+lists into a third, in place.  The power operation's Euler loop holds its
+series so in X (powerop.py), and Miller's recurrence (obstruction.py) holds
+every operand as a ColumnSeries, dense in v_1: {(m', c): column}, m' a
+monomial with its v_1 field cleared and column[e] the coefficient of
+v_1^e m' xi^((p-1)e + c).  Every generator weight p^m - 1 is a multiple of
+p - 1, so a homogeneous series has one column per m'; one that is not only
+has more keys.  A product of two columns lands at (m'_A + m'_B, c_A + c_B),
+cut below the product's validity v, at length ceil((v - c_A - c_B)/(p-1)):
+the same rule and the same pairs as a Series product, with no key hashed
+per pair.  A column of A enters from its first nonzero entry
+(ColumnSeries.runs) and a zero of B's column is skipped, so the zeros
+below a column's valuation meet nothing.
+
+A PackedSeries is a series packed once, each term
 keyed x << S | mono << W | degree, degree = j_xi + j_x.  The product caps V
 at an optional order, cuts each run of A at degree d against B's terms below
 V - d, and requires V <= 2^W, so that no degree field of a pair carries; each
@@ -52,7 +69,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .poly import W as EXP_BITS
-from .poly import BasisMismatchError, GradedPoly, UNIT_MONO, _norm_coef, sum_products
+from .poly import MAX_EXP, BasisMismatchError, GradedPoly, UNIT_MONO, _norm_coef, sum_products
 
 
 class OutsideValidityError(ValueError):
@@ -469,6 +486,113 @@ class PackedSeries:
                             for c, a, b in triples if c for d, left in a.groups() if d < v))
         terms = acc.items() if all(acc.values()) else list(filter(itemgetter(1), acc.items()))
         return PackedSeries(terms, v, width)
+
+
+def convolve(out: list, c, b: list, col: list, lo: int = 0) -> list:
+    """out += c X^lo (sum_a b[a] X^a)(sum_e col[e] X^e) below X^len(out), in place.
+
+    The one dense product loop (module docstring); col has at most
+    len(out) - lo entries.  A zero of col meets no b[a], so where b has no
+    zero, each multiply is a pair of nonzero entries.
+    """
+    length = len(out)
+    for e, x in enumerate(col, lo):
+        if x:
+            if c != 1:
+                x *= c
+            for a, y in enumerate(b[:length - e], e):
+                out[a] += x * y
+    return out
+
+
+class ColumnSeries:
+    """A univariate v-basis series as dense v_1-columns (module docstring).
+
+    columns maps (m', c) to a column, column[e] the coefficient of
+    v_1^e m' xi^((p-1)e + c); no column is empty or ends in a zero.
+    validity and val() are a Series', so product_validity reads them.
+    """
+
+    __slots__ = ("columns", "validity", "prime", "_runs", "_val")
+
+    def __init__(self, columns: dict, validity: int, prime: int):
+        self.columns = columns
+        self.validity = validity
+        self.prime = prime
+        self._runs = None
+        self._val = None
+
+    @classmethod
+    def from_series(cls, s: Series) -> "ColumnSeries":
+        """The columns of a univariate v-basis Series."""
+        q, columns = s.prime - 1, {}
+        for (j, _z), poly in s.coeffs.items():
+            for mono, x in poly.terms.items():
+                e = mono & MAX_EXP
+                col = columns.get(key := (mono - e, j - q * e))
+                if col is None:
+                    col = columns[key] = []
+                if len(col) <= e:
+                    col += [0] * (e + 1 - len(col))
+                col[e] = x
+        return cls(columns, s.validity, s.prime)
+
+    def series(self) -> Series:
+        """The Series these columns hold, at their validity."""
+        q, coeffs = self.prime - 1, {}
+        for (m, c), col in self.columns.items():
+            for e, x in enumerate(col):
+                if x:
+                    got = coeffs.get(j := q * e + c)
+                    if got is None:
+                        coeffs[j] = {m + e: x}
+                    else:
+                        got[m + e] = x
+        return Series(self.prime, "v", {(j, 0): GradedPoly(t, "v") for j, t in coeffs.items()},
+                      self.validity)
+
+    def runs(self) -> list:
+        """(m', c, lo, column[lo:]) per column, lo its first nonzero index; found on the first call."""
+        if self._runs is None:  # an operand meets many others
+            self._runs = []
+            for (m, c), col in self.columns.items():
+                lo = next(e for e, x in enumerate(col) if x)
+                self._runs.append((m, c, lo, col[lo:]))
+        return self._runs
+
+    def val(self) -> int:
+        """The least xi-degree of a nonzero entry; validity if none."""
+        if self._val is None:
+            q = self.prime - 1
+            self._val = min((q * lo + c for _m, c, lo, _run in self.runs()), default=self.validity)
+        return self._val
+
+    @staticmethod
+    def sum_of_products(triples) -> "ColumnSeries":
+        """sum of c A B over (c, A, B) triples, each pair of columns one convolve below product_validity."""
+        triples = list(triples)
+        v = product_validity(triples)
+        prime = triples[0][1].prime
+        q, acc = prime - 1, {}
+        for c, a, b in triples:
+            if c:
+                a_runs = a.runs()
+                for (mb, cb), col in b.columns.items():
+                    top = v - cb + q - 1
+                    for ma, ca, lo, run in a_runs:
+                        length = (top - ca) // q  # ceil((v - ca - cb) / q)
+                        if length > lo:
+                            out = acc.get(key := (ma + mb, ca + cb))
+                            if out is None:
+                                out = acc[key] = [0] * length
+                            convolve(out, c, run, col[:length - lo], lo)
+        columns = {}
+        for key, col in acc.items():
+            while col and not col[-1]:
+                col.pop()
+            if col:
+                columns[key] = col
+        return ColumnSeries(columns, v, prime)
 
 
 def split_packed(items, shift: int) -> dict:

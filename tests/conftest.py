@@ -82,3 +82,15 @@ def P(text: str, basis: str = "v") -> GradedPoly:
 
 def S(text: str, prime: int, basis: str = "v", validity=None) -> Series:
     return parse_series(text, prime, basis, validity=validity)
+
+
+class Counted(int):
+    """An int that counts the products it is a factor of; each product is a plain int."""
+
+    products = 0
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -235,6 +236,24 @@ def test_hazewinkel_table_values():
     assert ctx2.ell[2].scale(4) == P("v1^3 + 2*v2")
     ctx3 = FglContext(3, 8)
     assert ctx3.ell[1].scale(3) == P("v1")
+
+
+@pytest.mark.parametrize("p,k", [*DEFAULT_TRUNCATION.items(), (2, 56)])
+def test_generator_table_meets_the_hazewinkel_recursion(p, k):
+    # the context's table held against statements that do not repeat its
+    # construction: l_1 and l_2 in closed form, and p l_n = sum_i l_i v_(n-i)^(p^i)
+    # with each power taken by GradedPoly.__pow__, at every golden prime (and
+    # p = 2, k = 56, whose table reaches l_5)
+    ctx = FglContext(p, k)
+    ell, v1, v2 = ctx.ell, GradedPoly.gen(1), GradedPoly.gen(2)
+    assert len(ell) == ctx.horizon + 1 >= 3
+    assert ell[1] == v1.scale(Fraction(1, p))
+    assert ell[2] == v2.scale(Fraction(1, p)) + (v1 ** (p + 1)).scale(Fraction(1, p * p))
+    for n in range(1, len(ell)):
+        rhs = GradedPoly.zero("v")
+        for i in range(n):
+            rhs = rhs + ell[i] * GradedPoly.gen(n - i) ** (p ** i)
+        assert ell[n].scale(p) == rhs, n
 
 
 @pytest.mark.parametrize("p,k", [(2, 15), (3, 26), (5, 30)])

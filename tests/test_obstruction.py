@@ -22,13 +22,13 @@ import fglops.series
 from fglops.fgl import IntegralityError
 from fglops.golden import SUITES, compare_series, load_suite
 from fglops.obstruction import _power_recurrence, _sum_validity, multi_weighted_size
-from fglops.poly import GradedPoly, sum_products
+from fglops.poly import MAX_EXP, UNIT_MONO, GradedPoly, mono_weight
 from fglops.powerop import PowerOpData, product_rows, product_rows_by_fold
 from fglops.reduction import canonical_rep, nonvanishing_certificate
 from fglops.render import series_from_obj
-from fglops.series import Series
+from fglops.series import ColumnSeries, PackedSeries, Series
 
-from conftest import P
+from conftest import Counted, P
 
 
 # -- modified multinomial coefficients ----------------------------------------
@@ -488,17 +488,18 @@ def test_routes_refuse_the_same_bad_n(route, ctx27):
 
 def test_inexact_recurrence_step_raises(monkeypatch, ctx313, data313):
     # at n = 2(p - 1) the recurrence runs when the raw series is read; from
-    # then on every pass of the monomial loop is one too large in its
-    # constant term (key 0: the unit monomial at xi^0), which leaves an odd
-    # constant in 2 F_2
+    # then on every product is one too large in its constant term (entry 0
+    # of the unit monomial's column at c = 0), which leaves an odd constant
+    # in 2 F_2
     result = mc(ctx313, data313, 4)
+    product = ColumnSeries.sum_of_products
 
-    def off_by_one(tgt, triples):
-        got = sum_products(tgt, triples)
-        got[0] = got.get(0, 0) + 1
+    def off_by_one(triples):
+        got = product(triples)
+        got.columns.setdefault((UNIT_MONO, 0), [0])[0] += 1
         return got
 
-    monkeypatch.setattr(fglops.series, "sum_products", off_by_one)
+    monkeypatch.setattr(ColumnSeries, "sum_of_products", staticmethod(off_by_one))
     with pytest.raises(IntegralityError, match="step 2 of the power recurrence"):
         result.raw
 
@@ -512,19 +513,16 @@ def _pairs_below(x: Series, y: Series, v: int) -> int:
 @pytest.mark.parametrize("p, k, n", [(2, 14, 6), (3, 25, 5), (3, 13, 4), (5, 40, 8), (7, 30, 7)])
 def test_recurrence_hands_the_kernel_only_pairs_below_each_validity(monkeypatch, p, k, n):
     # every product of the recurrence, each step's sum and the final sum is
-    # cut below its validity; a pair at or above it changes no coefficient of
-    # raw (a Series drops it), only this count
+    # cut below its validity, and each multiply its convolutions make is a
+    # pair of nonzero terms: a pair at or above the validity changes no
+    # coefficient of raw (a Series drops it), only this count
     ctx = FglContext(p, k)
     data = power_operation(ctx, x_cap=n)
-    handed = []
-
-    def counting(tgt, triples):
-        triples = list(triples)
-        handed.extend(len(t1) * len(t2) for _c, t1, t2 in triples)
-        return sum_products(tgt, triples)
-
-    monkeypatch.setattr(fglops.series, "sum_products", counting)
-    # the recurrence alone: at n = 2(p - 1) mc's closed form passes the same kernel
+    convolve = fglops.series.convolve
+    monkeypatch.setattr(fglops.series, "convolve",
+                        lambda out, c, b, col, lo: convolve(out, c, list(map(Counted, b)), col, lo))
+    Counted.products = 0
+    # the recurrence alone: at n = 2(p - 1) mc's closed form multiplies too
     raw = _power_recurrence(ctx, data, n, None)
     monkeypatch.undo()
     # the same operands by Series arithmetic, each product's pairs counted below its validity
@@ -549,7 +547,107 @@ def test_recurrence_hands_the_kernel_only_pairs_below_each_validity(monkeypatch,
         if cp := ctx.cp_image(n - t):
             want += sum(len(c.terms) for c in a0_pow[n - t].coeffs.values()) * len(cp.terms)
             want += _pairs_below(a0_pow[n - t].scale_poly(cp), f[t], raw.validity)
-    assert sum(handed) == want
+    assert Counted.products == want
+
+
+def _packed_recurrence(ctx: FglContext, data, n: int) -> Series:
+    """raw(n) by Miller's recurrence on PackedSeries: the column route's reference.
+
+    Each product is one pass of the monomial loop.  A product's validity is at most V_A + val(B) and at most V_B + val(A),
+    val <= V, so with V_max the largest validity of a_0..a_n, a_0^j, G_j and
+    F_j (through its pair G_j F_0) stay within j V_max and each summand of
+    raw within n V_max: W is the bit length of max(n, 1) V_max.
+    """
+    a = data.a[:n + 1]
+    width = (max(n, 1) * max(ai.validity for ai in a)).bit_length()
+    ops = [PackedSeries.from_series(ai, width) for ai in a]
+    one = PackedSeries.from_coeffs({0: {UNIT_MONO: 1}}, a[0].validity, width)
+    a0_pow, g = [one, ops[0]], [None] + ops[1:2]
+    for i in range(2, n + 1):
+        a0_pow.append(PackedSeries.sum_of_products(((1, ops[0], a0_pow[-1]),)))
+        g.append(PackedSeries.sum_of_products(((1, ops[i], a0_pow[i - 1]),)))
+    f = [one]
+    for k in range(1, n + 1):
+        step = PackedSeries.sum_of_products((-n * i - k, g[i], f[k - i]) for i in range(1, k + 1))
+        assert not any(x % k for _key, x in step.terms)
+        f.append(PackedSeries([(key, x // k) for key, x in step.terms], step.validity, width))
+    terms = []
+    for k in range(n + 1):
+        if cp := ctx.cp_image(n - k):
+            cp_packed = PackedSeries.from_coeffs({0: cp.terms}, a0_pow[n - k].validity, width)
+            terms.append((1, PackedSeries.sum_of_products(((1, cp_packed, a0_pow[n - k]),)), f[k]))
+    return fglops.obstruction._series(ctx.p, PackedSeries.sum_of_products(terms))
+
+
+def _record_column_products(monkeypatch) -> list:
+    """Every ColumnSeries.sum_of_products result from here on, in a list."""
+    products, product = [], ColumnSeries.sum_of_products
+
+    def recording(triples):
+        products.append(product(triples))
+        return products[-1]
+
+    monkeypatch.setattr(ColumnSeries, "sum_of_products", staticmethod(recording))
+    return products
+
+
+def _columns_stop_below_the_validity(s: ColumnSeries) -> bool:
+    """Each column ends in a nonzero entry whose xi-degree is below s.validity."""
+    q = s.prime - 1
+    return all(col[-1] and q * (len(col) - 1) + c < s.validity for (_m, c), col in s.columns.items())
+
+
+# mc-deep's point, p = 2 (short columns), p = 3, and p = 7
+@pytest.mark.parametrize("p, k, n", [(5, 76, 24), (2, 14, 5), (3, 25, 4), (7, 162, 12)])
+def test_recurrence_equals_the_packed_route(monkeypatch, p, k, n):
+    # == compares the validity too; every product of the column route stops
+    # below its own validity, so a cut one entry too long shows here as well
+    ctx = FglContext(p, k)
+    data = power_operation(ctx, x_cap=n)
+    products = _record_column_products(monkeypatch)
+    raw = _power_recurrence(ctx, data, n, None)
+    monkeypatch.undo()
+    assert raw == _packed_recurrence(ctx, data, n)
+    assert len(products) == 2 * (n - 1) + n + sum(map(bool, map(ctx.cp_image, range(n + 1)))) + 1
+    assert all(map(_columns_stop_below_the_validity, products))
+
+
+# p = 2, 3, 5, 7 with a_i of weight >= 0 (c < 0 from i = p on), and p = 2, k = 56,
+# whose a_i reach v_5
+COLUMN_GRID = [(2, 14, 14), (3, 25, 25), (5, 76, 24), (7, 162, 12), (2, 56, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _column_data(p, k, cap):
+    return power_operation(FglContext(p, k), x_cap=cap)
+
+
+@pytest.mark.parametrize("p, k, cap", COLUMN_GRID)
+def test_columns_round_trip_every_a_i(p, k, cap):
+    data = _column_data(p, k, cap)
+    negative = []
+    for i, ai in enumerate(data.a):
+        cols = ColumnSeries.from_series(ai)
+        assert cols.series() == ai and cols.val() == ai.val()
+        # homogeneous of weight w = i + 1 - p: one column per m', at c = wt(m') - w
+        assert len({m for m, _c in cols.columns}) == len(cols.columns)
+        assert all(m & MAX_EXP == 0 and c == mono_weight(m, p) - (i + 1 - p) and col[-1]
+                   for (m, c), col in cols.columns.items())
+        if any(c < 0 for _m, c in cols.columns):
+            negative.append(i)
+    assert negative and min(negative) >= p  # c < 0 needs w > 0
+
+
+@pytest.mark.parametrize("p, k, cap", COLUMN_GRID[:4])
+def test_column_products_equal_series_products(p, k, cap):
+    # a sum of two products, and a square of a_i of weight >= 0 (c < 0 from i = p on)
+    a = _column_data(p, k, cap).a
+    cols = [ColumnSeries.from_series(ai) for ai in a]
+    top = len(a) - 1
+    for triples in ([(3, 1, top), (-2, 0, top - 1)], [(1, top, top)], [(5, 0, 0), (1, p - 1, 1)]):
+        got = ColumnSeries.sum_of_products((c, cols[i], cols[j]) for c, i, j in triples)
+        assert got.series() == Series.sum_of_products((c, a[i], a[j]) for c, i, j in triples)
+        assert _columns_stop_below_the_validity(got)
 
 
 # the multi-index sum costs about 15 ms a summand at p = 2, 3 ms at p = 3 and

@@ -13,7 +13,7 @@ from fglops.powerop import (EulerClassError, _check_euler_class, _factor_forms, 
 from fglops.reduction import divisible_by_full_p_series
 from fglops.series import PackedSeries, Series
 
-from conftest import P, S
+from conftest import Counted, P, S
 
 
 def test_a0_is_euler_class(data27):
@@ -372,7 +372,7 @@ def test_euler_columns_have_the_length_of_their_step(p, k, cap):
 def test_euler_columns_that_cancel_are_dropped(monkeypatch):
     # with every part zero, N_1 .. N_top keep no column, and only P_q has forms
     ctx, cap = FglContext(5, 40), 10
-    monkeypatch.setattr(powerop, "_convolve", lambda b, col, length: [0] * length)
+    monkeypatch.setattr(powerop, "convolve", lambda out, c, b, col: out)
     columns = powerop._euler_columns(ctx, cap)
     assert len(columns) == 10 and columns[1:] == [{}] * 9
     forms = powerop.product_forms(ctx, cap)
@@ -380,34 +380,28 @@ def test_euler_columns_that_cancel_are_dropped(monkeypatch):
     assert all(runs == [] for _d, runs in forms[1:]) and len(forms[0][1]) == 5
 
 
-class _Counted(int):
-    """An int that counts the products it is a factor of; each product is a plain int."""
-
-    products = 0
-
-    def __mul__(self, other):
-        _Counted.products += 1
-        return int(self) * other
-
-    __rmul__ = __mul__
-
-
 @pytest.mark.parametrize("p,k,cap", EULER_GRID)
 def test_euler_convolutions_make_only_pairs_below_each_validity(monkeypatch, p, k, cap):
     # the multiply-adds of every B_(qi) N_(j-i) are the reference's pairs, no more
-    convolve = powerop._convolve
-    monkeypatch.setattr(powerop, "_convolve",
-                        lambda b, col, length: convolve([_Counted(y) for y in b], col, length))
-    _Counted.products = 0
+    convolve = powerop.convolve
+    monkeypatch.setattr(powerop, "convolve",
+                        lambda out, c, b, col: convolve(out, c, [Counted(y) for y in b], col))
+    Counted.products = 0
     powerop.product_forms(FglContext(p, k), cap)
-    assert _Counted.products == _euler_reference(p, k, cap)[1]
+    assert Counted.products == _euler_reference(p, k, cap)[1]
 
 
 def test_convolve_is_cut_at_its_length_and_skips_zeros():
-    _Counted.products = 0
-    got = powerop._convolve([_Counted(y) for y in (1, 2, 3)], [4, 0, 5], 4)
+    Counted.products = 0
+    got = powerop.convolve([0] * 4, 1, [Counted(y) for y in (1, 2, 3)], [4, 0, 5])
     assert got == [4, 8, 12 + 5, 10] and type(got[0]) is int
-    assert _Counted.products == 3 + 2  # 4 meets 1, 2, 3; 5 meets 1, 2 below X^4
+    assert Counted.products == 3 + 2  # 4 meets 1, 2, 3; 5 meets 1, 2 below X^4
+    # it adds c X^lo times the product into out
+    Counted.products = 0
+    out = [1, 1, 1, 1, 1]
+    assert powerop.convolve(out, -2, [Counted(3), Counted(1)], [0, 5, 7], 2) is out
+    assert out == [1, 1, 1, 1 - 30, 1 - 10 - 42]
+    assert Counted.products == 2 + 1  # 5 meets 3, 1; 7 meets 3 below X^5
 
 
 @pytest.mark.parametrize("p,k,cap", EULER_GRID)
