@@ -236,8 +236,10 @@ def main(argv=None) -> int:
 
     if cmd == "mc":
         try:
-            data = power_operation(
-                ctx, x_cap=args.n, progress=_progress_printer(args.progress, "power-operation steps"))
+            # a function: the sparseness shortcut never builds the power operation at k
+            data = functools.partial(
+                power_operation, ctx, x_cap=args.n,
+                progress=_progress_printer(args.progress, "power-operation steps"))
             result = mc(ctx, data, args.n, force_full=args.force_full,
                         progress=_progress_printer(args.progress, "recurrence steps"))
         except (InsufficientTruncationError, ValueError) as exc:

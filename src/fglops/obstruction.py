@@ -53,7 +53,12 @@ Cross-check routes (exact agreement within joint validity):
   * at n = 2(p-1), the recurrence's raw sum, reduced.
 
 For odd p with n not divisible by p-1 the reduced class vanishes identically,
-and the recurrence is skipped unless a full computation is forced.
+and the recurrence is skipped unless a full computation is forced.  That zero
+carries the validity the raw sum would have, which needs only V_i = k+1-i and
+the valuation of each a_i, i <= n.  mc, handed the power operation as a
+function, then never builds it: the valuations come from the power operation
+at the least k' of a doubling sequence from min(k, n + p) whose a_i each show
+a nonzero coefficient below k'+1-i (_shortcut_valuations), k' = k at worst.
 """
 
 from __future__ import annotations
@@ -61,10 +66,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Callable
 
 from .fgl import FglContext, IntegralityError, mu, partitions
 from .poly import UNIT_MONO, GradedPoly
-from .powerop import PowerOpData
+from .powerop import PowerOpData, power_operation
 from .reduction import ReducedSeries, canonical_rep, nonvanishing_certificate
 from .series import ColumnSeries, PackedSeries, Series
 
@@ -128,33 +134,56 @@ def check_truncation(n: int, k: int) -> None:
         )
 
 
-def _check_inputs(ctx: FglContext, data: PowerOpData, n: int) -> None:
-    """Refuse an n that no route can sum: negative, beyond k, or beyond the computed a_i."""
+def _check_inputs(ctx: FglContext, data: PowerOpData | None, n: int) -> None:
+    """Refuse an n that no route can sum: negative, beyond k, or beyond the computed a_i.
+
+    data None checks n alone, before any a_i is computed.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_truncation(n, ctx.k)
-    if n >= len(data.a):  # for n >= 1 the summand with alpha_n = 1 needs a_n
+    if data is not None and n >= len(data.a):  # for n >= 1 the summand with alpha_n = 1 needs a_n
         raise ValueError(
             f"need a_{n} but only a_0..a_{len(data.a) - 1} were computed; "
             f"raise the x order of the power operation"
         )
 
 
-def _sum_validity(ctx: FglContext, data: PowerOpData, n: int) -> int:
+def _validities(data: PowerOpData, n: int) -> tuple:
+    """The validities V_i and valuations v_i of a_0..a_n, as two lists."""
+    return [ai.validity for ai in data.a[:n + 1]], [ai.val() for ai in data.a[:n + 1]]
+
+
+def _shortcut_valuations(ctx: FglContext, n: int) -> list:
+    """val(a_0..a_n) at ctx.k, from the least truncation k' that shows them.
+
+    a_i at k' agrees with a_i at k below its validity k'+1-i, so once every
+    a_i has a nonzero coefficient there, its lowest is the one at k.  k'
+    starts at min(k, n + p), where a_n is valid mod xi^(p+1) and every val(a_i)
+    met at p <= 17 is below p, and doubles up to k, where the run is the full one.
+    """
+    p, k = ctx.p, ctx.k
+    kk = min(k, n + p)
+    while True:
+        a = power_operation(FglContext(p, kk) if kk < k else ctx, x_cap=n).a
+        if kk == k or all(ai.coeffs for ai in a):
+            return [ai.val() for ai in a]
+        kk = min(k, 2 * kk)
+
+
+def _sum_validity(ctx: FglContext, big_v: list, v: list, n: int) -> int:
     """Least validity of a summand of the paper's sum, by a min-plus knapsack.
 
-    With (V_i, v_i) the validity and valuation of a_i and alpha_0 = n - |abar|,
-    the summand prod a_i^(alpha_i) is valid to the least V_i - v_i of its
-    factors plus sum alpha_i v_i = n v_0 + sum_{i>=1} alpha_i w_i, where
-    w_i = v_i - v_0.  best[t] is the least sum alpha_i w_i over the partitions
-    of t.  Each t = |abar|' with cp(n - t) != 0 takes as the factor that sets
+    With (V_i, v_i) = (big_v[i], v[i]) the validity and valuation of a_i and
+    alpha_0 = n - |abar|, the summand prod a_i^(alpha_i) is valid to the
+    least V_i - v_i of its factors plus sum alpha_i v_i
+    = n v_0 + sum_{i>=1} alpha_i w_i, where w_i = v_i - v_0.  best[t] is the
+    least sum alpha_i w_i over the partitions of t.  Each t = |abar|' with cp(n - t) != 0 takes as the factor that sets
     the least V_i - v_i a part f, or a_0, which only the all-ones partition
     of n lacks.  Every index is a summand, since mu(-(n+1); abar) never vanishes.
     """
     if n == 0:  # the empty product, known as far as a_0 is
-        return data.a[0].validity
-    big_v = [ai.validity for ai in data.a[:n + 1]]
-    v = [ai.val() for ai in data.a[:n + 1]]
+        return big_v[0]
     w = [vi - v[0] for vi in v]
     best = [0]
     for t in range(1, n + 1):
@@ -174,19 +203,31 @@ def _one(ctx: FglContext, data: PowerOpData) -> Series:
     return Series.from_const(1, ctx.p, "v", data.a[0].validity)
 
 
-def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
-       progress=None) -> ObstructionResult:
+def mc(ctx: FglContext, data: PowerOpData | Callable[[], PowerOpData], n: int,
+       force_full: bool = False, progress=None) -> ObstructionResult:
     """The n-th obstruction series, raw and reduced modulo the reduced p-series.
 
-    `progress(k, n)` is called after each of the n recurrence steps; at
-    n = 2(p-1) they run when the raw series is first read.
+    `data` is the PowerOpData of ctx, or a function of no arguments that
+    returns it.  The function is not called on the sparseness shortcut (odd
+    p, p - 1 not dividing n, no force_full): there the valuations of a_0..a_n
+    come from the least truncation that shows them (_shortcut_valuations),
+    and V_i = k+1-i.  `progress(k, n)` is called after each of the n
+    recurrence steps; at n = 2(p-1) they run when the raw series is first read.
     """
-    _check_inputs(ctx, data, n)
     p = ctx.p
-    predicted = _sum_validity(ctx, data, n)
+    shortcut = p > 2 and n % (p - 1) != 0 and not force_full
+    if shortcut and callable(data):
+        _check_inputs(ctx, None, n)
+        big_v, v = [ctx.k + 1 - i for i in range(n + 1)], _shortcut_valuations(ctx, n)
+    else:
+        if callable(data):
+            data = data()
+        _check_inputs(ctx, data, n)
+        big_v, v = _validities(data, n)
+    predicted = _sum_validity(ctx, big_v, v, n)
     is_obstruction = not ctx.cp_image(n)
 
-    if p > 2 and n % (p - 1) != 0 and not force_full:
+    if shortcut:
         if predicted < p:
             raise InsufficientTruncationError(
                 f"obstruction series would have validity {predicted} < p = {p}"

@@ -440,6 +440,16 @@ def test_progress_reports_power_operation_steps(capsys):
     assert err.splitlines() == [f"progress: {k}/3 recurrence steps" for k in range(1, 4)]
 
 
+def test_progress_on_the_sparseness_shortcut_is_silent(capsys):
+    # the shortcut builds no power operation at k, and no recurrence runs
+    code, quiet_out, _err = run(capsys, "mc", "-p", "5", "--n", "6")
+    code2, loud_out, loud_err = run(capsys, "mc", "-p", "5", "--n", "6", "--progress")
+    assert code == code2 == 0 and loud_out == quiet_out
+    assert "sparseness shortcut" in loud_out and loud_err == ""
+    _code, _out, err = run(capsys, "mc", "-p", "5", "--n", "6", "--progress", "--force-full")
+    assert "power-operation steps" in err
+
+
 def test_verify_progress_at_p13_reports_the_power_operation(capsys):
     code, quiet_out, quiet_err = run(capsys, "verify", "--suite", "p13")
     code2, loud_out, loud_err = run(capsys, "verify", "--suite", "p13", "--progress")

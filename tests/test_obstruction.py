@@ -21,7 +21,7 @@ import fglops.obstruction
 import fglops.series
 from fglops.fgl import IntegralityError
 from fglops.golden import SUITES, compare_series, load_suite
-from fglops.obstruction import _power_recurrence, _sum_validity, multi_weighted_size
+from fglops.obstruction import _power_recurrence, _sum_validity, _validities, multi_weighted_size
 from fglops.poly import MAX_EXP, UNIT_MONO, GradedPoly, mono_weight
 from fglops.powerop import PowerOpData, product_rows, product_rows_by_fold
 from fglops.reduction import canonical_rep, nonvanishing_certificate
@@ -219,12 +219,83 @@ def test_sparseness_shortcut_and_full_route():
         for n in ns:
             quick = mc(ctx, data, n)
             assert quick.used_shortcut and quick.reduced.is_zero()
+            lazy = mc(ctx, lambda: data, n)  # the valuations from the least truncation
+            assert lazy.used_shortcut and lazy.reduced.is_zero()
             full = mc(ctx, data, n, force_full=True)
             assert not full.used_shortcut
             assert full.reduced.is_zero(), f"MC_{n} must vanish mod the reduced p-series"
             assert full.raw.coeffs, "the raw sum itself is nonzero"
             # the shortcut's zero series carries the validity of the full raw sum
-            assert quick.reduced.validity == full.raw.validity, (p, n)
+            assert quick.reduced.validity == lazy.reduced.validity == full.raw.validity, (p, n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lazy_shortcut_validity_at_the_default_truncation(p):
+    # every n of the shortcut up to 30 at the table-reproducing k: the valuations
+    # read at the least truncation give the knapsack's validity on the run at k
+    k = {3: 25, 5: 76, 7: 162}[p]
+    ctx = FglContext(p, k)
+    ns = [n for n in range(1, min(k, 30) + 1) if n % (p - 1)]
+    data = power_operation(ctx, x_cap=max(ns))
+    for n in ns:
+        lazy = mc(ctx, lambda: data, n)
+        assert lazy.used_shortcut and lazy.reduced.is_zero()
+        assert lazy.reduced.validity == _sum_validity(ctx, *_validities(data, n), n), n
+
+
+def _recording_power_operation(monkeypatch, hide=None):
+    """Record the truncation of each power operation mc builds; hide=(i, k) zeroes a_i below k."""
+    built = []
+
+    def record(ctx, x_cap=None, progress=None):
+        built.append(ctx.k)
+        data = power_operation(ctx, x_cap=x_cap, progress=progress)
+        if hide is not None and ctx.k < hide[1]:
+            i = hide[0]
+            data.a[i] = Series.zero(ctx.p, "v", data.a[i].validity)
+        return data
+
+    monkeypatch.setattr(fglops.obstruction, "power_operation", record)
+    return built
+
+
+def test_lazy_shortcut_builds_no_power_operation_at_k(monkeypatch):
+    def refuse():
+        raise AssertionError("the sparseness shortcut asked for the power operation at k")
+
+    built = _recording_power_operation(monkeypatch)
+    for p, k, n in [(5, 76, 6), (7, 162, 5), (13, 504, 7), (3, 25, 1)]:
+        built.clear()
+        result = mc(FglContext(p, k), refuse, n)
+        assert result.used_shortcut and result.reduced.is_zero()
+        assert built == [n + p], (p, built)
+
+
+def test_lazy_shortcut_doubles_up_to_k(monkeypatch):
+    # a_3 shows no coefficient below k at any smaller truncation, so the
+    # valuations come from the run at k itself, k' = 8, 16, 32, 64, 76
+    p, k, n = 5, 76, 3
+    ctx = FglContext(p, k)
+    data = power_operation(ctx, x_cap=n)
+    built = _recording_power_operation(monkeypatch, hide=(3, k))
+    lazy = mc(ctx, lambda: data, n)
+    assert built == [8, 16, 32, 64, 76]
+    assert lazy.reduced.validity == mc(ctx, data, n, force_full=True).raw.validity
+
+
+def test_lazy_full_route_calls_the_function_once(monkeypatch):
+    # off the shortcut the function is called once, for the power operation at k
+    ctx = FglContext(5, 76)
+    built = _recording_power_operation(monkeypatch)
+    calls = []
+
+    def data():
+        calls.append(1)
+        return fglops.obstruction.power_operation(ctx, x_cap=8)
+
+    lazy = mc(ctx, data, 8)
+    assert calls == [1] and built == [76] and not lazy.used_shortcut
+    assert lazy.reduced == mc(ctx, power_operation(ctx, x_cap=8), 8).reduced
 
 
 
@@ -340,7 +411,7 @@ def test_closed_form_route_property(case):
     ctx, n = data.ctx, 2 * (p - 1)
     closed = mc_explicit_2p2(ctx, data)
     assert closed == _closed_form_by_series(ctx, data)
-    assert closed.validity >= _sum_validity(ctx, data, n)
+    assert closed.validity >= _sum_validity(ctx, *_validities(data, n), n)
     try:
         r = mc(ctx, data, n)
     except InsufficientTruncationError:
@@ -421,7 +492,8 @@ def _capped_data(p, k):
 def test_sum_validity_equals_the_enumeration(p, k):
     data = _capped_data(p, k)
     for n in range(min(k, 14) + 1):
-        assert _sum_validity(data.ctx, data, n) == _enumerated_validity(data, n, p), n
+        want = _enumerated_validity(data, n, p)
+        assert _sum_validity(data.ctx, *_validities(data, n), n) == want, n
 
 
 @st.composite
@@ -436,7 +508,7 @@ def _validity_cases(draw):
 def test_sum_validity_property(case):
     p, k, n = case
     data = _capped_data(p, k)
-    assert _sum_validity(data.ctx, data, n) == _enumerated_validity(data, n, p)
+    assert _sum_validity(data.ctx, *_validities(data, n), n) == _enumerated_validity(data, n, p)
 
 
 @st.composite
@@ -459,7 +531,8 @@ def test_sum_validity_property_on_drawn_factors(case):
     p, a = case
     n = len(a) - 1
     data = types.SimpleNamespace(a=a)
-    assert _sum_validity(FglContext(p, 12), data, n) == _enumerated_validity(data, n, p)
+    want = _enumerated_validity(data, n, p)
+    assert _sum_validity(FglContext(p, 12), *_validities(data, n), n) == want
 
 
 def test_mc_enumerates_no_index(monkeypatch, ctx313, data313):

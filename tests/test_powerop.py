@@ -152,10 +152,22 @@ def test_sparseness_divisibility_of_a(ctx313, data313):
 
 
 def test_validity_soundness_across_truncations():
+    # the sparseness shortcut reads val(a_i) at a small k' near n + p: every a_i
+    # there must agree with the run at a larger k below the smaller validity
     lo = power_operation(FglContext(3, 9), x_cap=4)
     hi = power_operation(FglContext(3, 13), x_cap=4)
     for alo, ahi in zip(lo.a, hi.a):
         assert ahi.agrees_with(alo)
+    for p, k in [(3, 25), (5, 76), (7, 120), (11, 120)]:
+        ns = {1, p - 2, p, 2 * p + 1}
+        hi = power_operation(FglContext(p, k), x_cap=max(ns))
+        for n in ns:
+            for k_lo in (n + p - 1, n + p, n + 2 * p):
+                lo = power_operation(FglContext(p, k_lo), x_cap=n)
+                assert len(lo.a) == n + 1
+                for i, (alo, ahi) in enumerate(zip(lo.a, hi.a)):
+                    assert alo.validity == k_lo + 1 - i < ahi.validity
+                    assert ahi.agrees_with(alo), (p, k_lo, n, i)
 
 
 # k < p - 1 at (5, 3) and (7, 4): every row vanishes below its validity
