@@ -18,6 +18,7 @@ from .obstruction import (
     mc_via_inverse,
     mc_via_sum,
     mu,
+    sparse_mc,
 )
 from .poly import BasisMismatchError, GradedPoly
 from .powerop import PowerOpData, power_operation, reduce_a_mod_p_series
@@ -58,6 +59,7 @@ __all__ = [
     "nonvanishing_certificate",
     "power_operation",
     "reduce_a_mod_p_series",
+    "sparse_mc",
 ]
 
 __version__ = "0.1.0"

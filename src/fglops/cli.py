@@ -15,7 +15,7 @@ import sys
 
 from .fgl import MR_BOUND, FglContext, is_prime
 from .golden import SUITES, GoldenFileError, verify_suite
-from .obstruction import InsufficientTruncationError, check_truncation, mc
+from .obstruction import InsufficientTruncationError, check_truncation, mc, sparse_mc
 from .poly import MAX_TRUNCATION
 from .powerop import power_operation, reduce_a_mod_p_series
 from .render import poly_text, series_text, series_to_json, to_json
@@ -167,6 +167,57 @@ def _progress_printer(enabled: bool, unit: str):
     return emit
 
 
+def _mc(args, k: int, ideal: list) -> int:
+    """The mc subcommand; the sparseness shortcut builds no context and no power operation at k."""
+    p, n = args.prime, args.n
+    if n < 1:
+        return _fail("--n must be >= 1")
+    try:
+        check_truncation(n, k)
+        result = None if args.force_full else sparse_mc(p, k, n)
+        if result is None:
+            ctx = FglContext(p, k)
+            steps = _progress_printer(args.progress, "power-operation steps")
+            data = power_operation(ctx, x_cap=n, progress=steps)
+            result = mc(ctx, data, n, force_full=args.force_full,
+                        progress=_progress_printer(args.progress, "recurrence steps"))
+    except (InsufficientTruncationError, ValueError) as exc:
+        return _fail(str(exc))
+    reduced = apply_ideal(result.reduced.series, ideal)
+    annotation = (
+        "obstruction index" if result.is_obstruction_index
+        else "not an obstruction index (n = p^i - 1)"
+    )
+    if args.format == "json":
+        obj = {
+            "prime": p,
+            "truncation": k,
+            "n": n,
+            "reduced": reduced,
+            "raw": None if result.raw is None else apply_ideal(result.raw, ideal),
+            "certificate": None if result.certificate is None else {
+                "xi_exponent": result.certificate[0],
+                "leading": poly_text(result.certificate[1], p),
+            },
+            "obstruction_index": result.is_obstruction_index,
+            "sparseness_shortcut": result.used_shortcut,
+        }
+        print(to_json(obj, k))
+    else:
+        print(f"MC_{n}(xi) mod <{p}>xi = {series_text(reduced)}")
+        if args.show_raw and result.raw is not None:
+            print(f"raw = {series_text(apply_ideal(result.raw, ideal))}")
+        if result.certificate is not None:
+            j, lead = result.certificate
+            print(f"certificate: xi^{j} -> {poly_text(lead, p)}")
+        else:
+            print("certificate: none (zero within validity; inconclusive)")
+        if result.used_shortcut:
+            print("sparseness shortcut: reduced form vanishes identically")
+        print(f"annotation: {annotation}")
+    return 0
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     cmd = args.command
@@ -198,12 +249,7 @@ def main(argv=None) -> int:
     ideal = _parse_ideal(args.ideal, printed_basis)
     k = _truncation(args)
     if cmd == "mc":
-        if args.n < 1:
-            return _fail("--n must be >= 1")
-        try:
-            check_truncation(args.n, k)
-        except InsufficientTruncationError as exc:
-            return _fail(str(exc))
+        return _mc(args, k, ideal)
     ctx = FglContext(args.prime, k)
 
     if cmd in ("log", "exp", "pseries", "reduced-pseries"):
@@ -232,50 +278,6 @@ def main(argv=None) -> int:
         else:
             for i, s in enumerate(entries):
                 print(f"a_{i} = {series_text(apply_ideal(s, ideal))}")
-        return 0
-
-    if cmd == "mc":
-        try:
-            # a function: the sparseness shortcut never builds the power operation at k
-            data = functools.partial(
-                power_operation, ctx, x_cap=args.n,
-                progress=_progress_printer(args.progress, "power-operation steps"))
-            result = mc(ctx, data, args.n, force_full=args.force_full,
-                        progress=_progress_printer(args.progress, "recurrence steps"))
-        except (InsufficientTruncationError, ValueError) as exc:
-            return _fail(str(exc))
-        reduced = apply_ideal(result.reduced.series, ideal)
-        annotation = (
-            "obstruction index" if result.is_obstruction_index
-            else "not an obstruction index (n = p^i - 1)"
-        )
-        if args.format == "json":
-            obj = {
-                "prime": ctx.p,
-                "truncation": ctx.k,
-                "n": args.n,
-                "reduced": reduced,
-                "raw": None if result.raw is None else apply_ideal(result.raw, ideal),
-                "certificate": None if result.certificate is None else {
-                    "xi_exponent": result.certificate[0],
-                    "leading": poly_text(result.certificate[1], ctx.p),
-                },
-                "obstruction_index": result.is_obstruction_index,
-                "sparseness_shortcut": result.used_shortcut,
-            }
-            print(to_json(obj, ctx.k))
-        else:
-            print(f"MC_{args.n}(xi) mod <{ctx.p}>xi = {series_text(reduced)}")
-            if args.show_raw and result.raw is not None:
-                print(f"raw = {series_text(apply_ideal(result.raw, ideal))}")
-            if result.certificate is not None:
-                j, lead = result.certificate
-                print(f"certificate: xi^{j} -> {poly_text(lead, ctx.p)}")
-            else:
-                print("certificate: none (zero within validity; inconclusive)")
-            if result.used_shortcut:
-                print("sparseness shortcut: reduced form vanishes identically")
-            print(f"annotation: {annotation}")
         return 0
 
     return _fail(f"unknown command {cmd!r}")

@@ -36,10 +36,12 @@ certificate, the reduced class comes from the paper's closed form
 
     (2p-1) a_0^(2p-4) (-v_1 a_0 a_(p-1) - a_0 a_(2p-2) + p a_(p-1)^2),
 
-which needs three of the a_i, packed once: the bracket, with 2p-1
-multiplied in, is one PackedSeries.sum_of_products, and a power of a_0,
-from packed squarings, multiplies it.  It is not the raw sum: the summands it drops are 0 modulo <p>xi, so the raw sum minus the
-closed form vanishes there and both have the same canonical representative.
+which needs three of the a_i, held as the recurrence holds them, in
+v_1-columns: v_1 a_0 is each column of a_0 moved up one entry, the bracket,
+with 2p-1 multiplied in, is one ColumnSeries.sum_of_products, and a power of
+a_0, from column squarings, multiplies it.  It is not the raw sum: the
+summands it drops are 0 modulo <p>xi, so the raw sum minus the closed form
+vanishes there and both have the same canonical representative.
 Its validity is checked, not assumed: it must reach the validity the sum
 predicts, and it is truncated to exactly that, so the reduced class carries
 the same validity the recurrence would give.  The raw sum is then computed
@@ -53,12 +55,13 @@ Cross-check routes (exact agreement within joint validity):
   * at n = 2(p-1), the recurrence's raw sum, reduced.
 
 For odd p with n not divisible by p-1 the reduced class vanishes identically,
-and the recurrence is skipped unless a full computation is forced.  That zero
-carries the validity the raw sum would have, which needs only V_i = k+1-i and
-the valuation of each a_i, i <= n.  mc, handed the power operation as a
-function, then never builds it: the valuations come from the power operation
-at the least k' of a doubling sequence from min(k, n + p) whose a_i each show
-a nonzero coefficient below k'+1-i (_shortcut_valuations), k' = k at worst.
+and sparse_mc returns that zero from (p, k, n) alone, unless a full
+computation is forced.  The zero carries the validity the raw sum would
+have, which needs only V_i = k+1-i and the valuation of each a_i, i <= n:
+they come from the power operation at the least k' of a doubling sequence
+from min(k, n + p) whose a_i each show a nonzero coefficient below k'+1-i
+(_shortcut_valuations), k' = k at worst.  Neither the context nor the power
+operation at k is built.
 """
 
 from __future__ import annotations
@@ -66,13 +69,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Callable
 
 from .fgl import FglContext, IntegralityError, mu, partitions
-from .poly import UNIT_MONO, GradedPoly
+from .poly import UNIT_MONO
 from .powerop import PowerOpData, power_operation
 from .reduction import ReducedSeries, canonical_rep, nonvanishing_certificate
-from .series import ColumnSeries, PackedSeries, Series
+from .series import ColumnSeries, Series
 
 
 class InsufficientTruncationError(ValueError):
@@ -126,7 +128,9 @@ class ObstructionResult:
 
 
 def check_truncation(n: int, k: int) -> None:
-    """Refuse an n beyond the truncation k, before anything is computed."""
+    """Refuse a negative n or an n beyond the truncation k, before anything is computed."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n > k:
         # the summand with alpha_n = 1 needs a_n, which is valid mod xi^(k-n+1)
         raise InsufficientTruncationError(
@@ -134,15 +138,10 @@ def check_truncation(n: int, k: int) -> None:
         )
 
 
-def _check_inputs(ctx: FglContext, data: PowerOpData | None, n: int) -> None:
-    """Refuse an n that no route can sum: negative, beyond k, or beyond the computed a_i.
-
-    data None checks n alone, before any a_i is computed.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+def _check_inputs(ctx: FglContext, data: PowerOpData, n: int) -> None:
+    """Refuse an n that no route can sum: negative, beyond k, or beyond the computed a_i."""
     check_truncation(n, ctx.k)
-    if data is not None and n >= len(data.a):  # for n >= 1 the summand with alpha_n = 1 needs a_n
+    if n >= len(data.a):  # for n >= 1 the summand with alpha_n = 1 needs a_n
         raise ValueError(
             f"need a_{n} but only a_0..a_{len(data.a) - 1} were computed; "
             f"raise the x order of the power operation"
@@ -154,20 +153,20 @@ def _validities(data: PowerOpData, n: int) -> tuple:
     return [ai.validity for ai in data.a[:n + 1]], [ai.val() for ai in data.a[:n + 1]]
 
 
-def _shortcut_valuations(ctx: FglContext, n: int) -> list:
-    """val(a_0..a_n) at ctx.k, from the least truncation k' that shows them.
+def _shortcut_valuations(p: int, k: int, n: int) -> tuple:
+    """The context at k' and val(a_0..a_n) at k, from the least truncation k' that shows them.
 
     a_i at k' agrees with a_i at k below its validity k'+1-i, so once every
     a_i has a nonzero coefficient there, its lowest is the one at k.  k'
     starts at min(k, n + p), where a_n is valid mod xi^(p+1) and every val(a_i)
     met at p <= 17 is below p, and doubles up to k, where the run is the full one.
     """
-    p, k = ctx.p, ctx.k
     kk = min(k, n + p)
     while True:
-        a = power_operation(FglContext(p, kk) if kk < k else ctx, x_cap=n).a
+        ctx = FglContext(p, kk)
+        a = power_operation(ctx, x_cap=n).a
         if kk == k or all(ai.coeffs for ai in a):
-            return [ai.val() for ai in a]
+            return ctx, [ai.val() for ai in a]
         kk = min(k, 2 * kk)
 
 
@@ -203,40 +202,44 @@ def _one(ctx: FglContext, data: PowerOpData) -> Series:
     return Series.from_const(1, ctx.p, "v", data.a[0].validity)
 
 
-def mc(ctx: FglContext, data: PowerOpData | Callable[[], PowerOpData], n: int,
-       force_full: bool = False, progress=None) -> ObstructionResult:
+def sparse_mc(p: int, k: int, n: int) -> ObstructionResult | None:
+    """MC_n by the sparseness shortcut, from (p, k, n) alone; None off it.
+
+    Off the shortcut means p - 1 dividing n, every n at p = 2.  On it the
+    reduced class vanishes identically, and the zero carries the validity
+    the raw sum would have: V_i = k+1-i and the valuations of a_0..a_n from
+    the least truncation k' that shows them (_shortcut_valuations), whose
+    context also gives every cp(n - t), as k' >= min(k, n + p) >= n.
+    """
+    check_truncation(n, k)
+    if n % (p - 1) == 0:
+        return None
+    ctx, v = _shortcut_valuations(p, k, n)
+    predicted = _sum_validity(ctx, [k + 1 - i for i in range(n + 1)], v, n)
+    if predicted < p:
+        raise InsufficientTruncationError(
+            f"obstruction series would have validity {predicted} < p = {p}"
+        )
+    # identically zero in the quotient, so any validity claim is sound;
+    # report the one the raw sum would have carried
+    reduced = ReducedSeries(Series.zero(p, "v", predicted))
+    return ObstructionResult(n, None, reduced, None, not ctx.cp_image(n), True)
+
+
+def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
+       progress=None) -> ObstructionResult:
     """The n-th obstruction series, raw and reduced modulo the reduced p-series.
 
-    `data` is the PowerOpData of ctx, or a function of no arguments that
-    returns it.  The function is not called on the sparseness shortcut (odd
-    p, p - 1 not dividing n, no force_full): there the valuations of a_0..a_n
-    come from the least truncation that shows them (_shortcut_valuations),
-    and V_i = k+1-i.  `progress(k, n)` is called after each of the n
-    recurrence steps; at n = 2(p-1) they run when the raw series is first read.
+    Unless force_full, the sparseness shortcut (sparse_mc) answers where it
+    applies, and `data` is not read.  `progress(k, n)` is called after each
+    of the n recurrence steps; at n = 2(p-1) they run when the raw series is
+    first read.
     """
+    if not force_full and (result := sparse_mc(ctx.p, ctx.k, n)) is not None:
+        return result
     p = ctx.p
-    shortcut = p > 2 and n % (p - 1) != 0 and not force_full
-    if shortcut and callable(data):
-        _check_inputs(ctx, None, n)
-        big_v, v = [ctx.k + 1 - i for i in range(n + 1)], _shortcut_valuations(ctx, n)
-    else:
-        if callable(data):
-            data = data()
-        _check_inputs(ctx, data, n)
-        big_v, v = _validities(data, n)
-    predicted = _sum_validity(ctx, big_v, v, n)
-    is_obstruction = not ctx.cp_image(n)
-
-    if shortcut:
-        if predicted < p:
-            raise InsufficientTruncationError(
-                f"obstruction series would have validity {predicted} < p = {p}"
-            )
-        # identically zero in the quotient, so any validity claim is sound;
-        # report the one the raw sum would have carried
-        reduced = ReducedSeries(Series.zero(p, "v", predicted))
-        return ObstructionResult(n, None, reduced, None, is_obstruction, True)
-
+    _check_inputs(ctx, data, n)
+    predicted = _sum_validity(ctx, *_validities(data, n), n)
     pser = ctx.reduced_p_series("v")
 
     def recurrence():
@@ -263,7 +266,7 @@ def mc(ctx: FglContext, data: PowerOpData | Callable[[], PowerOpData], n: int,
             f"reduced obstruction has validity {reduced.validity} < p = {p}"
         )
     cert = nonvanishing_certificate(reduced)
-    return ObstructionResult(n, raw, reduced, cert, is_obstruction, False)
+    return ObstructionResult(n, raw, reduced, cert, not ctx.cp_image(n), False)
 
 
 def _checked(series: Series, n: int) -> Series:
@@ -387,42 +390,31 @@ def mc_via_inverse(ctx: FglContext, data: PowerOpData, n: int) -> Series:
 def mc_explicit_2p2(ctx: FglContext, data: PowerOpData) -> Series:
     """Closed form of the obstruction at n = 2(p-1), equal to MC_n modulo <p>xi.
 
-    a_0, a_(p-1) and a_(2p-2) are packed once, v_1 a_0 by moving keys, the
-    bracket is one PackedSeries.sum_of_products and a_0^(2p-4) the same
-    squarings and products as Series.__pow__, so every validity is the one
-    the Series products would give.  A product's validity is at most
-    V_A + V_B, so the bracket's is at most 2 V_max and a_0^(2p-4)'s
-    (2p - 4) V_0, V_max the largest validity of the three: W is the bit
-    length of (2p - 2) V_max.  The power times the bracket stays one
-    Series product: perfbench's trace sees the mc layer's products only
-    through Series.__mul__ (series.mul), and its self-tests expect some in
+    a_0, a_(p-1) and a_(2p-2) are held in v_1-columns, v_1 a_0 by moving
+    each column of a_0 up one entry, at c - (p-1); the bracket is one
+    ColumnSeries.sum_of_products and a_0^(2p-4) the same squarings and
+    products as Series.__pow__, so every validity is the one the Series
+    products would give.  The power times the bracket stays one Series
+    product: perfbench's trace sees the mc layer's products only through
+    Series.__mul__ (series.mul), and its self-tests expect some in
     mc -p 5 --n 8.
     """
     p = ctx.p
     n = 2 * (p - 1)
     if len(data.a) <= n or data.a[n].validity < 1:
         raise InsufficientTruncationError(f"a_{n} is not available at this truncation")
-    a = (data.a[0], data.a[p - 1], data.a[n])
-    width = (n * max(ai.validity for ai in a)).bit_length()
-    a0, ap1, a2p2 = (PackedSeries.from_series(ai, width) for ai in a)
-    v1a0 = PackedSeries([(key + (1 << width), x) for key, x in a0.terms],
-                        a0.validity, width, a0.degrees)  # v_1 is the monomial 1
+    a0, ap1, a2p2 = (ColumnSeries.from_series(data.a[i]) for i in (0, p - 1, n))
+    v1a0 = ColumnSeries({(m, c - (p - 1)): [0] + col for (m, c), col in a0.columns.items()},
+                        a0.validity, p)
     c = 2 * p - 1
-    bracket = _series(p, PackedSeries.sum_of_products([(-c, v1a0, ap1), (-c, a0, a2p2),
-                                                       (p * c, ap1, ap1)]))
+    bracket = ColumnSeries.sum_of_products([(-c, v1a0, ap1), (-c, a0, a2p2), (p * c, ap1, ap1)])
     if p == 2:
-        return bracket
+        return bracket.series()
     power, base, e = None, a0, 2 * p - 4
     while e:
         if e & 1:
-            power = base if power is None else PackedSeries.sum_of_products(((1, power, base),))
+            power = base if power is None else ColumnSeries.sum_of_products(((1, power, base),))
         if e > 1:
-            base = PackedSeries.sum_of_products(((1, base, base),))
+            base = ColumnSeries.sum_of_products(((1, base, base),))
         e >>= 1
-    return _series(p, power) * bracket
-
-
-def _series(p: int, packed: PackedSeries) -> Series:
-    """A univariate v-basis PackedSeries as a Series."""
-    return Series(p, "v", {(d, 0): GradedPoly(t, "v") for d, t in packed.split().items()},
-                  packed.validity)
+    return power.series() * bracket.series()

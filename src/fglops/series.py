@@ -32,13 +32,15 @@ itself and cuts by hand (powerop.py).
 
 Series whose coefficients are dense along one variable are multiplied by
 the one dense loop instead, convolve: a truncated convolution of two int
-lists into a third, in place.  The power operation's Euler loop holds its
-series so in X (powerop.py), and Miller's recurrence (obstruction.py) holds
-every operand as a ColumnSeries, dense in v_1: {(m', c): column}, m' a
-monomial with its v_1 field cleared and column[e] the coefficient of
-v_1^e m' xi^((p-1)e + c).  Every generator weight p^m - 1 is a multiple of
-p - 1, so a homogeneous series has one column per m'; one that is not only
-has more keys.  A product of two columns lands at (m'_A + m'_B, c_A + c_B),
+lists into a third, in place, the one dense loop of the power operation's
+Euler loop, Miller's recurrence and the closed form at n = 2(p-1).  The
+Euler loop holds its series so in X (powerop.py); the recurrence and the
+closed form (obstruction.py) hold every operand as a ColumnSeries, dense
+in v_1: {(m', c): column}, m' a monomial with its v_1 field cleared and
+column[e] the coefficient of v_1^e m' xi^((p-1)e + c); multiplying by v_1
+moves each column up one entry, to c - (p-1).  Every generator weight
+p^m - 1 is a multiple of p - 1, so a homogeneous series has one column per
+m'; one that is not only has more keys.  A product of two columns lands at (m'_A + m'_B, c_A + c_B),
 cut below the product's validity v, at length ceil((v - c_A - c_B)/(p-1)):
 the same rule and the same pairs as a Series product, with no key hashed
 per pair.  A column of A enters from its first nonzero entry
@@ -444,10 +446,6 @@ class PackedSeries:
             self._groups = [(d, [kx for _d, kx in run])
                             for d, run in groupby(zip(self.degrees, self.terms), key=itemgetter(0))]
         return self._groups
-
-    def split(self) -> dict:
-        """{degree: {mono: coefficient}} of a univariate series."""
-        return split_packed(self.terms, self.width)
 
     def split_bivariate(self, shift: int) -> dict:
         """{(j_xi, j_x): terms} from x = j_x at shift and degree = j_xi + j_x."""

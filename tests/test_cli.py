@@ -10,6 +10,7 @@ import pytest
 
 import fglops.cli
 import fglops.golden
+import fglops.obstruction
 import fglops.powerop
 from fglops import FglContext, mc, power_operation, reduce_a_mod_p_series
 from fglops.cli import DEFAULT_TRUNCATION, main
@@ -448,6 +449,28 @@ def test_progress_on_the_sparseness_shortcut_is_silent(capsys):
     assert "sparseness shortcut" in loud_out and loud_err == ""
     _code, _out, err = run(capsys, "mc", "-p", "5", "--n", "6", "--progress", "--force-full")
     assert "power-operation steps" in err
+
+
+def test_sparseness_shortcut_builds_no_context_at_k(monkeypatch, capsys):
+    # the shortcut needs only the context and power operation at k' = n + p = 4, never those at k
+    contexts, operations = [], []
+    init = FglContext.__init__
+
+    def recording_init(self, p, k, *args, **kwargs):
+        contexts.append(k)
+        init(self, p, k, *args, **kwargs)
+
+    def recording_power_operation(ctx, *args, **kwargs):
+        operations.append(ctx.k)
+        return power_operation(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(FglContext, "__init__", recording_init)
+    for module in (fglops.cli, fglops.obstruction):
+        monkeypatch.setattr(module, "power_operation", recording_power_operation)
+    code, out, err = run(capsys, "mc", "-p", "3", "-k", "200", "--n", "1")
+    assert code == 0 and err == ""
+    assert "sparseness shortcut: reduced form vanishes identically" in out
+    assert contexts == operations == [4]
 
 
 def test_verify_progress_at_p13_reports_the_power_operation(capsys):

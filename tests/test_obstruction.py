@@ -16,6 +16,7 @@ from fglops import (
     mc_via_sum,
     mu,
     power_operation,
+    sparse_mc,
 )
 import fglops.obstruction
 import fglops.series
@@ -26,7 +27,7 @@ from fglops.poly import MAX_EXP, UNIT_MONO, GradedPoly, mono_weight
 from fglops.powerop import PowerOpData, product_rows, product_rows_by_fold
 from fglops.reduction import canonical_rep, nonvanishing_certificate
 from fglops.render import series_from_obj
-from fglops.series import ColumnSeries, PackedSeries, Series
+from fglops.series import ColumnSeries, PackedSeries, Series, split_packed
 
 from conftest import Counted, P
 
@@ -219,7 +220,8 @@ def test_sparseness_shortcut_and_full_route():
         for n in ns:
             quick = mc(ctx, data, n)
             assert quick.used_shortcut and quick.reduced.is_zero()
-            lazy = mc(ctx, lambda: data, n)  # the valuations from the least truncation
+            assert mc(ctx, PowerOpData(ctx, []), n).reduced == quick.reduced  # data is not read
+            lazy = sparse_mc(p, k, n)  # the valuations from the least truncation
             assert lazy.used_shortcut and lazy.reduced.is_zero()
             full = mc(ctx, data, n, force_full=True)
             assert not full.used_shortcut
@@ -227,6 +229,16 @@ def test_sparseness_shortcut_and_full_route():
             assert full.raw.coeffs, "the raw sum itself is nonzero"
             # the shortcut's zero series carries the validity of the full raw sum
             assert quick.reduced.validity == lazy.reduced.validity == full.raw.validity, (p, n)
+
+
+def test_sparse_mc_is_none_off_the_shortcut():
+    # p - 1 dividing n, which takes in every n at p = 2; a bad n is refused first
+    assert [n for n in range(6) if sparse_mc(2, 14, n) is not None] == []
+    assert [n for n in range(13) if sparse_mc(5, 20, n) is None] == [0, 4, 8, 12]
+    with pytest.raises(ValueError, match="nonnegative"):
+        sparse_mc(3, 13, -1)
+    with pytest.raises(InsufficientTruncationError, match="k >= n = 14; got k = 13"):
+        sparse_mc(3, 13, 14)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -238,13 +250,13 @@ def test_lazy_shortcut_validity_at_the_default_truncation(p):
     ns = [n for n in range(1, min(k, 30) + 1) if n % (p - 1)]
     data = power_operation(ctx, x_cap=max(ns))
     for n in ns:
-        lazy = mc(ctx, lambda: data, n)
+        lazy = sparse_mc(p, k, n)
         assert lazy.used_shortcut and lazy.reduced.is_zero()
         assert lazy.reduced.validity == _sum_validity(ctx, *_validities(data, n), n), n
 
 
 def _recording_power_operation(monkeypatch, hide=None):
-    """Record the truncation of each power operation mc builds; hide=(i, k) zeroes a_i below k."""
+    """Record the k of each power operation sparse_mc builds; hide=(i, k) zeroes a_i below k."""
     built = []
 
     def record(ctx, x_cap=None, progress=None):
@@ -260,13 +272,10 @@ def _recording_power_operation(monkeypatch, hide=None):
 
 
 def test_lazy_shortcut_builds_no_power_operation_at_k(monkeypatch):
-    def refuse():
-        raise AssertionError("the sparseness shortcut asked for the power operation at k")
-
     built = _recording_power_operation(monkeypatch)
     for p, k, n in [(5, 76, 6), (7, 162, 5), (13, 504, 7), (3, 25, 1)]:
         built.clear()
-        result = mc(FglContext(p, k), refuse, n)
+        result = sparse_mc(p, k, n)
         assert result.used_shortcut and result.reduced.is_zero()
         assert built == [n + p], (p, built)
 
@@ -278,25 +287,9 @@ def test_lazy_shortcut_doubles_up_to_k(monkeypatch):
     ctx = FglContext(p, k)
     data = power_operation(ctx, x_cap=n)
     built = _recording_power_operation(monkeypatch, hide=(3, k))
-    lazy = mc(ctx, lambda: data, n)
+    lazy = sparse_mc(p, k, n)
     assert built == [8, 16, 32, 64, 76]
     assert lazy.reduced.validity == mc(ctx, data, n, force_full=True).raw.validity
-
-
-def test_lazy_full_route_calls_the_function_once(monkeypatch):
-    # off the shortcut the function is called once, for the power operation at k
-    ctx = FglContext(5, 76)
-    built = _recording_power_operation(monkeypatch)
-    calls = []
-
-    def data():
-        calls.append(1)
-        return fglops.obstruction.power_operation(ctx, x_cap=8)
-
-    lazy = mc(ctx, data, 8)
-    assert calls == [1] and built == [76] and not lazy.used_shortcut
-    assert lazy.reduced == mc(ctx, power_operation(ctx, x_cap=8), 8).reduced
-
 
 
 def test_sparseness_shortcut_reads_no_reduced_p_series(monkeypatch):
@@ -356,7 +349,7 @@ def _closed_form_data(p, k):
 
 
 def _closed_form_by_series(ctx, data):
-    """The closed form by Series products, the reference for mc_explicit_2p2's packed route."""
+    """The closed form by Series products, the reference for mc_explicit_2p2's column route."""
     p = ctx.p
     n = 2 * (p - 1)
     a0, ap1, a2p2 = data.a[0], data.a[p - 1], data.a[n]
@@ -367,7 +360,7 @@ def _closed_form_by_series(ctx, data):
 
 
 @pytest.mark.parametrize("name", SUITES)
-def test_packed_closed_form_equals_the_series_route(name):
+def test_column_closed_form_equals_the_series_route(name):
     # at every golden suite's (p, k): the same coefficients and the same validity
     suite = load_suite(name)
     p = suite["prime"]
@@ -649,7 +642,9 @@ def _packed_recurrence(ctx: FglContext, data, n: int) -> Series:
         if cp := ctx.cp_image(n - k):
             cp_packed = PackedSeries.from_coeffs({0: cp.terms}, a0_pow[n - k].validity, width)
             terms.append((1, PackedSeries.sum_of_products(((1, cp_packed, a0_pow[n - k]),)), f[k]))
-    return fglops.obstruction._series(ctx.p, PackedSeries.sum_of_products(terms))
+    raw = PackedSeries.sum_of_products(terms)
+    coeffs = {(d, 0): GradedPoly(t, "v") for d, t in split_packed(raw.terms, width).items()}
+    return Series(ctx.p, "v", coeffs, raw.validity)
 
 
 def _record_column_products(monkeypatch) -> list:

@@ -11,7 +11,7 @@ import fglops.series
 from fglops.poly import GradedPoly, mono_exps, mono_pack, sum_products
 from fglops.render import (parse_series, series_from_json, series_from_obj, series_text,
                            series_to_json, series_to_obj, to_json)
-from fglops.series import NonUnitError, OutsideValidityError, PackedSeries, Series
+from fglops.series import NonUnitError, OutsideValidityError, PackedSeries, Series, split_packed
 
 from conftest import P, S, rand_poly, rand_series
 
@@ -247,7 +247,8 @@ def test_packed_sum_of_products_matches_the_series_product(monkeypatch, seed):
     if order is not None:
         want = want.truncate(order)
     assert got.validity == want.validity
-    assert {(d, 0): GradedPoly(t, "v") for d, t in got.split().items()} == want.coeffs
+    assert {(d, 0): GradedPoly(t, "v")
+            for d, t in split_packed(got.terms, 5).items()} == want.coeffs
     assert sum(handed) == sum(len(p1.terms) * len(p2.terms) for c, a, b in terms if c
                               for (d1, _z), p1 in a.coeffs.items()
                               for (d2, _z2), p2 in b.coeffs.items() if d1 + d2 < got.validity)
@@ -260,7 +261,7 @@ def test_packed_sum_of_products_refuses_a_validity_its_degree_field_cannot_hold(
         PackedSeries.sum_of_products(((1, a, a),))
     got = PackedSeries.sum_of_products(((1, a, a),), 8)
     assert got.validity == 8
-    assert got.split() == {0: {0: 1}, 7: {mono_pack({1: 1}): 2}}
+    assert split_packed(got.terms, 3) == {0: {0: 1}, 7: {mono_pack({1: 1}): 2}}
 
 
 def test_packed_product_drops_cancelled_terms_before_any_read():
