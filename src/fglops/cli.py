@@ -13,7 +13,7 @@ import argparse
 import functools
 import sys
 
-from .fgl import MR_BOUND, FglContext, is_prime
+from .fgl import MR_BOUND, FglContext, build_log, is_prime
 from .golden import SUITES, GoldenFileError, verify_suite
 from .obstruction import InsufficientTruncationError, check_truncation, mc, sparse_mc
 from .poly import MAX_TRUNCATION
@@ -250,12 +250,13 @@ def main(argv=None) -> int:
     k = _truncation(args)
     if cmd == "mc":
         return _mc(args, k, ideal)
+    if cmd == "log":  # read off p and k: no context is built
+        _emit_series(apply_ideal(build_log(args.prime, k), ideal), args, k)
+        return 0
     ctx = FglContext(args.prime, k)
 
-    if cmd in ("log", "exp", "pseries", "reduced-pseries"):
-        if cmd == "log":
-            ser = ctx.log
-        elif cmd == "exp":
+    if cmd in ("exp", "pseries", "reduced-pseries"):
+        if cmd == "exp":
             ser = ctx.exp
         elif cmd == "pseries":
             ser = ctx.p_series(args.basis)

@@ -180,6 +180,16 @@ def hazewinkel_ell(p: int, max_m: int) -> list:
     return ell
 
 
+def build_log(p: int, k: int) -> Series:
+    """log(xi) = xi + sum l_m xi^(p^m) mod xi^(k+1); needs no context, p and k unchecked."""
+    coeffs = {(1, 0): GradedPoly.const(1, "l")}
+    m = 1
+    while p ** m <= k:
+        coeffs[(p ** m, 0)] = GradedPoly.gen(m, "l")
+        m += 1
+    return Series(p, "l", coeffs, k + 1)
+
+
 class FglContext:
     """Immutable bundle of prime, truncation order, and cached FGL data."""
 
@@ -199,7 +209,7 @@ class FglContext:
         self.ell = hazewinkel_ell(p, m)
         self._ell_table = {i: self.ell[i] for i in range(1, m + 1)}
 
-        self.log = self._build_log()
+        self.log = build_log(p, k)
         self._log_parts = tuple(j - 1 for j, _z in sorted(self.log.coeffs) if j > 1)
         self.exp = self._build_exp()
         ident, pser = self._exp_of_log_multiples((1, p))
@@ -213,15 +223,6 @@ class FglContext:
         self._cp_images: dict = {}
 
     # -- construction ------------------------------------------------------
-
-    def _build_log(self) -> Series:
-        p, k = self.p, self.k
-        coeffs = {(1, 0): GradedPoly.const(1, "l")}
-        m = 1
-        while p ** m <= k:
-            coeffs[(p ** m, 0)] = GradedPoly.gen(m, "l")
-            m += 1
-        return Series(p, "l", coeffs, k + 1)
 
     def _build_exp(self) -> Series:
         # Lagrange inversion: [xi^j] exp = (1/j) [xi^(j-1)] (log/xi)^(-j), exact in Z[l]

@@ -293,10 +293,12 @@ def _power_recurrence(ctx: FglContext, data: PowerOpData, n: int, progress) -> S
     f = [one]
     for k in range(1, n + 1):
         step = ColumnSeries.sum_of_products((-n * i - k, g[i], f[k - i]) for i in range(1, k + 1))
-        if any(x % k for col in step.columns.values() for x in col):
-            raise IntegralityError(f"step {k} of the power recurrence is not divisible by {k}")
-        f.append(ColumnSeries({key: [x // k for x in col] for key, col in step.columns.items()},
-                              step.validity, p))
+        for col in step.columns.values():  # k F_k -> F_k
+            for e, x in enumerate(col):
+                col[e], r = divmod(x, k)
+                if r:
+                    raise IntegralityError(f"step {k} of the power recurrence is not divisible by {k}")
+        f.append(step)
         if progress is not None:
             progress(k, n)
     terms = []

@@ -18,19 +18,19 @@ h_d = 0 unless q | d) and S_c = sum_i i^c.  Then
 and the Euler operator gives  D P_(q+D) = sum_d (d Lam_d) P_(q+D-d),  P_m the
 part of total degree m, from the Stirling form P_q = prod_i (X + iL).  It
 runs in integers: d h_d = [xi^d] (log(xi)/xi)^(-d) by Lagrange inversion, and
-P_(q(j+1)) = N_j / (q^j j!) with integral
-N_j = sum_i q^(i-1) (j-1)!/(j-i)! (qi h_(qi)) B_(qi) N_(j-i).  The division
-is exact, P having coefficients in Z[l] like exp (the inverse of a series
-with leading coefficient 1); a remainder raises IntegralityError.
+step j forms  q j P_(q(j+1)) = sum_{i=1..j} (qi h_(qi)) B_(qi) P_(q(j+1-i))
+and divides every coefficient by q j.  The division is exact, P having
+coefficients in Z[l] like exp (the inverse of a series with leading
+coefficient 1); a remainder raises IntegralityError naming the step.
 Truncation mod (X, L)^(k+1) is truncation mod (xi, x)^(k+1), and X^a feeds
 only x^s with s >= a, so X-degrees above the largest i asked for are dropped.
 
-Each N_j is held dense in X: {l-monomial: its column}, the column the
-coefficients at X^0 .. X^min(cap, q(j+1)), N_0 the Stirling column.  Each
-part B_(qi) N_(j-i) is one truncated convolution of two int lists per
-l-monomial of N_(j-i) (series.convolve), added times each term of d h_d
-into the column of N_j at the sum of the monomials; no key is hashed per
-pair, and the Euler loop (_euler_columns) makes no pass of
+Each P_(q(j+1)) is held dense in X: {l-monomial: its column}, the column
+the coefficients at X^0 .. X^min(cap, q(j+1)), P_q the Stirling column.
+Each part B_(qi) P_(q(j+1-i)) is one truncated convolution of two int lists
+per l-monomial of P_(q(j+1-i)) (series.convolve), added times each term of
+d h_d into the column of step j at the sum of the monomials; no key is
+hashed per pair, and the Euler loop (_euler_columns) makes no pass of
 poly.sum_products.
 
 A form is the part of total degree D in X and L, as (D, runs), runs the
@@ -134,12 +134,12 @@ def product_rows(ctx: FglContext, cap: int, progress=None) -> list:
 
 
 def _euler_columns(ctx: FglContext, cap: int, progress=None) -> list:
-    """N_0 .. N_top (module docstring) as {l-monomial: column}, for 2 <= q <= k.
+    """P_q .. P_(q(top+1)) (module docstring) as {l-monomial: column}, for 2 <= q <= k.
 
-    N_j is a sum of products of series in X mod X^(cap+1), homogeneous of
-    degree q(j+1) in X and L, so every column of N_j has min(cap, q(j+1)) + 1
-    entries and each B_(qi) N_(j-i) is cut there by hand, with no validity
-    rule.  A column that cancels to zero is dropped.
+    Step j sums products of series in X mod X^(cap+1), homogeneous of degree
+    q(j+1) in X and L, so every column of P_(q(j+1)) has min(cap, q(j+1)) + 1
+    entries and each B_(qi) P_(q(j+1-i)) is cut there by hand, with no
+    validity rule.  A column that cancels to zero is dropped.
     """
     q = ctx.p - 1
     top = ctx.k // q - 1  # P_(q(j+1)) is needed for j <= top
@@ -150,30 +150,32 @@ def _euler_columns(ctx: FglContext, cap: int, progress=None) -> list:
     stirling = [1]  # prod_i (X + iL), by X-degree
     for i in range(1, q + 1):
         stirling = [x + i * y for x, y in zip([0] + stirling, stirling + [0])]
-    n = [{UNIT_MONO: stirling[:cap + 1]}]
+    parts = [{UNIT_MONO: stirling[:cap + 1]}]
     for j in range(1, top + 1):
-        length, nj, scale = min(cap, q * (j + 1)) + 1, {}, 1  # scale = q^(i-1) (j-1)! / (j-i)!
+        length, pj = min(cap, q * (j + 1)) + 1, {}
         for i in range(1, j + 1):
-            gs = [(gm, scale * gx) for gm, gx in g[i]]
-            for m, col in n[j - i].items():
-                part = convolve([0] * length, 1, bcol[i], col)
-                for gm, c in gs:
-                    got = nj.get(m + gm)
-                    nj[m + gm] = (list(map(c.__mul__, part)) if got is None
-                                  else list(map(add, got, map(c.__mul__, part))))
-            scale *= q * (j - i)
-        n.append({m: col for m, col in nj.items() if any(col)})
+            for m, col in parts[j - i].items():
+                conv = convolve([0] * length, 1, bcol[i], col)
+                for gm, c in g[i]:
+                    got = pj.get(m + gm)
+                    pj[m + gm] = (list(map(c.__mul__, conv)) if got is None
+                                  else list(map(add, got, map(c.__mul__, conv))))
+        for col in pj.values():  # q j P_(q(j+1)) -> P_(q(j+1))
+            for a, x in enumerate(col):
+                col[a], r = divmod(x, q * j)
+                if r:
+                    raise IntegralityError(f"step {j} of the Euler loop is not divisible by {q * j}")
+        parts.append({m: col for m, col in pj.items() if any(col)})
         if progress is not None:
             progress(j, top)
-    return n
+    return parts
 
 
 def product_forms(ctx: FglContext, cap: int, progress=None) -> list:
     """prod_{i=1..p-1} ([i]xi +_F x) as forms (module docstring), by the exponential of power sums.
 
     `progress(j, top)` is called after each of the top Euler steps, which
-    form N_1 .. N_top (_euler_columns); p = 2 and p - 1 > k take none.  Each
-    N_j is divided by q^j j! once, as its forms are read off.
+    form P_2q .. P_(q(top+1)) (_euler_columns); p = 2 and p - 1 > k take none.
     """
     k, q = ctx.k, ctx.p - 1
     if q == 1:
@@ -183,15 +185,11 @@ def product_forms(ctx: FglContext, cap: int, progress=None) -> list:
     if q > k:
         return []
     forms, width = [], (k + 1).bit_length()
-    for j, nj in enumerate(_euler_columns(ctx, cap, progress)):
-        den = q ** j * factorial(j)
+    for j, pj in enumerate(_euler_columns(ctx, cap, progress)):
         runs = [[] for _a in range(min(cap, q * (j + 1)) + 1)]
-        for m, col in nj.items():
-            for a, v in enumerate(col):
-                if v:
-                    x, r = divmod(v, den)
-                    if r:
-                        raise IntegralityError(f"X^{a} L^{q * (j + 1) - a} of the product is not integral")
+        for m, col in pj.items():
+            for a, x in enumerate(col):
+                if x:
                     runs[a].append((m << width, x))
         forms.append((q * (j + 1), [(a, run) for a, run in enumerate(runs) if run]))
     return forms

@@ -1,10 +1,12 @@
 import argparse
+import hashlib
 import json
 import multiprocessing.process
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,8 @@ from fglops import FglContext, mc, power_operation, reduce_a_mod_p_series
 from fglops.cli import DEFAULT_TRUNCATION, main
 from fglops.fgl import MR_BOUND
 from fglops.golden import ENV_GOLDEN_DIR, golden_dir
-from fglops.render import parse_series, poly_text, series_from_obj, series_to_obj
+from fglops.render import (parse_series, poly_text, series_from_obj, series_text, series_to_obj,
+                           to_json)
 
 
 
@@ -426,7 +429,7 @@ def test_progress_at_the_closed_form_index_follows_the_raw_series(capsys):
 
 
 def test_progress_reports_power_operation_steps(capsys):
-    # the Euler operator forms N_1 .. N_top with top = k // (p - 1) - 1: 18 at p = 5,
+    # the Euler operator forms P_2q .. P_(q(top+1)) with top = k // (p - 1) - 1: 18 at p = 5,
     # k = 76; at n = 2(p - 1) no recurrence runs, so these are the only lines
     argv = ("mc", "-p", "5", "--n", "8")
     code, quiet_out, quiet_err = run(capsys, *argv)
@@ -471,6 +474,31 @@ def test_sparseness_shortcut_builds_no_context_at_k(monkeypatch, capsys):
     assert code == 0 and err == ""
     assert "sparseness shortcut: reduced form vanishes identically" in out
     assert contexts == operations == [4]
+
+
+def test_log_builds_no_context(monkeypatch, capsys):
+    # log prints from p and k alone: FglContext(p, k).log's bytes at a small k, at once at
+    # k = 4095, where a context takes minutes, and the recorded bytes of `log -p 3 -k 40 ...`
+    variants = (["--format", "text"], ["--format", "json"], ["--ideal", "l1"])
+    ctx = FglContext(2, 40)
+    want = [series_text(ctx.log) + "\n", to_json(ctx.log, 40) + "\n",
+            series_text(ctx.log.kill_generators([1])) + "\n"]
+
+    def refuse(self, p, k):
+        raise AssertionError(f"FglContext({p}, {k}) built")
+
+    monkeypatch.setattr(FglContext, "__init__", refuse)
+    assert [run(capsys, "log", "-p", "2", "-k", "40", *v) for v in variants] == [
+        (0, out, "") for out in want]
+    for v in variants:
+        code, out, err = run(capsys, "log", "-p", "2", "-k", "4095", *v)
+        assert code == 0 and err == "" and "2048" in out
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                            / "reference.json").read_text("utf-8"))
+    command = "log -p 3 -k 40 --threads 2"
+    code, out, _err = run(capsys, *command.split())
+    assert code == reference[command]["rc"] == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference[command]["sha256"]
 
 
 def test_verify_progress_at_p13_reports_the_power_operation(capsys):

@@ -184,7 +184,7 @@ def test_power_sum_exponential_matches_the_fold(p, k):
 
 
 def test_inexact_division_raises(monkeypatch):
-    # a wrong binomial in the power-sum forms B_d leaves a remainder mod q^j j!
+    # a wrong binomial in the power-sum forms B_d leaves a remainder mod q j at some Euler step
     monkeypatch.setattr(powerop, "comb", lambda n, r: math.comb(n, r) + (r == 1))
     with pytest.raises(IntegralityError):
         product_rows(FglContext(3, 13), 6)
@@ -324,7 +324,9 @@ EULER_GRID = [(3, 20, 5), (5, 40, 10), (7, 30, 30), (3, 25, 25), (5, 30, 0), (3,
 def _euler_reference(p, k, cap):
     """N_0 .. N_top as plain dicts keyed (monomial, X-degree), and the pairs B_d[a1] X^a1 * term.
 
-    The same recurrence, one term at a time: B_d[a1] X^a1 meets a term of N_(j-i) of
+    N_j = q^j j! P_(q(j+1)) comes from the scaled recurrence, which makes no division,
+    N_j = sum_i q^(i-1) (j-1)!/(j-i)! (qi h_(qi)) B_(qi) N_(j-i),
+    one term at a time: B_d[a1] X^a1 meets a term of N_(j-i) of
     X-degree e only for a1 + e <= min(cap, q(j+1)), and the zeros are dropped.
     """
     ctx, q = FglContext(p, k), p - 1
@@ -355,19 +357,24 @@ def _euler_reference(p, k, cap):
 
 @pytest.mark.parametrize("p,k,cap", EULER_GRID)
 def test_euler_columns_equal_the_dict_reference(p, k, cap):
-    # every N_j before its division by q^j j!, and the forms after it
-    columns = powerop._euler_columns(FglContext(p, k), cap)
-    n, _pairs = _euler_reference(p, k, cap)
-    assert [{(m, e): x for m, col in nj.items() for e, x in enumerate(col) if x}
-            for nj in columns] == n
+    # every P_(q(j+1)) is the reference's N_j divided exactly by q^j j!, and so are the forms
     q, width = p - 1, (k + 1).bit_length()
+    n, _pairs = _euler_reference(p, k, cap)
+    want = []
+    for j, nj in enumerate(n):
+        den = q ** j * math.factorial(j)
+        assert all(x % den == 0 for x in nj.values())
+        want.append({key: x // den for key, x in nj.items()})
+    columns = powerop._euler_columns(FglContext(p, k), cap)
+    assert [{(m, e): x for m, col in pj.items() for e, x in enumerate(col) if x}
+            for pj in columns] == want
     forms = {(d, a): dict(run) for d, runs in powerop.product_forms(FglContext(p, k), cap)
              for a, run in runs}
-    want = {}
-    for j, nj in enumerate(n):
-        for (m, e), x in nj.items():
-            want.setdefault((q * (j + 1), e), {})[m << width] = x // (q ** j * math.factorial(j))
-    assert forms == want
+    want_forms = {}
+    for j, pj in enumerate(want):
+        for (m, e), x in pj.items():
+            want_forms.setdefault((q * (j + 1), e), {})[m << width] = x
+    assert forms == want_forms
 
 
 @pytest.mark.parametrize("p,k,cap", EULER_GRID)
@@ -382,7 +389,7 @@ def test_euler_columns_have_the_length_of_their_step(p, k, cap):
 
 
 def test_euler_columns_that_cancel_are_dropped(monkeypatch):
-    # with every part zero, N_1 .. N_top keep no column, and only P_q has forms
+    # with every part zero, P_2q .. P_(q(top+1)) keep no column, and only P_q has forms
     ctx, cap = FglContext(5, 40), 10
     monkeypatch.setattr(powerop, "convolve", lambda out, c, b, col: out)
     columns = powerop._euler_columns(ctx, cap)
@@ -394,7 +401,7 @@ def test_euler_columns_that_cancel_are_dropped(monkeypatch):
 
 @pytest.mark.parametrize("p,k,cap", EULER_GRID)
 def test_euler_convolutions_make_only_pairs_below_each_validity(monkeypatch, p, k, cap):
-    # the multiply-adds of every B_(qi) N_(j-i) are the reference's pairs, no more
+    # the multiply-adds of every B_(qi) P_(q(j+1-i)) are the reference's pairs, no more
     convolve = powerop.convolve
     monkeypatch.setattr(powerop, "convolve",
                         lambda out, c, b, col: convolve(out, c, [Counted(y) for y in b], col))
@@ -435,7 +442,7 @@ def test_euler_loop_makes_no_kernel_pass(monkeypatch, p, k, cap):
 @pytest.mark.parametrize("p,k,cap", [(3, 20, 5), (5, 40, 10), (7, 30, 30), (3, 40, 40)])
 @pytest.mark.parametrize("i", [1, 2])
 def test_corrupted_log_ratio_is_an_inexact_division(p, k, cap, i):
-    # one more l_1^i in d h_d at d = qi: the division by q^j j! leaves a remainder,
+    # one more l_1^i in d h_d at d = qi: the division by q j at step i leaves a remainder,
     # never a wrong form
     ctx, d = FglContext(p, k), (p - 1) * i
     good = ctx.log_ratio_power
@@ -447,3 +454,21 @@ def test_corrupted_log_ratio_is_an_inexact_division(p, k, cap, i):
     ctx.log_ratio_power = corrupted
     with pytest.raises(IntegralityError):
         powerop.product_forms(ctx, cap)
+
+
+@pytest.mark.parametrize("p,k,cap,i", [(3, 20, 5, 3), (5, 76, 8, 2), (7, 30, 30, 1)])
+def test_corrupted_log_ratio_names_the_euler_step(p, k, cap, i):
+    # one more l_1^i in d h_d at d = qi: step i, the first to read it, fails its division
+    # by q i, and only the steps before it report progress
+    ctx, q, steps = FglContext(p, k), p - 1, []
+    good = ctx.log_ratio_power
+
+    def corrupted(r, e):
+        c = good(r, e)
+        return c + GradedPoly({i: 1}, "l") if (r, e) == (-q * i, q * i) else c
+
+    ctx.log_ratio_power = corrupted
+    with pytest.raises(IntegralityError,
+                       match=f"^step {i} of the Euler loop is not divisible by {q * i}$"):
+        powerop.product_forms(ctx, cap, lambda j, top: steps.append(j))
+    assert steps == list(range(1, i))
