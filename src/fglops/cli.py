@@ -141,7 +141,12 @@ def _emit_series(series: Series, args, truncation: int) -> None:
 
 
 def _truncation(args) -> int:
-    """The truncation order k for a checked prime, defaulted from the tables."""
+    """The truncation order k for a checked prime, defaulted from the tables.
+
+    Outside them, mc at n = 2(p-1) defaults to k = (p-1)(3p+2): at p = 5
+    and 7 the least k whose class shows a certificate, and the k of every
+    certificate computed beyond the tables.
+    """
     p = args.prime
     if p >= MR_BOUND:
         raise SystemExit(_fail(f"p must be below {MR_BOUND}, where primality is decided"))
@@ -150,6 +155,8 @@ def _truncation(args) -> int:
     k = args.truncation
     if k is None:
         k = DEFAULT_TRUNCATION.get(p)
+        if k is None and args.command == "mc" and args.n == 2 * (p - 1):
+            k = (p - 1) * (3 * p + 2)
         if k is None:
             raise SystemExit(_fail(f"no default truncation for p={p}; pass --truncation"))
     if not 1 <= k <= MAX_TRUNCATION:

@@ -36,16 +36,21 @@ certificate, the reduced class comes from the paper's closed form
 
     (2p-1) a_0^(2p-4) (-v_1 a_0 a_(p-1) - a_0 a_(2p-2) + p a_(p-1)^2),
 
-which needs three of the a_i, held as the recurrence holds them, in
-v_1-columns: v_1 a_0 is each column of a_0 moved up one entry, the bracket,
-with 2p-1 multiplied in, is one ColumnSeries.sum_of_products, and a power of
-a_0, from column squarings, multiplies it.  It is not the raw sum: the
+which needs three of the a_i, all of x-degree 0 mod p-1, so only that
+residue class of rows is built for it (powerop docstring).  They are held
+as the recurrence holds them, in v_1-columns: v_1 a_0 is each column of a_0
+moved up one entry, the bracket, with 2p-1 multiplied in, is one
+ColumnSeries.sum_of_products, and a power of a_0, from column squarings,
+multiplies it.  It is not the raw sum: the
 summands it drops are 0 modulo <p>xi, so the raw sum minus the closed form
 vanishes there and both have the same canonical representative.
 Its validity is checked, not assumed: it must reach the validity the sum
 predicts, and it is truncated to exactly that, so the reduced class carries
-the same validity the recurrence would give.  The raw sum is then computed
-by the recurrence only when it is read, as the closed form's cross-check.
+the same validity the recurrence would give.  That prediction takes
+V_i = k+1-i and every v_i, i <= n, those of the rows not built from their
+l-basis rows at a low order (PowerOpData.valuations), with no substitution.
+The raw sum is then computed by the recurrence only when it is read, as the
+closed form's cross-check, and reading it builds the other classes.
 
 Cross-check routes (exact agreement within joint validity):
   * the paper's multi-index sum, one product chain per summand (the only
@@ -141,15 +146,15 @@ def check_truncation(n: int, k: int) -> None:
 def _check_inputs(ctx: FglContext, data: PowerOpData, n: int) -> None:
     """Refuse an n that no route can sum: negative, beyond k, or beyond the computed a_i."""
     check_truncation(n, ctx.k)
-    if n >= len(data.a):  # for n >= 1 the summand with alpha_n = 1 needs a_n
+    if n >= len(data):  # for n >= 1 the summand with alpha_n = 1 needs a_n
         raise ValueError(
-            f"need a_{n} but only a_0..a_{len(data.a) - 1} were computed; "
+            f"need a_{n} but only a_0..a_{len(data) - 1} were computed; "
             f"raise the x order of the power operation"
         )
 
 
 def _validities(data: PowerOpData, n: int) -> tuple:
-    """The validities V_i and valuations v_i of a_0..a_n, as two lists."""
+    """The validities V_i and valuations v_i of a_0..a_n, as two lists; every row is built."""
     return [ai.validity for ai in data.a[:n + 1]], [ai.val() for ai in data.a[:n + 1]]
 
 
@@ -237,9 +242,8 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
     """
     if not force_full and (result := sparse_mc(ctx.p, ctx.k, n)) is not None:
         return result
-    p = ctx.p
+    p, k = ctx.p, ctx.k
     _check_inputs(ctx, data, n)
-    predicted = _sum_validity(ctx, *_validities(data, n), n)
     pser = ctx.reduced_p_series("v")
 
     def recurrence():
@@ -251,7 +255,8 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
         return _checked(series, n)
 
     if n == 2 * (p - 1):
-        closed = mc_explicit_2p2(ctx, data)
+        closed = mc_explicit_2p2(ctx, data)  # builds the rows of class 0 alone
+        predicted = _sum_validity(ctx, [k + 1 - i for i in range(n + 1)], data.valuations(n), n)
         if closed.validity < predicted:
             raise AssertionError(
                 f"closed form has validity {closed.validity} < predicted {predicted}"
@@ -259,6 +264,7 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
         reduced = canonical_rep(_checked(closed.truncate(predicted), n), pser)
         raw = recurrence  # the cross-check, run when the raw series is read
     else:
+        predicted = _sum_validity(ctx, *_validities(data, n), n)
         raw = recurrence()
         reduced = canonical_rep(raw, pser)
     if reduced.validity < p:
@@ -403,9 +409,9 @@ def mc_explicit_2p2(ctx: FglContext, data: PowerOpData) -> Series:
     """
     p = ctx.p
     n = 2 * (p - 1)
-    if len(data.a) <= n or data.a[n].validity < 1:
+    if len(data) <= n or data.row(n).validity < 1:
         raise InsufficientTruncationError(f"a_{n} is not available at this truncation")
-    a0, ap1, a2p2 = (ColumnSeries.from_series(data.a[i]) for i in (0, p - 1, n))
+    a0, ap1, a2p2 = (ColumnSeries.from_series(data.row(i)) for i in (0, p - 1, n))
     v1a0 = ColumnSeries({(m, c - (p - 1)): [0] + col for (m, c), col in a0.columns.items()},
                         a0.validity, p)
     c = 2 * p - 1

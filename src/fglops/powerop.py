@@ -44,9 +44,21 @@ sum_a X^a W_a with W_a = sum_b C[a][b] L^b, whose part at x^s is row s
 C[a][b] = binom(a+b, a) e_(a+b) i^b for exp = sum e_j xi^j; at p = 2 it is
 the whole product, and the left fold of the p - 2 products of single-factor
 rows is the cross-check route product_rows_by_fold.  Rows stay in the
-l-basis, packed: power_operation hands the product to one substitution
-(FglContext.to_v), which lands every row in the v-basis, where every
-coefficient must be an integer, and only then do the a_i become series.
+l-basis, packed, until one substitution (FglContext.to_v) lands them in the
+v-basis, where every coefficient must be an integer, and only then do the
+a_i become series.
+
+The rows split into p - 1 residue classes by x-degree mod p - 1: L(x) =
+x (1 + sum_m l_m x^(p^m - 1)) and every p^m - 1 is a multiple of p - 1, so
+X^a feeds only the rows s = a mod p - 1, and sum_a X^a W_a never mixes
+classes.  power_operation runs the Euler loop and keeps its forms in a
+PowerOpData, which builds rows when they are read, a class at a time: the
+closed form at n = 2(p-1) reads a_0, a_(p-1) and a_(2p-2), class 0 alone,
+one product and one substitution; a reader of every row (Miller's
+recurrence, power-op-coeffs, --reduced, the raw cross-check) builds every
+class still pending in one more, so no row is built twice.  The valuations
+of rows not built come from their l-basis rows at a low order
+(PowerOpData.valuations).
 """
 
 from __future__ import annotations
@@ -64,51 +76,121 @@ class EulerClassError(AssertionError):
 
 
 class PowerOpData:
-    """The coefficients a_i of the power operation for one context."""
+    """The coefficients a_i of the power operation for one context.
 
-    __slots__ = ("ctx", "a")
-
-    def __init__(self, ctx: FglContext, a: list):
-        self.ctx = ctx
-        self.a = a
-
-
-def _row_product(ctx: FglContext, forms: list, cap: int) -> tuple:
-    """Rows 0..cap (in x) of the forms (module docstring), a + b <= k, as one packed product.
-
-    L^b = L L^(b-1) at order k+1 and W_a = sum_b C[a][b] L^b at order k+1-a
-    are each one pass of the monomial loop into an accumulator of its own,
-    cut by hand: every operand of them is valid mod xi^(k+1), so their
-    validity is the order, with no rule to apply.  All the rows are one
-    product at order k+1,
-    sum_a X^a W_a with X = L(x) below x^(cap+1).  Its part at x^s is row s,
-    valid mod xi^(k+1-s) by the term a = s, [x^s] X^s being 1.  No validity
-    exceeds k+1, hence W.  Returns the product, keyed
-    x << shift | mono << W | degree, and shift.
+    a[i] is a_i.  Given the forms of product_forms, an a[i] left None is
+    built when it is read, by residue class of i mod p - 1 (module docstring):
+    row(i) builds the class of i alone, reading a builds every class still
+    pending in one product and one substitution, and no row is built twice.
     """
-    k = ctx.k
-    width = (k + 1).bit_length()
-    by_a = [[] for _a in range(cap + 1)]  # by_a[a]: (b, C[a][b])
+
+    __slots__ = ("ctx", "_a", "_forms", "_powers", "_pending")
+
+    def __init__(self, ctx: FglContext, a: list, forms: list | None = None):
+        self.ctx = ctx
+        self._a = a
+        self._forms = forms
+        self._powers = []  # of L, kept for the next class
+        self._pending = {i % (ctx.p - 1) for i, ai in enumerate(a) if ai is None}
+
+    def __len__(self) -> int:
+        return len(self._a)
+
+    @property
+    def a(self) -> list:
+        if self._pending:
+            self._build(self._pending)
+        return self._a
+
+    def row(self, i: int) -> Series:
+        """a_i, its residue class built alone if it is pending."""
+        if (r := i % (self.ctx.p - 1)) in self._pending:
+            self._build({r})
+        return self._a[i]
+
+    def _build(self, classes: set):
+        """The rows of the classes, as one packed product and one substitution (FglContext.to_v)."""
+        ctx, q = self.ctx, self.ctx.p - 1
+        xs = [s for s in range(len(self._a)) if s % q in classes]
+        packed, shift = _row_product(ctx, self._forms, xs, ctx.k + 1, self._powers)
+        if classes == self._pending:  # the last build: let go of its inputs before to_v
+            self._forms = self._powers = None
+        rows = {s: {} for s in xs}
+        for (j, s), c in ctx.to_v(packed, integral=True, shift=shift).coeffs.items():
+            rows[s][(j, 0)] = c
+        for s, row in rows.items():
+            self._a[s] = Series(ctx.p, "v", row, ctx.k + 1 - s)
+        if 0 in classes:
+            _check_euler_class(self._a[0], ctx.p)
+        self._pending = self._pending - classes
+
+    def valuations(self, top: int) -> list:
+        """val(a_0..a_top): a built row's own, a pending one's from l-basis rows at a low order.
+
+        to_v is injective, so a coefficient is nonzero in the l-basis exactly
+        when it is in the v-basis, and a pending row needs no substitution.
+        The product at order o holds row s below xi^(o-s); o - 1 starts at
+        min(k, top + p) and doubles up to k, where a row with no term is
+        zero below its validity k+1-s, which is then its valuation.
+        """
+        ctx, q, k = self.ctx, self.ctx.p - 1, self.ctx.k
+        v = [None if ai is None else ai.val() for ai in self._a[:top + 1]]
+        kk = min(k, top + ctx.p)
+        while None in v:
+            classes = {s % q for s, vs in enumerate(v) if vs is None}
+            xs = [s for s in range(top + 1) if s % q in classes]
+            packed, shift = _row_product(ctx, self._forms, xs, kk + 1, [])
+            for j, s in sorted(packed.split_bivariate(shift)):
+                if v[s] is None:
+                    v[s] = j
+            if kk == k:
+                v = [k + 1 - s if vs is None else vs for s, vs in enumerate(v)]
+            kk = min(k, 2 * kk)
+        return v
+
+
+def _row_product(ctx: FglContext, forms: list, xs: list, order: int, powers: list) -> tuple:
+    """Rows xs (in x) of the forms (module docstring), a + b < order <= k+1, as one packed product.
+
+    xs holds whole residue classes mod p - 1 below some cap: X^a feeds only
+    the rows s = a mod p - 1, so the product is sum of X^a W_a over a in xs.
+    L^b = L L^(b-1) at the order and W_a = sum_b C[a][b] L^b at order - a
+    are each one pass of the monomial loop into an accumulator of its own,
+    cut by hand: every operand of them is valid to the order, so their
+    validity is the order, with no rule to apply.  The rows are one product
+    at the order, X = L(x) below x^(max(xs)+1).  Its part at x^s is row s,
+    valid mod xi^(order-s) by the term a = s, [x^s] X^s being 1.  No
+    validity exceeds k+1, hence W.  powers holds L^0, L^1, ... at the order
+    as far as an earlier call took them, and is extended in place.  Returns
+    the product, keyed x << shift | mono << W | degree, and shift.
+    """
+    width = (ctx.k + 1).bit_length()
+    by_a = {a: [] for a in xs}  # by_a[a]: (b, C[a][b])
     for d, runs in forms:
-        for a, terms in runs:
-            by_a[a].append((d - a, terms))
-    log = PackedSeries.from_series(ctx.log, width)
-    powers = [PackedSeries.from_coeffs({0: {UNIT_MONO: 1}}, k + 1, width), log]
-    for _b in range(2, max([cap] + [b for pairs in by_a for b, _t in pairs]) + 1):
+        if d < order:
+            for a, terms in runs:
+                if a in by_a:
+                    by_a[a].append((d - a, terms))
+    cap = max(xs)
+    top = max([cap] + [b for pairs in by_a.values() for b, _t in pairs])
+    if not powers:
+        powers += [PackedSeries.from_coeffs({0: {UNIT_MONO: 1}}, order, width),
+                   PackedSeries.from_series(ctx.log, width)]
+    for _b in range(len(powers), top + 1):
         prev = powers[-1]
-        acc = sum_products({}, ((1, run, prev.below(k + 1 - d)) for d, run in log.groups()))
-        powers.append(PackedSeries.from_terms(acc.items(), k + 1, width))
-    ws = [PackedSeries.from_terms(sum_products({}, ((1, c, powers[b].below(k + 1 - a))
-                                                   for b, c in pairs)).items(), k + 1 - a, width)
-          for a, pairs in enumerate(by_a)]
-    shift = PackedSeries.x_shift(width, powers[:cap + 1] + ws)
+        acc = sum_products({}, ((1, run, prev.below(order - d)) for d, run in powers[1].groups()))
+        powers.append(PackedSeries.from_terms(acc.items(), order, width))
+    ws = [PackedSeries.from_terms(sum_products({}, ((1, c, powers[b].below(order - a))
+                                                   for b, c in by_a[a])).items(), order - a, width)
+          for a in xs]
+    shift = PackedSeries.x_shift(width, [powers[a] for a in xs] + ws)
     return PackedSeries.sum_of_products(((1, powers[a].in_x(cap + 1, shift), w)
-                                         for a, w in enumerate(ws)), k + 1), shift
+                                         for a, w in zip(xs, ws)), order), shift
 
 
 def _rows(ctx: FglContext, forms: list, cap: int) -> list:
-    """The rows of _row_product as l-basis series in xi, row s valid mod xi^(k+1-s)."""
-    product, shift = _row_product(ctx, forms, cap)
+    """The rows 0..cap of _row_product as l-basis series in xi, row s valid mod xi^(k+1-s)."""
+    product, shift = _row_product(ctx, forms, range(cap + 1), ctx.k + 1, [])
     rows = [{} for _s in range(cap + 1)]
     for (e, s), t in product.split_bivariate(shift).items():
         rows[s][(e, 0)] = GradedPoly(t, "l")
@@ -207,24 +289,14 @@ def product_rows_by_fold(ctx: FglContext, cap: int) -> list:
 
 
 def power_operation(ctx: FglContext, x_cap: int | None = None, progress=None) -> PowerOpData:
-    """Build the truncated power-operation product and extract every a_i.
+    """The truncated power-operation product, as forms whose rows a_i are built when read.
 
     `progress` is handed to product_forms, which reports its Euler steps.
     """
-    p, k = ctx.p, ctx.k
     if x_cap is not None and x_cap < 0:
         raise ValueError(f"the largest i of a_i must be >= 0, got {x_cap}")
-    cap = k if x_cap is None else min(x_cap, k)
-
-    # every row in one substitution, straight from the packed product: x^s is row s
-    packed, shift = _row_product(ctx, product_forms(ctx, cap, progress), cap)
-    rows = ctx.to_v(packed, integral=True, shift=shift)
-    a = [{} for _s in range(cap + 1)]
-    for (j, s), c in rows.coeffs.items():
-        a[s][(j, 0)] = c
-    a = [Series(p, "v", row, k + 1 - s) for s, row in enumerate(a)]
-    _check_euler_class(a[0], p)
-    return PowerOpData(ctx, a)
+    cap = ctx.k if x_cap is None else min(x_cap, ctx.k)
+    return PowerOpData(ctx, [None] * (cap + 1), product_forms(ctx, cap, progress))
 
 
 def _check_euler_class(a0: Series, p: int):

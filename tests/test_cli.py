@@ -298,6 +298,104 @@ def test_default_truncations():
     assert DEFAULT_TRUNCATION[13] == 504
 
 
+def test_mc_defaults_the_truncation_outside_the_tables_at_n_2p_2(monkeypatch, capsys):
+    # k = (p-1)(3p+2) at n = 2(p-1) for a prime outside DEFAULT_TRUNCATION; the tables'
+    # primes keep theirs; k is read off the command line, nothing is computed here
+    seen = []
+    monkeypatch.setattr(fglops.cli, "_mc", lambda args, k, ideal: seen.append(k) or 0)
+    for p, n in ((17, 32), (19, 36), (23, 44), (37, 72), (5, 8), (13, 24)):
+        assert main(["mc", "-p", str(p), "--n", str(n)]) == 0
+    assert seen == [848, 1062, 1562, 4068, 76, 504]
+    # any other n or command keeps the one-line error; at p = 41 the default 5000 is
+    # beyond the exponent bound
+    for argv, message in (
+            (["mc", "-p", "17", "--n", "16"], "no default truncation for p=17; pass --truncation"),
+            (["power-op-coeffs", "-p", "17"], "no default truncation for p=17; pass --truncation"),
+            (["mc", "-p", "41", "--n", "80"], "truncation order must be in 1..4095")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert len(seen) == 6
+
+
+def _recorded_sha(command):
+    """The stdout digest perfbench/reference.json records for a command."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    return json.loads(path.read_text("utf-8"))[command]["sha256"]
+
+
+def _record_row_builds(monkeypatch):
+    """[(x-degrees, order)] of each row product, and the x-degrees of each substitution of rows."""
+    products, substituted = [], []
+    product, to_v = fglops.powerop._row_product, FglContext.to_v
+
+    def recording_product(ctx, forms, xs, order, powers):
+        products.append((list(xs), order))
+        return product(ctx, forms, xs, order, powers)
+
+    def recording_to_v(self, s, integral=False, shift=0):
+        if shift:  # rows, keyed by x at shift
+            substituted.append(sorted({key >> shift for key, _c in s.terms}))
+        return to_v(self, s, integral, shift)
+
+    monkeypatch.setattr(fglops.powerop, "_row_product", recording_product)
+    monkeypatch.setattr(FglContext, "to_v", recording_to_v)
+    return products, substituted
+
+
+def test_closed_form_builds_only_class_0(monkeypatch, capsys):
+    # mc -p 5 --n 8 prints its text from a_0, a_4 and a_8: one product and one
+    # substitution of class 0 at k + 1 = 77, and the valuations of the other rows from
+    # one product at order min(k, n + p) + 1 = 14, substituted nowhere
+    products, substituted = _record_row_builds(monkeypatch)
+    code, out, _err = run(capsys, "mc", "-p", "5", "--n", "8", "--threads", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _recorded_sha("mc -p 5 --n 8 --threads 2")
+    assert products == [([0, 4, 8], 77), ([1, 2, 3, 5, 6, 7], 14)]
+    assert substituted == [[0, 4, 8]]
+
+
+def _rows_read_at_once(ctx, x_cap=None, progress=None):
+    """power_operation with every row built before it returns, as one product."""
+    data = power_operation(ctx, x_cap=x_cap, progress=progress)
+    data.a
+    return data
+
+
+@pytest.mark.parametrize("argv", [
+    ("mc", "-p", "5", "--n", "8", "--show-raw"),
+    ("mc", "-p", "5", "--n", "8", "--format", "json"),
+    ("mc", "-p", "3", "--n", "4", "--show-raw", "--threads", "2"),
+], ids=" ".join)
+def test_reading_the_raw_sum_builds_every_row_once(monkeypatch, capsys, argv):
+    # class 0 for the closed form, then the other classes in one more product and
+    # substitution for the raw sum; the bytes are those of the rows built at once
+    with monkeypatch.context() as mp:
+        mp.setattr(fglops.cli, "power_operation", _rows_read_at_once)
+        code, want, _err = run(capsys, *argv)
+    assert code == 0
+    products, substituted = _record_row_builds(monkeypatch)
+    code, out, _err = run(capsys, *argv)
+    assert code == 0 and out == want
+    p, n = int(argv[2]), int(argv[argv.index("--n") + 1])
+    k, q = DEFAULT_TRUNCATION[p], p - 1
+    rest = [s for s in range(n + 1) if s % q]
+    assert products == [(list(range(0, n + 1, q)), k + 1), (rest, n + p + 1), (rest, k + 1)]
+    assert substituted == [list(range(0, n + 1, q)), rest]
+    if argv[-1] == "2":  # a recorded command
+        assert hashlib.sha256(out.encode()).hexdigest() == _recorded_sha(" ".join(argv))
+
+
+def test_every_row_at_once_off_the_closed_form(monkeypatch, capsys):
+    # mc-deep's command reads every row in the recurrence: one product, one substitution
+    products, substituted = _record_row_builds(monkeypatch)
+    code, _out, _err = run(capsys, "mc", "-p", "5", "-k", "76", "--n", "24", "--format", "json")
+    assert code == 0
+    assert products == [(list(range(25)), 77)]
+    assert substituted == [list(range(25))]
+
+
 def test_verify_suite_ok(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "p2")
     assert code == 0

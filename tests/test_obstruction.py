@@ -24,7 +24,7 @@ from fglops.fgl import IntegralityError
 from fglops.golden import SUITES, compare_series, load_suite
 from fglops.obstruction import _power_recurrence, _sum_validity, _validities, multi_weighted_size
 from fglops.poly import MAX_EXP, UNIT_MONO, GradedPoly, mono_weight
-from fglops.powerop import PowerOpData, product_rows, product_rows_by_fold
+from fglops.powerop import EulerClassError, PowerOpData, product_rows, product_rows_by_fold
 from fglops.reduction import canonical_rep, nonvanishing_certificate
 from fglops.render import series_from_obj
 from fglops.series import ColumnSeries, PackedSeries, Series, split_packed
@@ -412,6 +412,57 @@ def test_closed_form_route_property(case):
     reduced = canonical_rep(r.raw, ctx.reduced_p_series("v"))
     assert reduced == r.reduced
     assert nonvanishing_certificate(reduced) == r.certificate
+
+
+def _corrupted_forms(monkeypatch, change):
+    """Make power_operation read product_forms' forms after change(forms, width) edits them."""
+    forms_of = fglops.powerop.product_forms
+
+    def corrupted(ctx, cap, progress=None):
+        forms = forms_of(ctx, cap, progress)
+        change(forms, (ctx.k + 1).bit_length())
+        return forms
+
+    monkeypatch.setattr(fglops.powerop, "product_forms", corrupted)
+
+
+def test_closed_form_path_checks_the_euler_class(monkeypatch):
+    # C[0][p-1] of P_(p-1) = prod_i (X + iL) is (p-1)!, a_0's coefficient at xi^(p-1).
+    # Raised by p^4, it keeps C[0][4] L^4 integral below xi^21 (l_1^4 at most, l_1 = v_1/p):
+    # building class 0 for the closed form raises, with no recurrence run
+    p, k = 5, 20
+
+    def bump(forms, width):
+        d, runs = forms[0]
+        assert d == p - 1 and runs[0][0] == 0 and runs[0][1] == [(UNIT_MONO << width, 24)]
+        runs[0] = (0, [(UNIT_MONO << width, 24 + p ** 4)])
+
+    _corrupted_forms(monkeypatch, bump)
+    monkeypatch.setattr(fglops.obstruction, "_power_recurrence", None)
+    ctx = FglContext(p, k)
+    data = power_operation(ctx, x_cap=2 * (p - 1))
+    with pytest.raises(EulerClassError, match=r"GradedPoly\('649', basis='v'\) at xi\^4$"):
+        mc(ctx, data, 2 * (p - 1))
+
+
+def test_raw_read_checks_the_integrality_of_the_other_classes(monkeypatch):
+    # l_1 = v_1 / p added to C[1][7] of P_8 lands in a_1 at xi^7, outside class 0: the
+    # closed form neither builds nor needs that row, and reading the raw sum builds it
+    # and raises
+    p, k, n = 5, 20, 8
+    ctx = FglContext(p, k)
+    want = mc(ctx, power_operation(ctx, x_cap=n), n)
+
+    def add_l1(forms, width):
+        d, runs = forms[1]
+        assert d == 8 and runs[1][0] == 1
+        runs[1][1].append((1 << width, 1))
+
+    _corrupted_forms(monkeypatch, add_l1)
+    r = mc(ctx, power_operation(ctx, x_cap=n), n)
+    assert r.reduced == want.reduced and r.certificate == want.certificate
+    with pytest.raises(IntegralityError, match=r"coefficient at exponent \(7, 1\);"):
+        r.raw
 
 
 def test_recurrence_reproduces_the_p11_table():

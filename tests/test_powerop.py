@@ -2,14 +2,15 @@ import functools
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fglops import FglContext, IntegralityError, power_operation, reduce_a_mod_p_series
 import fglops.poly
 import fglops.series
 from fglops import powerop
 from fglops.poly import GradedPoly, add_products, sum_products
-from fglops.powerop import (EulerClassError, _check_euler_class, _factor_forms, _rows,
-                            product_rows, product_rows_by_fold)
+from fglops.powerop import (EulerClassError, PowerOpData, _check_euler_class, _factor_forms,
+                            _rows, product_rows, product_rows_by_fold)
 from fglops.reduction import divisible_by_full_p_series
 from fglops.series import PackedSeries, Series
 
@@ -472,3 +473,55 @@ def test_corrupted_log_ratio_names_the_euler_step(p, k, cap, i):
                        match=f"^step {i} of the Euler loop is not divisible by {q * i}$"):
         powerop.product_forms(ctx, cap, lambda j, top: steps.append(j))
     assert steps == list(range(1, i))
+
+
+@st.composite
+def _row_class_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    k = draw(st.integers(p - 1, 5 * p))
+    return p, k, draw(st.integers(0, k))
+
+
+# at k = cap = p, a_p (of class 1 mod p - 1) is zero below its validity 1: its
+# valuation is that validity, read at the order k + 1
+@settings(max_examples=40, deadline=None)
+@given(_row_class_cases())
+@example((3, 3, 3))
+@example((5, 5, 5))
+@example((13, 13, 13))
+@example((5, 76, 8))
+@example((13, 60, 24))
+def test_rows_by_residue_class_equal_the_full_rows(case):
+    # X^a = L(x)^a feeds only the rows s = a mod p - 1: class 0 built alone equals the
+    # rows built all at once, and the valuations read off l-basis rows at a low order
+    # equal those of the v-basis rows, before and after class 0 is built
+    p, k, cap = case
+    ctx, q = FglContext(p, k), p - 1
+    full = power_operation(ctx, x_cap=cap).a
+    vals = [ai.val() for ai in full]
+    lazy = power_operation(ctx, x_cap=cap)
+    assert lazy.valuations(cap) == vals
+    assert [lazy.row(i) for i in range(0, cap + 1, q)] == full[::q]  # == compares validity
+    assert lazy.valuations(cap) == vals
+    assert [lazy.valuations(top) for top in range(cap + 1)] == [vals[:t + 1] for t in range(cap + 1)]
+    assert lazy.a == full
+
+
+def test_valuations_double_the_order_until_every_pending_row_shows(monkeypatch):
+    # with the forms of degree below 38 cut away, row s has no term below xi^(38 - s): the
+    # order o doubles, o - 1 = 9 (top + p), 18, 36 and 40 = k, and each valuation is that
+    # of the l-basis row built whole at k + 1
+    p, k, cap = 3, 40, 6
+    ctx = FglContext(p, k)
+    forms = [f for f in powerop.product_forms(ctx, cap) if f[0] >= 38]
+    want = [row.val() for row in _rows(ctx, forms, cap)]
+    orders = []
+    product = powerop._row_product
+
+    def recording(ctx, forms, xs, order, powers):
+        orders.append((list(xs), order))
+        return product(ctx, forms, xs, order, powers)
+
+    monkeypatch.setattr(powerop, "_row_product", recording)
+    assert PowerOpData(ctx, [None] * (cap + 1), forms).valuations(cap) == want
+    assert orders == [(list(range(cap + 1)), o) for o in (10, 19, 37, 41)]
