@@ -18,6 +18,7 @@ from .golden import SUITES, GoldenFileError, verify_suite
 from .obstruction import InsufficientTruncationError, check_truncation, mc, sparse_mc
 from .poly import MAX_TRUNCATION
 from .powerop import power_operation, reduce_a_mod_p_series
+from .reduction import ReducedSeries, nonvanishing_certificate
 from .render import poly_text, series_text, series_to_json, to_json
 from .series import Series
 
@@ -186,11 +187,14 @@ def _mc(args, k: int, ideal: list) -> int:
             ctx = FglContext(p, k)
             steps = _progress_printer(args.progress, "power-operation steps")
             data = power_operation(ctx, x_cap=n, progress=steps)
+            if args.show_raw or args.format == "json":  # the raw sum reads every row
+                data.a
             result = mc(ctx, data, n, force_full=args.force_full,
                         progress=_progress_printer(args.progress, "recurrence steps"))
     except (InsufficientTruncationError, ValueError) as exc:
         return _fail(str(exc))
     reduced = apply_ideal(result.reduced.series, ideal)
+    certificate = nonvanishing_certificate(ReducedSeries(reduced))  # of the printed class
     annotation = (
         "obstruction index" if result.is_obstruction_index
         else "not an obstruction index (n = p^i - 1)"
@@ -202,9 +206,9 @@ def _mc(args, k: int, ideal: list) -> int:
             "n": n,
             "reduced": reduced,
             "raw": None if result.raw is None else apply_ideal(result.raw, ideal),
-            "certificate": None if result.certificate is None else {
-                "xi_exponent": result.certificate[0],
-                "leading": poly_text(result.certificate[1], p),
+            "certificate": None if certificate is None else {
+                "xi_exponent": certificate[0],
+                "leading": poly_text(certificate[1], p),
             },
             "obstruction_index": result.is_obstruction_index,
             "sparseness_shortcut": result.used_shortcut,
@@ -214,8 +218,8 @@ def _mc(args, k: int, ideal: list) -> int:
         print(f"MC_{n}(xi) mod <{p}>xi = {series_text(reduced)}")
         if args.show_raw and result.raw is not None:
             print(f"raw = {series_text(apply_ideal(result.raw, ideal))}")
-        if result.certificate is not None:
-            j, lead = result.certificate
+        if certificate is not None:
+            j, lead = certificate
             print(f"certificate: xi^{j} -> {poly_text(lead, p)}")
         else:
             print("certificate: none (zero within validity; inconclusive)")

@@ -63,10 +63,11 @@ For odd p with n not divisible by p-1 the reduced class vanishes identically,
 and sparse_mc returns that zero from (p, k, n) alone, unless a full
 computation is forced.  The zero carries the validity the raw sum would
 have, which needs only V_i = k+1-i and the valuation of each a_i, i <= n:
-they come from the power operation at the least k' of a doubling sequence
-from min(k, n + p) whose a_i each show a nonzero coefficient below k'+1-i
-(_shortcut_valuations), k' = k at worst.  Neither the context nor the power
-operation at k is built.
+they come from the l-basis rows of the power operation, substituted
+nowhere, at the least k' of a doubling sequence from min(k, n + p) whose
+a_i each show a nonzero coefficient below k'+1-i (_shortcut_valuations),
+k' = k at worst.  Neither the context nor the power operation at k is
+built.
 """
 
 from __future__ import annotations
@@ -165,13 +166,15 @@ def _shortcut_valuations(p: int, k: int, n: int) -> tuple:
     a_i has a nonzero coefficient there, its lowest is the one at k.  k'
     starts at min(k, n + p), where a_n is valid mod xi^(p+1) and every val(a_i)
     met at p <= 17 is below p, and doubles up to k, where the run is the full one.
+    The valuations come from the l-basis rows (PowerOpData.valuations), so no
+    row is substituted; a row with no term there reads k'+1-i.
     """
     kk = min(k, n + p)
     while True:
         ctx = FglContext(p, kk)
-        a = power_operation(ctx, x_cap=n).a
-        if kk == k or all(ai.coeffs for ai in a):
-            return ctx, [ai.val() for ai in a]
+        v = power_operation(ctx, x_cap=n).valuations(n)
+        if kk == k or all(vi < kk + 1 - i for i, vi in enumerate(v)):
+            return ctx, v
         kk = min(k, 2 * kk)
 
 

@@ -491,15 +491,20 @@ def convolve(out: list, c, b: list, col: list, lo: int = 0) -> list:
 
     The one dense product loop (module docstring); col has at most
     len(out) - lo entries.  A zero of col meets no b[a], so where b has no
-    zero, each multiply is a pair of nonzero entries.
+    zero, each multiply is a pair of nonzero entries.  Both indices are plain
+    ints stepped by hand: unpacking enumerate's tuples costs more per pair.
     """
     length = len(out)
-    for e, x in enumerate(col, lo):
+    e = lo
+    for x in col:
         if x:
             if c != 1:
                 x *= c
-            for a, y in enumerate(b[:length - e], e):
+            a = e
+            for y in b[:length - e]:
                 out[a] += x * y
+                a += 1
+        e += 1
     return out
 
 

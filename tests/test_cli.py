@@ -18,6 +18,7 @@ from fglops import FglContext, mc, power_operation, reduce_a_mod_p_series
 from fglops.cli import DEFAULT_TRUNCATION, main
 from fglops.fgl import MR_BOUND
 from fglops.golden import ENV_GOLDEN_DIR, golden_dir
+from fglops.reduction import ReducedSeries, nonvanishing_certificate
 from fglops.render import (parse_series, poly_text, series_from_obj, series_text, series_to_obj,
                            to_json)
 
@@ -174,13 +175,15 @@ def _json_reference(cmd, p, k, ideal=None, basis="v", reduced=False, n=None):
         entries = [r.series for r in reduce_a_mod_p_series(data)] if reduced else data.a
         return {"prime": p, "truncation": k, "a": [series_to_obj(kill(s), k) for s in entries]}
     result = mc(ctx, power_operation(ctx, x_cap=n), n)
+    reduced = kill(result.reduced.series)
+    certificate = nonvanishing_certificate(ReducedSeries(reduced))  # of the class printed
     return {
         "prime": p, "truncation": k, "n": n,
-        "reduced": series_to_obj(kill(result.reduced.series), k),
+        "reduced": series_to_obj(reduced, k),
         "raw": None if result.raw is None else series_to_obj(kill(result.raw), k),
-        "certificate": None if result.certificate is None else {
-            "xi_exponent": result.certificate[0],
-            "leading": poly_text(result.certificate[1], p)},
+        "certificate": None if certificate is None else {
+            "xi_exponent": certificate[0],
+            "leading": poly_text(certificate[1], p)},
         "obstruction_index": result.is_obstruction_index,
         "sparseness_shortcut": result.used_shortcut,
     }
@@ -202,6 +205,8 @@ def _json_reference(cmd, p, k, ideal=None, basis="v", reduced=False, n=None):
     (["mc", "-p", "2", "-k", "9", "--n", "5"], dict(cmd="mc", p=2, k=9, n=5)),
     (["mc", "-p", "3", "-k", "13", "--n", "4", "--ideal", "v2"],
      dict(cmd="mc", p=3, k=13, n=4, ideal=[2])),
+    (["mc", "-p", "2", "-k", "7", "--n", "2", "--ideal", "v2"],
+     dict(cmd="mc", p=2, k=7, n=2, ideal=[2])),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
 def test_json_output_is_json_dumps_of_the_wire_object(capsys, argv, reference):
     # the direct writer against the stdlib encoder on the object built from series_to_obj
@@ -211,6 +216,26 @@ def test_json_output_is_json_dumps_of_the_wire_object(capsys, argv, reference):
     assert out == json.dumps(want, indent=2) + "\n"
     if reference["cmd"] == "mc":
         assert (want["raw"] is None) == (reference["n"] == 3)
+
+
+@pytest.mark.parametrize("argv,p,k,text,wire", [
+    # v2 kills v2^2 in v1^6 + v2^2, the full ring's leading coefficient at xi^6
+    (("mc", "-p", "2", "-k", "7", "--n", "2", "--ideal", "v2"), 2, 7,
+     "certificate: xi^6 -> v1^6", {"xi_exponent": 6, "leading": "v1^6"}),
+    # v1 kills every coefficient of MC_8 below its validity, 3*v1^16 at xi^88 too
+    (("mc", "-p", "5", "--n", "8", "--ideal", "v1"), 5, 76,
+     "certificate: none (zero within validity; inconclusive)", None),
+], ids=["mc -p 2 -k 7 --n 2 --ideal v2", "mc -p 5 --n 8 --ideal v1"])
+def test_mc_ideal_certificate_is_read_off_the_printed_class(capsys, argv, p, k, text, wire):
+    code, out, _err = run(capsys, *argv)
+    assert code == 0 and text in out.splitlines()
+    code, out, _err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["certificate"] == wire
+    # the library keeps the certificate of the class in the full ring
+    n = int(argv[argv.index("--n") + 1])
+    ctx = FglContext(p, k)
+    full = mc(ctx, power_operation(ctx, x_cap=n), n).certificate
+    assert full is not None and (wire is None or poly_text(full[1], p) != wire["leading"])
 
 
 def test_mc_rejects_bad_n(capsys):
@@ -369,8 +394,9 @@ def _rows_read_at_once(ctx, x_cap=None, progress=None):
     ("mc", "-p", "3", "--n", "4", "--show-raw", "--threads", "2"),
 ], ids=" ".join)
 def test_reading_the_raw_sum_builds_every_row_once(monkeypatch, capsys, argv):
-    # class 0 for the closed form, then the other classes in one more product and
-    # substitution for the raw sum; the bytes are those of the rows built at once
+    # a command that prints the raw sum builds every row before the closed form:
+    # one product at k + 1 and one substitution, no valuation product, and the
+    # bytes of the rows built at once
     with monkeypatch.context() as mp:
         mp.setattr(fglops.cli, "power_operation", _rows_read_at_once)
         code, want, _err = run(capsys, *argv)
@@ -379,10 +405,9 @@ def test_reading_the_raw_sum_builds_every_row_once(monkeypatch, capsys, argv):
     code, out, _err = run(capsys, *argv)
     assert code == 0 and out == want
     p, n = int(argv[2]), int(argv[argv.index("--n") + 1])
-    k, q = DEFAULT_TRUNCATION[p], p - 1
-    rest = [s for s in range(n + 1) if s % q]
-    assert products == [(list(range(0, n + 1, q)), k + 1), (rest, n + p + 1), (rest, k + 1)]
-    assert substituted == [list(range(0, n + 1, q)), rest]
+    k = DEFAULT_TRUNCATION[p]
+    assert products == [(list(range(n + 1)), k + 1)]
+    assert substituted == [list(range(n + 1))]
     if argv[-1] == "2":  # a recorded command
         assert hashlib.sha256(out.encode()).hexdigest() == _recorded_sha(" ".join(argv))
 

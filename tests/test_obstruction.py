@@ -280,6 +280,17 @@ def test_lazy_shortcut_builds_no_power_operation_at_k(monkeypatch):
         assert built == [n + p], (p, built)
 
 
+def test_lazy_shortcut_substitutes_no_row(monkeypatch):
+    # the valuations come from the l-basis rows: to_v is injective, so it is not needed
+    def refuse(self, s, integral=False, shift=0):
+        raise AssertionError("the sparseness shortcut substituted a row")
+
+    monkeypatch.setattr(FglContext, "to_v", refuse)
+    for p, k, n in [(5, 76, 6), (3, 25, 1), (13, 504, 7)]:
+        result = sparse_mc(p, k, n)
+        assert result.used_shortcut and result.reduced.is_zero()
+
+
 def test_lazy_shortcut_doubles_up_to_k(monkeypatch):
     # a_3 shows no coefficient below k at any smaller truncation, so the
     # valuations come from the run at k itself, k' = 8, 16, 32, 64, 76
@@ -716,8 +727,9 @@ def _columns_stop_below_the_validity(s: ColumnSeries) -> bool:
     return all(col[-1] and q * (len(col) - 1) + c < s.validity for (_m, c), col in s.columns.items())
 
 
-# mc-deep's point, p = 2 (short columns), p = 3, and p = 7
-@pytest.mark.parametrize("p, k, n", [(5, 76, 24), (2, 14, 5), (3, 25, 4), (7, 162, 12)])
+# mc-deep's point, p = 2 (short columns), p = 3, p = 7, and p = 11 (long columns)
+@pytest.mark.parametrize("p, k, n", [(5, 76, 24), (2, 14, 5), (3, 25, 4), (7, 162, 12),
+                                     (11, 370, 20)])
 def test_recurrence_equals_the_packed_route(monkeypatch, p, k, n):
     # == compares the validity too; every product of the column route stops
     # below its own validity, so a cut one entry too long shows here as well

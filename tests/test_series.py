@@ -11,9 +11,10 @@ import fglops.series
 from fglops.poly import GradedPoly, mono_exps, mono_pack, sum_products
 from fglops.render import (parse_series, series_from_json, series_from_obj, series_text,
                            series_to_json, series_to_obj, to_json)
-from fglops.series import NonUnitError, OutsideValidityError, PackedSeries, Series, split_packed
+from fglops.series import (NonUnitError, OutsideValidityError, PackedSeries, Series, convolve,
+                           split_packed)
 
-from conftest import P, S, rand_poly, rand_series
+from conftest import Counted, P, S, rand_poly, rand_series
 
 
 def test_add_validity_min():
@@ -537,3 +538,32 @@ def test_to_json_refuses_other_types():
     for obj in (1.5, (1, 2), {1: 2}):
         with pytest.raises(TypeError):
             to_json(obj)
+
+
+@st.composite
+def _convolve_cases(draw):
+    """(out, c, b, col, lo): zeros inside col, any lo, and col often len(out) - lo long."""
+    length = draw(st.integers(1, 12))
+    lo = draw(st.integers(0, length))
+    entries = st.one_of(st.just(0), st.integers(-10 ** 20, 10 ** 20))
+    size = length - lo if draw(st.booleans()) else draw(st.integers(0, length - lo))
+    col = draw(st.lists(entries, min_size=size, max_size=size))
+    b = draw(st.lists(entries, max_size=length + 2))
+    out = draw(st.lists(entries, min_size=length, max_size=length))
+    return out, draw(st.sampled_from([1, -1, 3, -7])), b, col, lo
+
+
+@settings(max_examples=200, deadline=None)
+@given(_convolve_cases())
+def test_convolve_equals_the_naive_double_sum(case):
+    out, c, b, col, lo = case
+    want = list(out)
+    for e, x in enumerate(col, lo):
+        for a, y in enumerate(b, e):
+            if a < len(want):
+                want[a] += c * x * y
+    Counted.products = 0
+    got = convolve(out, c, [Counted(y) for y in b], col, lo)
+    assert got is out and got == want and all(type(x) is int for x in got)
+    # each nonzero x meets every entry of b below X^len(out), and a zero of col meets none
+    assert Counted.products == sum(min(len(b), len(out) - e) for e, x in enumerate(col, lo) if x)
