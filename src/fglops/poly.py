@@ -77,10 +77,6 @@ def mono_exps(mono: Mono) -> tuple:
     return tuple(out)
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return a + b
-
-
 def mono_weight(mono: Mono, p: int) -> int:
     w = 0
     q = 1

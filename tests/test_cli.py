@@ -355,9 +355,9 @@ def _record_row_builds(monkeypatch):
     products, substituted = [], []
     product, to_v = fglops.powerop._row_product, FglContext.to_v
 
-    def recording_product(ctx, forms, xs, order, powers):
+    def recording_product(ctx, forms, xs, order):
         products.append((list(xs), order))
-        return product(ctx, forms, xs, order, powers)
+        return product(ctx, forms, xs, order)
 
     def recording_to_v(self, s, integral=False, shift=0):
         if shift:  # rows, keyed by x at shift
@@ -379,6 +379,33 @@ def test_closed_form_builds_only_class_0(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _recorded_sha("mc -p 5 --n 8 --threads 2")
     assert products == [([0, 4, 8], 77), ([1, 2, 3, 5, 6, 7], 14)]
     assert substituted == [[0, 4, 8]]
+
+
+def test_each_recorded_command_builds_rows_at_most_once(monkeypatch, capsys):
+    # every command of perfbench/reference.json, run in one process, makes at most one
+    # row build, so nothing built for one class need be kept for another; the closed
+    # form of mc -p 5 --n 8 and of the p5, p7, p11 and p13 suites builds class 0 alone
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    builds = {}
+    build = fglops.powerop.PowerOpData._build
+
+    def recording(self, classes):
+        builds[command].append(sorted(classes))
+        return build(self, classes)
+
+    monkeypatch.setattr(fglops.powerop.PowerOpData, "_build", recording)
+    for command, record in json.loads(path.read_text("utf-8")).items():
+        builds[command] = []
+        code, _out, _err = run(capsys, *command.split())
+        assert code == record["rc"]
+    assert len(builds) == 17 and all(len(classes) <= 1 for classes in builds.values())
+    assert builds["mc -p 5 --n 8 --threads 2"] == [[0]]
+    assert builds["verify --suite p5 --threads 2"] == [[0]]
+    for suite in ("p7", "p11", "p13"):
+        command = f"verify --suite {suite}"
+        builds[command] = []
+        assert run(capsys, *command.split()) == (0, f"suite {suite}: ok\n", "")
+        assert builds[command] == [[0]]
 
 
 def _rows_read_at_once(ctx, x_cap=None, progress=None):

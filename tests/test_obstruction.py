@@ -426,12 +426,12 @@ def test_closed_form_route_property(case):
 
 
 def _corrupted_forms(monkeypatch, change):
-    """Make power_operation read product_forms' forms after change(forms, width) edits them."""
+    """Make power_operation read product_forms' forms after change(forms) edits them."""
     forms_of = fglops.powerop.product_forms
 
     def corrupted(ctx, cap, progress=None):
         forms = forms_of(ctx, cap, progress)
-        change(forms, (ctx.k + 1).bit_length())
+        change(forms)
         return forms
 
     monkeypatch.setattr(fglops.powerop, "product_forms", corrupted)
@@ -443,10 +443,10 @@ def test_closed_form_path_checks_the_euler_class(monkeypatch):
     # building class 0 for the closed form raises, with no recurrence run
     p, k = 5, 20
 
-    def bump(forms, width):
-        d, runs = forms[0]
-        assert d == p - 1 and runs[0][0] == 0 and runs[0][1] == [(UNIT_MONO << width, 24)]
-        runs[0] = (0, [(UNIT_MONO << width, 24 + p ** 4)])
+    def bump(forms):
+        d, cols = forms[0]
+        assert d == p - 1 and list(cols) == [UNIT_MONO] and cols[UNIT_MONO][0] == 24
+        cols[UNIT_MONO][0] += p ** 4
 
     _corrupted_forms(monkeypatch, bump)
     monkeypatch.setattr(fglops.obstruction, "_power_recurrence", None)
@@ -464,10 +464,10 @@ def test_raw_read_checks_the_integrality_of_the_other_classes(monkeypatch):
     ctx = FglContext(p, k)
     want = mc(ctx, power_operation(ctx, x_cap=n), n)
 
-    def add_l1(forms, width):
-        d, runs = forms[1]
-        assert d == 8 and runs[1][0] == 1
-        runs[1][1].append((1 << width, 1))
+    def add_l1(forms):
+        d, cols = forms[1]
+        assert d == 8 and all(len(col) == d + 1 for col in cols.values())
+        cols.setdefault(1, [0] * (d + 1))[1] += 1  # l_1, packed as 1
 
     _corrupted_forms(monkeypatch, add_l1)
     r = mc(ctx, power_operation(ctx, x_cap=n), n)

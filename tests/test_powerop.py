@@ -8,9 +8,9 @@ from fglops import FglContext, IntegralityError, power_operation, reduce_a_mod_p
 import fglops.poly
 import fglops.series
 from fglops import powerop
-from fglops.poly import GradedPoly, add_products, sum_products
-from fglops.powerop import (EulerClassError, PowerOpData, _check_euler_class, _factor_forms,
-                            _rows, product_rows, product_rows_by_fold)
+from fglops.poly import UNIT_MONO, GradedPoly, add_products, sum_products
+from fglops.powerop import (EulerClassError, PowerOpData, _check_euler_class, _euler_columns,
+                            _factor_forms, _rows, product_rows, product_rows_by_fold)
 from fglops.reduction import divisible_by_full_p_series
 from fglops.series import PackedSeries, Series
 
@@ -193,14 +193,13 @@ def test_inexact_division_raises(monkeypatch):
 
 def _as_dicts(ctx, forms, cap):
     """The forms as dicts[a][b] = {mono: coefficient}, the coefficient of X^a L^b."""
-    width = (ctx.k + 1).bit_length()
     dicts = [{} for _a in range(cap + 1)]
-    for d, runs in forms:
-        for a, terms in runs:
+    for d, cols in forms:
+        assert all(len(col) == min(cap, d) + 1 for col in cols.values())
+        for a in range(min(cap, d) + 1):
             assert d - a not in dicts[a], "two forms share a coefficient"
-            dicts[a][d - a] = {key >> width: x for key, x in terms}
-            assert len(dicts[a][d - a]) == len(terms) and all(key == key >> width << width
-                                                              for key, _x in terms)
+            if c := {m: col[a] for m, col in cols.items() if col[a]}:
+                dicts[a][d - a] = c
     return dicts
 
 
@@ -359,7 +358,7 @@ def _euler_reference(p, k, cap):
 @pytest.mark.parametrize("p,k,cap", EULER_GRID)
 def test_euler_columns_equal_the_dict_reference(p, k, cap):
     # every P_(q(j+1)) is the reference's N_j divided exactly by q^j j!, and so are the forms
-    q, width = p - 1, (k + 1).bit_length()
+    q = p - 1
     n, _pairs = _euler_reference(p, k, cap)
     want = []
     for j, nj in enumerate(n):
@@ -369,12 +368,16 @@ def test_euler_columns_equal_the_dict_reference(p, k, cap):
     columns = powerop._euler_columns(FglContext(p, k), cap)
     assert [{(m, e): x for m, col in pj.items() for e, x in enumerate(col) if x}
             for pj in columns] == want
-    forms = {(d, a): dict(run) for d, runs in powerop.product_forms(FglContext(p, k), cap)
-             for a, run in runs}
+    forms = {}
+    for d, cols in powerop.product_forms(FglContext(p, k), cap):
+        for m, col in cols.items():
+            for a, x in enumerate(col):
+                if x:
+                    forms.setdefault((d, a), {})[m] = x
     want_forms = {}
     for j, pj in enumerate(want):
         for (m, e), x in pj.items():
-            want_forms.setdefault((q * (j + 1), e), {})[m << width] = x
+            want_forms.setdefault((q * (j + 1), e), {})[m] = x
     assert forms == want_forms
 
 
@@ -396,8 +399,10 @@ def test_euler_columns_that_cancel_are_dropped(monkeypatch):
     columns = powerop._euler_columns(ctx, cap)
     assert len(columns) == 10 and columns[1:] == [{}] * 9
     forms = powerop.product_forms(ctx, cap)
-    assert [d for d, _runs in forms] == list(range(4, 44, 4))
-    assert all(runs == [] for _d, runs in forms[1:]) and len(forms[0][1]) == 5
+    assert [d for d, _cols in forms] == list(range(4, 44, 4))
+    assert all(cols == {} for _d, cols in forms[1:])
+    assert list(forms[0][1]) == [UNIT_MONO] and len(forms[0][1][UNIT_MONO]) == 5
+    assert all(forms[0][1][UNIT_MONO])
 
 
 @pytest.mark.parametrize("p,k,cap", EULER_GRID)
@@ -507,6 +512,34 @@ def test_rows_by_residue_class_equal_the_full_rows(case):
     assert lazy.a == full
 
 
+def test_row_and_valuations_refuse_an_index_outside_the_rows(monkeypatch):
+    # at x-cap 3 there is no a_-1 (row -1 would be a_3) and no a_4 or beyond: each read
+    # is refused before any row product, and the rows that exist still build
+    want = [ai.val() for ai in power_operation(FglContext(5, 30), x_cap=3).a]
+    data = power_operation(FglContext(5, 30), x_cap=3)
+    products = []
+    product = powerop._row_product
+    monkeypatch.setattr(powerop, "_row_product",
+                        lambda *args: products.append(args[2:]) or product(*args))
+    for read, i in ((data.row, -1), (data.row, 4), (data.row, 7),
+                    (data.valuations, -1), (data.valuations, 4), (data.valuations, 6)):
+        with pytest.raises(IndexError, match=f"^a_{i} is outside a_0..a_3$"):
+            read(i)
+    assert products == []
+    assert data.valuations(3) == want and data.row(3).val() == want[3]
+    assert [(list(xs), order) for xs, order in products] == [([0, 1, 2, 3], 9), ([3], 31)]
+
+
+@pytest.mark.parametrize("k", [7, 14, 24])
+def test_euler_loop_at_p2_equals_the_single_factor(k):
+    # product_forms reads p = 2 off the single factor exp(X + L); the Euler loop run at
+    # q = 1 gives the same rows, only slower
+    ctx = FglContext(2, k)
+    for cap in sorted({0, 1, 3, k // 2, k}):
+        euler = [(j + 1, pj) for j, pj in enumerate(_euler_columns(ctx, cap))]
+        assert _rows(ctx, euler, cap) == _rows(ctx, _factor_forms(ctx, 1, cap), cap)
+
+
 def test_valuations_double_the_order_until_every_pending_row_shows(monkeypatch):
     # with the forms of degree below 38 cut away, row s has no term below xi^(38 - s): the
     # order o doubles, o - 1 = 9 (top + p), 18, 36 and 40 = k, and each valuation is that
@@ -518,9 +551,9 @@ def test_valuations_double_the_order_until_every_pending_row_shows(monkeypatch):
     orders = []
     product = powerop._row_product
 
-    def recording(ctx, forms, xs, order, powers):
+    def recording(ctx, forms, xs, order):
         orders.append((list(xs), order))
-        return product(ctx, forms, xs, order, powers)
+        return product(ctx, forms, xs, order)
 
     monkeypatch.setattr(powerop, "_row_product", recording)
     assert PowerOpData(ctx, [None] * (cap + 1), forms).valuations(cap) == want
