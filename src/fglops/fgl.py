@@ -81,7 +81,7 @@ import math
 from fractions import Fraction
 
 from .poly import MAX_TRUNCATION, W, GradedPoly
-from .series import PackedSeries, Series, pack_terms, split_packed
+from .series import PackedSeries, Series, pack_terms
 
 
 class NotPrimeError(ValueError):
@@ -317,10 +317,10 @@ class FglContext:
         top = max((abs(t) for t in ts[:-1]), default=0)
         norm = 1 + sum(abs(x) for _key, x in r.terms)  # R = 1 + r
         bound = sum((top * norm) ** j * sum(abs(x) for _key, x in e) for j, e in packed)
-        shift = bound.bit_length() + 2
+        bits = bound.bit_length() + 2
         scaled = []  # t^j e_j, each term times its scalar once
         for j, e in packed:
-            scale = sum(t ** j << shift * i for i, t in enumerate(ts))
+            scale = sum(t ** j << bits * i for i, t in enumerate(ts))
             scaled.append((j, [(key, scale * x) for key, x in e]))
         h = None  # H_(s+1)
         for s in range(k // p, -1, -1):
@@ -334,19 +334,18 @@ class FglContext:
                         c = math.comb(j, s)
                         for key, x in e:
                             acc[key] = c * x
-            h = (PackedSeries(list(acc.items()), cut, width) if h is None
+            h = (r.with_terms(acc.items(), cut) if h is None
                  else PackedSeries.sum_of_products(((1, r, h),), cut, acc))
         digits = [[] for _t in ts]
-        half, mask = 1 << shift - 1, (1 << shift) - 1
+        half, mask = 1 << bits - 1, (1 << bits) - 1
         for key, x in h.terms:
             for out in digits[:-1]:  # balanced, so a negative digit borrows from the next
                 lo = ((x + half) & mask) - half
                 out.append((key, lo))
-                x = (x - lo) >> shift
+                x = (x - lo) >> bits
             digits[-1].append((key, x))
-        return [Series(p, "l", {(n, 0): GradedPoly(t, "l")
-                                for n, t in split_packed(out, width).items()}, k + 1)
-                for out in digits]
+        decoded = (h.with_terms(out, k + 1).decode() for out in digits)
+        return [Series(p, "l", {e: GradedPoly(t, "l") for e, t in d.items()}, k + 1) for d in decoded]
 
     # -- operations --------------------------------------------------------
 
@@ -387,41 +386,36 @@ class FglContext:
             self._pser[basis] = got
         return got
 
-    def to_v(self, s, integral: bool = False, shift: int = 0) -> Series:
+    def to_v(self, s, integral: bool = False) -> Series:
         """Substitute every l_m by its v-basis expansion, in one GradedPoly.substitute call.
 
-        s is an l-basis Series, packed here as PackedSeries.from_series packs
-        it, each term keyed x << S | mono << w | degree, w the bit length of
-        its validity and S = w + poly.W bits per generator; or a
-        PackedSeries already so keyed, with S = shift (power_operation's
-        rows).  The substitution passes the x and degree fields through, so
-        the result is the v-basis Series at the same exponents and validity.
+        s is an l-basis Series, packed here by PackedSeries.from_series with
+        w the bit length of its validity, or a PackedSeries (power_operation's
+        rows); either way the layout, x << S | mono << w | degree, is the
+        PackedSeries' own, and the generator fields between w and S are
+        substituted; a field beyond the horizon raises HorizonError.  The
+        substitution passes the x and degree fields through, so the result is
+        the v-basis Series at the same exponents and validity.
         """
-        if isinstance(s, PackedSeries):
-            packed, validity = s, s.validity
-            gens = (shift - s.width) // W
-        else:
+        if not isinstance(s, PackedSeries):
             if s.basis != "l":
                 raise ValueError("substitution source must be in the l-basis")
-            gens = max((c.max_gen_index() for c in s.coeffs.values()), default=0)
-            if gens > self.horizon:
-                raise HorizonError(
-                    f"series mentions l_{gens} beyond the horizon {self.horizon} for k={self.k}"
-                )
-            validity = s.validity
-            width = max(validity, 1).bit_length()
-            shift = width + W * gens
-            packed = PackedSeries.from_series(s, width, shift)
+            s = PackedSeries.from_series(s, max(s.validity, 1).bit_length())
+        gens = (s.shift - s.width) // W  # for a Series packed here, its highest generator
+        if gens > self.horizon:
+            raise HorizonError(
+                f"series mentions l_{gens} beyond the horizon {self.horizon} for k={self.k}"
+            )
         poly = GradedPoly.zero("l")
-        poly.terms = dict(packed.terms)
-        out = poly.substitute(self._ell_table, "v", packed.width, gens)
-        coeffs = PackedSeries(out.terms.items(), validity, packed.width).split_bivariate(shift)
+        poly.terms = dict(s.terms)
+        out = poly.substitute(self._ell_table, "v", s.width, gens)
+        coeffs = s.with_terms(out.terms.items(), s.validity).decode()
         if integral and not out.is_integral():
             bad = min(e for e, t in coeffs.items() if any(type(c) is not int for c in t.values()))
             raise IntegralityError(
                 f"non-integer v-basis coefficient at exponent {bad}; generator table is broken"
             )
-        return Series(self.p, "v", {e: GradedPoly(t, "v") for e, t in coeffs.items()}, validity)
+        return Series(self.p, "v", {e: GradedPoly(t, "v") for e, t in coeffs.items()}, s.validity)
 
     def cp_image(self, i: int) -> GradedPoly:
         """Image of the i-th projective-space class: p^m l_m if i = p^m - 1, else 0; cached."""

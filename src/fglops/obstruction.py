@@ -39,11 +39,11 @@ certificate, the reduced class comes from the paper's closed form
 which needs three of the a_i, all of x-degree 0 mod p-1, so only that
 residue class of rows is built for it (powerop docstring).  They are held
 as the recurrence holds them, in v_1-columns: v_1 a_0 is each column of a_0
-moved up one entry, the bracket, with 2p-1 multiplied in, is one
-ColumnSeries.sum_of_products, and a power of a_0, from column squarings,
-multiplies it.  It is not the raw sum: the
-summands it drops are 0 modulo <p>xi, so the raw sum minus the closed form
-vanishes there and both have the same canonical representative.
+moved up one entry (ColumnSeries.times_v1), the bracket, with 2p-1
+multiplied in, is one ColumnSeries.sum_of_products, and a power of a_0,
+from column squarings, multiplies it.  It is not the raw sum: the summands
+it drops are 0 modulo <p>xi, so the raw sum minus the closed form vanishes
+there and both have the same canonical representative.
 Its validity is checked, not assumed: it must reach the validity the sum
 predicts, and it is truncated to exactly that, so the reduced class carries
 the same validity the recurrence would give.  That prediction takes
@@ -77,7 +77,7 @@ import math
 import operator
 
 from .fgl import FglContext, IntegralityError, mu, partitions
-from .poly import UNIT_MONO
+from .poly import GradedPoly
 from .powerop import PowerOpData, power_operation
 from .reduction import ReducedSeries, canonical_rep, nonvanishing_certificate
 from .series import ColumnSeries, Series
@@ -290,11 +290,12 @@ def _power_recurrence(ctx: FglContext, data: PowerOpData, n: int, progress) -> S
     """raw(n) = sum_k cp(n-k) a_0^(n-k) F_k, with F_k from Miller's recurrence.
 
     Every operand is a ColumnSeries: a_0..a_n, the powers of a_0, the G_i,
-    each F_k and cp(n-k) a_0^(n-k); only the raw sum becomes a Series.
+    each F_k and cp(n-k) a_0^(n-k), the constant cp(n-k) taken into columns
+    by ColumnSeries.constant; only the raw sum becomes a Series.
     """
     p = ctx.p
     a = [ColumnSeries.from_series(ai) for ai in data.a[:n + 1]]
-    one = ColumnSeries({(UNIT_MONO, 0): [1]}, data.a[0].validity, p)
+    one = ColumnSeries.constant(GradedPoly.const(1, "v"), data.a[0].validity, p)
     a0_pow, g = [one, a[0]], [None] + a[1:2]  # a0_pow[j] = a_0^j, g[i] = G_i
     for i in range(2, n + 1):
         a0_pow.append(ColumnSeries.sum_of_products(((1, a[0], a0_pow[-1]),)))
@@ -314,7 +315,7 @@ def _power_recurrence(ctx: FglContext, data: PowerOpData, n: int, progress) -> S
     for k in range(n + 1):
         if cp := ctx.cp_image(n - k):
             power = a0_pow[n - k]
-            cp_cols = ColumnSeries.from_series(Series(p, "v", {(0, 0): cp}, power.validity))
+            cp_cols = ColumnSeries.constant(cp, power.validity, p)
             terms.append((1, ColumnSeries.sum_of_products(((1, cp_cols, power),)), f[k]))
     return ColumnSeries.sum_of_products(terms).series()
 
@@ -401,13 +402,13 @@ def mc_via_inverse(ctx: FglContext, data: PowerOpData, n: int) -> Series:
 def mc_explicit_2p2(ctx: FglContext, data: PowerOpData) -> Series:
     """Closed form of the obstruction at n = 2(p-1), equal to MC_n modulo <p>xi.
 
-    a_0, a_(p-1) and a_(2p-2) are held in v_1-columns, v_1 a_0 by moving
-    each column of a_0 up one entry, at c - (p-1); the bracket is one
-    ColumnSeries.sum_of_products and a_0^(2p-4) the same squarings and
-    products as Series.__pow__, so every validity is the one the Series
-    products would give.  The power times the bracket stays one Series
-    product: perfbench's trace sees the mc layer's products only through
-    Series.__mul__ (series.mul), and its self-tests expect some in
+    a_0, a_(p-1) and a_(2p-2) are held in v_1-columns, and v_1 a_0 is
+    ColumnSeries.times_v1, each column of a_0 moved up one entry; the
+    bracket is one ColumnSeries.sum_of_products and a_0^(2p-4) the same
+    squarings and products as Series.__pow__, so every validity is the one
+    the Series products would give.  The power times the bracket stays one
+    Series product: perfbench's trace sees the mc layer's products only
+    through Series.__mul__ (series.mul), and its self-tests expect some in
     mc -p 5 --n 8.
     """
     p = ctx.p
@@ -415,10 +416,9 @@ def mc_explicit_2p2(ctx: FglContext, data: PowerOpData) -> Series:
     if len(data) <= n or data.row(n).validity < 1:
         raise InsufficientTruncationError(f"a_{n} is not available at this truncation")
     a0, ap1, a2p2 = (ColumnSeries.from_series(data.row(i)) for i in (0, p - 1, n))
-    v1a0 = ColumnSeries({(m, c - (p - 1)): [0] + col for (m, c), col in a0.columns.items()},
-                        a0.validity, p)
     c = 2 * p - 1
-    bracket = ColumnSeries.sum_of_products([(-c, v1a0, ap1), (-c, a0, a2p2), (p * c, ap1, ap1)])
+    bracket = ColumnSeries.sum_of_products([(-c, a0.times_v1(), ap1), (-c, a0, a2p2),
+                                            (p * c, ap1, ap1)])
     if p == 2:
         return bracket.series()
     power, base, e = None, a0, 2 * p - 4

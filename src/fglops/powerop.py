@@ -117,11 +117,11 @@ class PowerOpData:
         """The rows of the classes, as one packed product and one substitution (FglContext.to_v)."""
         ctx, q = self.ctx, self.ctx.p - 1
         xs = [s for s in range(len(self._a)) if s % q in classes]
-        packed, shift = _row_product(ctx, self._forms, xs, ctx.k + 1)
+        packed = _row_product(ctx, self._forms, xs, ctx.k + 1)
         if classes == self._pending:  # the last build: let go of the forms before to_v
             self._forms = None
         rows = {s: {} for s in xs}
-        for (j, s), c in ctx.to_v(packed, integral=True, shift=shift).coeffs.items():
+        for (j, s), c in ctx.to_v(packed, integral=True).coeffs.items():
             rows[s][(j, 0)] = c
         for s, row in rows.items():
             self._a[s] = Series(ctx.p, "v", row, ctx.k + 1 - s)
@@ -145,8 +145,7 @@ class PowerOpData:
         while None in v:
             classes = {s % q for s, vs in enumerate(v) if vs is None}
             xs = [s for s in range(top + 1) if s % q in classes]
-            packed, shift = _row_product(ctx, self._forms, xs, kk + 1)
-            for j, s in sorted(packed.split_bivariate(shift)):
+            for j, s in sorted(_row_product(ctx, self._forms, xs, kk + 1).decode()):
                 if v[s] is None:
                     v[s] = j
             if kk == k:
@@ -155,7 +154,7 @@ class PowerOpData:
         return v
 
 
-def _row_product(ctx: FglContext, forms: list, xs: list, order: int) -> tuple:
+def _row_product(ctx: FglContext, forms: list, xs: list, order: int) -> PackedSeries:
     """Rows xs (in x) of the forms (module docstring), a + b < order <= k+1, as one packed product.
 
     xs holds whole residue classes mod p - 1 below some cap: X^a feeds only
@@ -167,8 +166,10 @@ def _row_product(ctx: FglContext, forms: list, xs: list, order: int) -> tuple:
     validity is the order, with no rule to apply.  The rows are one product
     at the order, X = L(x) below x^(max(xs)+1).  Its part at x^s is row s,
     valid mod xi^(order-s) by the term a = s, [x^s] X^s being 1.  No
-    validity exceeds k+1, hence W.  Returns the product, keyed
-    x << shift | mono << W | degree, and shift.
+    validity exceeds k+1, hence W.  Every series of it is in the layout of
+    log packed (PackedSeries.with_terms), whose x offset covers the
+    generators of the stored log, and so every monomial of the forms
+    (FglContext._monomials); the product is keyed x << S | mono << W | degree.
     """
     width = (ctx.k + 1).bit_length()
     by_a = {a: [] for a in xs}  # by_a[a]: (b, C[a][b])
@@ -180,25 +181,23 @@ def _row_product(ctx: FglContext, forms: list, xs: list, order: int) -> tuple:
                     pairs.append((d - a, run))
     cap = max(xs)
     top = max([cap] + [b for pairs in by_a.values() for b, _t in pairs])
-    powers = [PackedSeries.from_coeffs({0: {UNIT_MONO: 1}}, order, width),
-              PackedSeries.from_series(ctx.log, width)]
+    log = PackedSeries.from_series(ctx.log, width)
+    powers = [log.with_terms([(UNIT_MONO, 1)], order), log]
     for _b in range(2, top + 1):
         prev = powers[-1]
-        acc = sum_products({}, ((1, run, prev.below(order - d)) for d, run in powers[1].groups()))
-        powers.append(PackedSeries.from_terms(acc.items(), order, width))
-    ws = [PackedSeries.from_terms(sum_products({}, ((1, c, powers[b].below(order - a))
-                                                   for b, c in by_a[a])).items(), order - a, width)
+        acc = sum_products({}, ((1, run, prev.below(order - d)) for d, run in log.groups()))
+        powers.append(log.with_terms(acc.items(), order))
+    ws = [log.with_terms(sum_products({}, ((1, c, powers[b].below(order - a))
+                                          for b, c in by_a[a])).items(), order - a)
           for a in xs]
-    shift = PackedSeries.x_shift(width, [powers[a] for a in xs] + ws)
-    return PackedSeries.sum_of_products(((1, powers[a].in_x(cap + 1, shift), w)
-                                         for a, w in zip(xs, ws)), order), shift
+    return PackedSeries.sum_of_products(((1, powers[a].in_x(cap + 1), w)
+                                         for a, w in zip(xs, ws)), order)
 
 
 def _rows(ctx: FglContext, forms: list, cap: int) -> list:
     """The rows 0..cap of _row_product as l-basis series in xi, row s valid mod xi^(k+1-s)."""
-    product, shift = _row_product(ctx, forms, range(cap + 1), ctx.k + 1)
     rows = [{} for _s in range(cap + 1)]
-    for (e, s), t in product.split_bivariate(shift).items():
+    for (e, s), t in _row_product(ctx, forms, range(cap + 1), ctx.k + 1).decode().items():
         rows[s][(e, 0)] = GradedPoly(t, "l")
     return [Series(ctx.p, "l", coeffs, ctx.k + 1 - s) for s, coeffs in enumerate(rows)]
 

@@ -52,11 +52,23 @@ keyed x << S | mono << W | degree, degree = j_xi + j_x.  The product caps V
 at an optional order, cuts each run of A at degree d against B's terms below
 V - d, and requires V <= 2^W, so that no degree field of a pair carries; each
 caller bounds V to choose W.  Each cut reads the degrees that from_coeffs and
-from_series record, never an operand's key, so an operand term at or above V
-may overflow its field harmlessly: it meets no term.  S - W is poly.W bits
-per generator up to the highest in any operand; no exponent field carries
-(poly.py), so no sum of operand monomials reaches 2^(S - W).  A univariate
-series, x = 0, is keyed mono << W | degree and needs no S.
+together record, never an operand's key, so an operand term at or above V
+may overflow its field harmlessly: it meets no term.  S is fixed when a
+series is packed: W plus poly.W bits per generator up to the highest in it
+(from_coeffs), or in any of the series packed together (together), so one
+product's operands share it; no exponent field carries (poly.py), so no sum
+of operand monomials reaches 2^(S - W).  A univariate series, x = 0, is
+keyed mono << W | degree, and its S only bounds its monomials.
+
+Each layout has one owner.  PackedSeries owns the packed keys: with_terms,
+in_x and a product carry W and S to what they build, and decode reads a
+series back as {(j_xi, j_x): terms}, so the context's Horner pass
+(fgl.py), FglContext.to_v, the power operation's rows (powerop.py) and
+Series.sum_of_products neither compute S nor pass it.  ColumnSeries owns
+the keys (m', c): from_series, constant and series() convert, and times_v1
+multiplies by v_1, so Miller's recurrence and the closed form
+(obstruction.py) build no key.  The Euler loop's X-columns are plain lists
+per l-monomial, held by powerop.py alone.
 
 Series.sum_of_products packs each distinct operand once; a product's degree
 lies in 0 .. V - 1, and W is the bit length of V.  No fixed W would do: V
@@ -221,8 +233,8 @@ class Series:
         """sum of c * A * B over (c, A, B) triples, with one degree cutoff.
 
         One PackedSeries.sum_of_products call over the operands, each packed
-        once (module docstring).  The scalars c are ints or Fractions.
-        Validity follows the module docstring.
+        once, with one x offset (PackedSeries.together).  The scalars c are
+        ints or Fractions.  Validity follows the module docstring.
         """
         terms = list(terms)
         first = terms[0][1]
@@ -231,13 +243,10 @@ class Series:
             a._check(b)
         v = product_validity(terms)
         operands = {id(s): s for _c, a, b in terms for s in (a, b)}
-        width = max(v, 1).bit_length()
-        shift = _x_shift(width, max((max(c.terms) for s in operands.values()
-                                     for c in s.coeffs.values()), default=0))
-        packed = {i: PackedSeries.from_series(s, width, shift) for i, s in operands.items()}
+        packed = dict(zip(operands, PackedSeries.together(operands.values(), max(v, 1).bit_length())))
         acc = PackedSeries.sum_of_products((c, packed[id(a)], packed[id(b)]) for c, a, b in terms)
         basis = first.basis
-        coeffs = {e: GradedPoly(t, basis) for e, t in acc.split_bivariate(shift).items()}
+        coeffs = {e: GradedPoly(t, basis) for e, t in acc.decode().items()}
         return Series(first.prime, basis, coeffs, v)
 
     def scale(self, c) -> "Series":
@@ -358,55 +367,70 @@ def product_validity(triples, order: int | None = None) -> int:
 
 
 class PackedSeries:
-    """A series as one packed term list, keyed x << S | mono << W | degree (module docstring).
+    """A series as one packed term list, keyed x << shift | mono << width | degree (module docstring).
 
     terms are (key, coefficient) items, nonzero, each degree below validity.
-    A product's terms stay in its dict's order until a read that needs
-    degree order sorts them.
+    shift, S, the offset of the x field, is fixed when a series is packed
+    (from_coeffs, together); with_terms, in_x and a product carry it, and
+    decode reads it.  A product's terms stay in its dict's order until a
+    read that needs degree order sorts them.
     """
 
-    __slots__ = ("terms", "degrees", "validity", "width", "_groups")
+    __slots__ = ("terms", "degrees", "validity", "width", "shift", "_groups")
 
-    def __init__(self, terms, validity: int, width: int, degrees: list | None = None,
+    def __init__(self, terms, validity: int, width: int, shift: int, degrees: list | None = None,
                  groups: list | None = None):
         self.terms = terms
         self.degrees = degrees  # None until sorted
         self.validity = validity
         self.width = width
+        self.shift = shift
         self._groups = groups
 
     @classmethod
     def from_coeffs(cls, coeffs: dict, validity: int, width: int) -> "PackedSeries":
-        """{degree: {mono: coefficient}} packed, in degree order."""
+        """{degree: {mono: coefficient}} packed, in degree order, S from its highest generator."""
+        top = max((max(t) for t in coeffs.values() if t), default=0)
+        return cls._grouped(coeffs, validity, width, cls._offset(width, top))
+
+    @classmethod
+    def _grouped(cls, coeffs: dict, validity: int, width: int, shift: int) -> "PackedSeries":
         terms, degrees, groups = [], [], []
         for d in sorted(coeffs):
             t = pack_terms(coeffs[d], width, d)
             groups.append((d, t))
             terms += t
             degrees += [d] * len(t)
-        return cls(terms, validity, width, degrees, groups)
+        return cls(terms, validity, width, shift, degrees, groups)
 
     @classmethod
-    def from_terms(cls, items, validity: int, width: int) -> "PackedSeries":
-        """Packed (key, coefficient) items, such as a kernel accumulator's, with the zeros dropped."""
-        return cls(list(filter(itemgetter(1), items)), validity, width)
+    def together(cls, series, width: int) -> list:
+        """The series packed, x = j_x at one S from their highest generator and degree j_xi + j_x."""
+        top = max((max(c.terms) for s in series for c in s.coeffs.values()), default=0)
+        shift, out = cls._offset(width, top), []
+        for s in series:
+            coeffs: dict = {}
+            for (j, m), c in s.coeffs.items():
+                x = m << shift >> width  # above the monomial once packed at width
+                t = {x | mono: v for mono, v in c.terms.items()} if x else c.terms
+                d = j + m
+                coeffs[d] = {**coeffs[d], **t} if d in coeffs else t
+            out.append(cls._grouped(coeffs, s.validity, width, shift))
+        return out
 
     @classmethod
-    def from_series(cls, s: Series, width: int, shift: int = 0) -> "PackedSeries":
-        """s with x = j_x at shift and degree j_xi + j_x."""
-        coeffs: dict = {}
-        for (j, m), c in s.coeffs.items():
-            x = m << shift >> width  # above the monomial once packed at width
-            t = {x | mono: v for mono, v in c.terms.items()} if x else c.terms
-            d = j + m
-            coeffs[d] = {**coeffs[d], **t} if d in coeffs else t
-        return cls.from_coeffs(coeffs, s.validity, width)
+    def from_series(cls, s: Series, width: int) -> "PackedSeries":
+        """s packed alone (together)."""
+        return cls.together((s,), width)[0]
 
     @staticmethod
-    def x_shift(width: int, operands) -> int:
-        """S for products of univariate operands keyed mono << width | degree (module docstring)."""
-        top = max((max(map(itemgetter(0), o.terms), default=0) for o in operands), default=0)
-        return _x_shift(width, top >> width)
+    def _offset(width: int, top: int) -> int:
+        """S: width plus poly.W bits per generator up to the highest in the monomial top."""
+        return width + EXP_BITS * -(-top.bit_length() // EXP_BITS)
+
+    def with_terms(self, items, validity: int) -> "PackedSeries":
+        """Packed (key, coefficient) items in this W and S, such as an accumulator's, zeros dropped."""
+        return PackedSeries(list(filter(itemgetter(1), items)), validity, self.width, self.shift)
 
     def _sort(self):
         low = (1 << self.width) - 1
@@ -426,8 +450,8 @@ class PackedSeries:
             self._sort()
         return self.terms[:bisect_left(self.degrees, v)]
 
-    def in_x(self, below: int, shift: int) -> "PackedSeries":
-        """sum of [xi^d] self x^d over d < below, keyed with x-field shift, at this validity.
+    def in_x(self, below: int) -> "PackedSeries":
+        """sum of [xi^d] self x^d over d < below, its x field at this series' shift and validity.
 
         A product's part at x^s, s < below, is as exact as its validity says;
         the terms at x^below and above are left out, not zero.
@@ -435,8 +459,8 @@ class PackedSeries:
         if self.degrees is None:
             self._sort()
         degrees = self.degrees[:bisect_left(self.degrees, below)]
-        return PackedSeries([(d << shift | key, x) for d, (key, x) in zip(degrees, self.terms)],
-                            self.validity, self.width, degrees)
+        return PackedSeries([(d << self.shift | key, x) for d, (key, x) in zip(degrees, self.terms)],
+                            self.validity, self.width, self.shift, degrees)
 
     def groups(self) -> list:
         """The runs (degree, terms of that degree), found on the first call."""
@@ -447,9 +471,9 @@ class PackedSeries:
                             for d, run in groupby(zip(self.degrees, self.terms), key=itemgetter(0))]
         return self._groups
 
-    def split_bivariate(self, shift: int) -> dict:
-        """{(j_xi, j_x): terms} from x = j_x at shift and degree = j_xi + j_x."""
-        width = self.width
+    def decode(self) -> dict:
+        """{(j_xi, j_x): {mono: coefficient}}, from x = j_x at shift and degree = j_xi + j_x."""
+        width, shift = self.width, self.shift
         low, monos = (1 << width) - 1, (1 << shift - width) - 1
         out: dict = {}
         for key, c in self.terms:
@@ -465,9 +489,12 @@ class PackedSeries:
     def sum_of_products(triples, order: int | None = None, acc: dict | None = None) -> "PackedSeries":
         """sum of c A B over (c, A, B) triples of PackedSeries, cut as the module docstring says.
 
+        The result takes the width of the first operand and the largest
+        shift of any: the one shift of operands packed together (together,
+        in_x), and one that every monomial fits where none has an x term.
         Given acc, a dict of packed terms below the cut, the products are
         summed into it in place and its terms join no pair; acc needs at
-        least one triple, which gives the width.
+        least one triple, which gives the layout.
         """
         triples = list(triples)
         # degrees are >= 0, so a pair whose validities both reach the order cannot lower it
@@ -475,7 +502,7 @@ class PackedSeries:
                                                if t[1].validity < order or t[2].validity < order]
         v = product_validity(rated, order)
         if not triples:
-            return PackedSeries([], v, 0, [])
+            return PackedSeries([], v, 0, 0, [])
         width = triples[0][1].width
         if v > 1 << width:
             raise OverflowError(f"validity {v} does not fit a degree field of {width} bits")
@@ -483,7 +510,7 @@ class PackedSeries:
                            ((c, left, b.below(v - d))
                             for c, a, b in triples if c for d, left in a.groups() if d < v))
         terms = acc.items() if all(acc.values()) else list(filter(itemgetter(1), acc.items()))
-        return PackedSeries(terms, v, width)
+        return PackedSeries(terms, v, width, max(s.shift for t in triples for s in t[1:]))
 
 
 def convolve(out: list, c, b: list, col: list, lo: int = 0) -> list:
@@ -539,6 +566,19 @@ class ColumnSeries:
                     col += [0] * (e + 1 - len(col))
                 col[e] = x
         return cls(columns, s.validity, s.prime)
+
+    @classmethod
+    def constant(cls, poly: GradedPoly, validity: int, prime: int) -> "ColumnSeries":
+        """The constant series poly as columns: v_1^e m' on the column (m', -(p-1)e), entry e."""
+        q = prime - 1
+        return cls({(mono - (e := mono & MAX_EXP), -q * e): [0] * e + [x]
+                    for mono, x in poly.terms.items()}, validity, prime)
+
+    def times_v1(self) -> "ColumnSeries":
+        """v_1 times these columns: each moves up one entry, to c - (p-1), at this validity."""
+        q = self.prime - 1
+        return ColumnSeries({(m, c - q): [0] + col for (m, c), col in self.columns.items()},
+                            self.validity, self.prime)
 
     def series(self) -> Series:
         """The Series these columns hold, at their validity."""
@@ -596,25 +636,6 @@ class ColumnSeries:
             if col:
                 columns[key] = col
         return ColumnSeries(columns, v, prime)
-
-
-def split_packed(items, shift: int) -> dict:
-    """{field: {mono: coefficient}} from (mono << shift | field, coefficient) items, zeros dropped."""
-    fields = (1 << shift) - 1
-    out: dict = {}
-    for key, x in items:
-        if x:
-            got = out.get(f := key & fields)
-            if got is None:
-                out[f] = {key >> shift: x}
-            else:
-                got[key >> shift] = x
-    return out
-
-
-def _x_shift(width: int, top_mono: int) -> int:
-    """S: width plus poly.W bits per generator up to the highest in top_mono (module docstring)."""
-    return width + EXP_BITS * -(-top_mono.bit_length() // EXP_BITS)
 
 
 _ZERO = {"v": GradedPoly.zero("v"), "l": GradedPoly.zero("l")}

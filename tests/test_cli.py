@@ -21,6 +21,7 @@ from fglops.golden import ENV_GOLDEN_DIR, golden_dir
 from fglops.reduction import ReducedSeries, nonvanishing_certificate
 from fglops.render import (parse_series, poly_text, series_from_obj, series_text, series_to_obj,
                            to_json)
+from fglops.series import PackedSeries
 
 
 
@@ -359,10 +360,10 @@ def _record_row_builds(monkeypatch):
         products.append((list(xs), order))
         return product(ctx, forms, xs, order)
 
-    def recording_to_v(self, s, integral=False, shift=0):
-        if shift:  # rows, keyed by x at shift
-            substituted.append(sorted({key >> shift for key, _c in s.terms}))
-        return to_v(self, s, integral, shift)
+    def recording_to_v(self, s, integral=False):
+        if isinstance(s, PackedSeries):  # rows, keyed by x at their shift
+            substituted.append(sorted({key >> s.shift for key, _c in s.terms}))
+        return to_v(self, s, integral)
 
     monkeypatch.setattr(fglops.powerop, "_row_product", recording_product)
     monkeypatch.setattr(FglContext, "to_v", recording_to_v)

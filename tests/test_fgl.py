@@ -12,7 +12,7 @@ from fglops import FglContext, HorizonError, IntegralityError, NotPrimeError, mc
 from fglops.cli import DEFAULT_TRUNCATION
 from fglops.fgl import MR_BOUND, is_prime
 from fglops.poly import MAX_EXP, MAX_TRUNCATION, GradedPoly, mono_exps, mono_pack, mono_weight
-from fglops.series import Series
+from fglops.series import PackedSeries, Series
 
 from conftest import P, S, rand_series
 
@@ -385,6 +385,9 @@ def test_substitution_horizon(ctx27):
     assert ctx27.to_v(S("l3*xi^7", 2, "l", validity=9)).is_integral() is False
     with pytest.raises(HorizonError):
         ctx27.to_v(S("l4*xi^15", 2, "l", validity=16))
+    # a packed series carries its generator fields in its shift, and is refused the same way
+    with pytest.raises(HorizonError, match="mentions l_4 beyond the horizon 3"):
+        ctx27.to_v(PackedSeries.from_series(S("l4*xi^15", 2, "l", validity=16), 5))
 
 
 def test_integrality_violation_detected(ctx27):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 import tracemalloc
 import types
 
@@ -27,9 +28,9 @@ from fglops.poly import MAX_EXP, UNIT_MONO, GradedPoly, mono_weight
 from fglops.powerop import EulerClassError, PowerOpData, product_rows, product_rows_by_fold
 from fglops.reduction import canonical_rep, nonvanishing_certificate
 from fglops.render import series_from_obj
-from fglops.series import ColumnSeries, PackedSeries, Series, split_packed
+from fglops.series import ColumnSeries, PackedSeries, Series
 
-from conftest import Counted, P
+from conftest import Counted, P, rand_poly
 
 
 # -- modified multinomial coefficients ----------------------------------------
@@ -282,7 +283,7 @@ def test_lazy_shortcut_builds_no_power_operation_at_k(monkeypatch):
 
 def test_lazy_shortcut_substitutes_no_row(monkeypatch):
     # the valuations come from the l-basis rows: to_v is injective, so it is not needed
-    def refuse(self, s, integral=False, shift=0):
+    def refuse(self, s, integral=False):
         raise AssertionError("the sparseness shortcut substituted a row")
 
     monkeypatch.setattr(FglContext, "to_v", refuse)
@@ -698,15 +699,14 @@ def _packed_recurrence(ctx: FglContext, data, n: int) -> Series:
     for k in range(1, n + 1):
         step = PackedSeries.sum_of_products((-n * i - k, g[i], f[k - i]) for i in range(1, k + 1))
         assert not any(x % k for _key, x in step.terms)
-        f.append(PackedSeries([(key, x // k) for key, x in step.terms], step.validity, width))
+        f.append(step.with_terms([(key, x // k) for key, x in step.terms], step.validity))
     terms = []
     for k in range(n + 1):
         if cp := ctx.cp_image(n - k):
             cp_packed = PackedSeries.from_coeffs({0: cp.terms}, a0_pow[n - k].validity, width)
             terms.append((1, PackedSeries.sum_of_products(((1, cp_packed, a0_pow[n - k]),)), f[k]))
     raw = PackedSeries.sum_of_products(terms)
-    coeffs = {(d, 0): GradedPoly(t, "v") for d, t in split_packed(raw.terms, width).items()}
-    return Series(ctx.p, "v", coeffs, raw.validity)
+    return Series(ctx.p, "v", {e: GradedPoly(t, "v") for e, t in raw.decode().items()}, raw.validity)
 
 
 def _record_column_products(monkeypatch) -> list:
@@ -767,6 +767,40 @@ def test_columns_round_trip_every_a_i(p, k, cap):
         if any(c < 0 for _m, c in cols.columns):
             negative.append(i)
     assert negative and min(negative) >= p  # c < 0 needs w > 0
+
+
+def _mixed_series(p: int, seed: int) -> Series:
+    """A v-basis series of no one weight: several columns per m', v_1 powers at xi^0."""
+    rng = random.Random(seed)
+    return Series(p, "v", {(j, 0): rand_poly(rng, gens=3, terms=5, max_exp=4)
+                           for j in rng.sample(range(12), 6)}, 12)
+
+
+@pytest.mark.parametrize("p, k, cap", COLUMN_GRID[:3])
+def test_times_v1_equals_the_series_product_by_v1(p, k, cap):
+    # every a_i at p = 2, 3, 5 and two series of mixed weight: v_1 A by moving columns
+    # equals the Series product by v_1, held valid as far as A
+    for a in _column_data(p, k, cap).a + [_mixed_series(p, seed) for seed in (1, 2)]:
+        v1 = Series(p, "v", {(0, 0): GradedPoly.gen(1)}, a.validity)
+        got = ColumnSeries.from_series(a).times_v1()
+        assert got.series() == a * v1 and got.validity == a.validity
+        assert _columns_stop_below_the_validity(got)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_constant_columns_equal_the_one_coefficient_series(p):
+    # each cp(i) of the context, a v_1 power, the unit, and polynomials of mixed weight
+    ctx = FglContext(p, 2 * p ** 2)
+    rng = random.Random(p)
+    polys = [ctx.cp_image(p ** m - 1) for m in range(ctx.horizon + 1)]
+    polys += [GradedPoly.gen(1, exp=5), GradedPoly.const(-3)]
+    polys += [rand_poly(rng, gens=3, terms=6, max_exp=4) for _ in range(5)]
+    for poly in polys:
+        for validity in (1, 7, 40):
+            got = ColumnSeries.constant(poly, validity, p)
+            want = ColumnSeries.from_series(Series(p, "v", {(0, 0): poly}, validity))
+            assert got.columns == want.columns and got.validity == validity and got.prime == p
+            assert got.series() == Series(p, "v", {(0, 0): poly}, validity)
 
 
 @pytest.mark.parametrize("p, k, cap", COLUMN_GRID[:4])

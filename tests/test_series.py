@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fglops.series
-from fglops.poly import GradedPoly, mono_exps, mono_pack, sum_products
+from fglops import FglContext
+from fglops.poly import W, GradedPoly, mono_exps, mono_from_exps, mono_pack, sum_products
 from fglops.render import (parse_series, series_from_json, series_from_obj, series_text,
                            series_to_json, series_to_obj, to_json)
-from fglops.series import (NonUnitError, OutsideValidityError, PackedSeries, Series, convolve,
-                           split_packed)
+from fglops.series import NonUnitError, OutsideValidityError, PackedSeries, Series, convolve
 
 from conftest import Counted, P, S, rand_poly, rand_series
 
@@ -248,8 +248,7 @@ def test_packed_sum_of_products_matches_the_series_product(monkeypatch, seed):
     if order is not None:
         want = want.truncate(order)
     assert got.validity == want.validity
-    assert {(d, 0): GradedPoly(t, "v")
-            for d, t in split_packed(got.terms, 5).items()} == want.coeffs
+    assert {e: GradedPoly(t, "v") for e, t in got.decode().items()} == want.coeffs
     assert sum(handed) == sum(len(p1.terms) * len(p2.terms) for c, a, b in terms if c
                               for (d1, _z), p1 in a.coeffs.items()
                               for (d2, _z2), p2 in b.coeffs.items() if d1 + d2 < got.validity)
@@ -262,7 +261,74 @@ def test_packed_sum_of_products_refuses_a_validity_its_degree_field_cannot_hold(
         PackedSeries.sum_of_products(((1, a, a),))
     got = PackedSeries.sum_of_products(((1, a, a),), 8)
     assert got.validity == 8
-    assert split_packed(got.terms, 3) == {0: {0: 1}, 7: {mono_pack({1: 1}): 2}}
+    assert got.decode() == {(0, 0): {0: 1}, (7, 0): {mono_pack({1: 1}): 2}}
+
+
+@st.composite
+def _bivariate_series(draw, prime, basis, gens=12, top_exp=300):
+    """A Series with x terms, generators 1..gens, Fraction and big coefficients, validity 1..40."""
+    validity = draw(st.sampled_from([1, 2, 7, 8, 9, 16, 17, 40]))  # at and beside 2^w
+    coefficient = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                            st.fractions(max_denominator=27)).filter(bool)
+    exps = st.dictionaries(st.integers(1, gens), st.integers(1, top_exp), max_size=3)
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 6))):
+        jx = draw(st.integers(0, validity - 1))
+        terms = draw(st.dictionaries(exps.map(mono_from_exps), coefficient, min_size=1, max_size=3))
+        coeffs[(draw(st.integers(0, validity - 1 - jx)), jx)] = GradedPoly(terms, basis)
+    return Series(prime, basis, coeffs, validity)
+
+
+_ANY_SERIES = st.sampled_from([2, 3, 5]).flatmap(
+    lambda p: st.sampled_from("vl").flatmap(lambda basis: _bivariate_series(p, basis)))
+
+
+def _top_generator(series) -> int:
+    return max((c.max_gen_index() for s in series for c in s.coeffs.values()), default=0)
+
+
+def _decoded(packed: PackedSeries, basis: str) -> dict:
+    return {e: GradedPoly(t, basis) for e, t in packed.decode().items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ANY_SERIES, st.integers(0, 3))
+def test_packing_then_decoding_gives_back_the_coefficients(s, extra):
+    # any width that holds the validity; S is width plus poly.W bits per generator present
+    width = max(s.validity, 1).bit_length() + extra
+    packed = PackedSeries.from_series(s, width)
+    assert packed.width == width and packed.shift == width + W * _top_generator([s])
+    assert _decoded(packed, s.basis) == s.coeffs and packed.validity == s.validity
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(
+    lambda p: st.lists(_bivariate_series(p, "v"), min_size=1, max_size=4)))
+def test_operands_packed_together_share_one_shift(series):
+    # one S for all, from the highest generator of any; each decodes back to itself, and
+    # their product carries S and decodes to the Series product (a validity of a product
+    # is at most twice the largest, so one more bit of W holds it)
+    width = max(s.validity for s in series).bit_length() + 1
+    packed = PackedSeries.together(series, width)
+    assert {p.shift for p in packed} == {width + W * _top_generator(series)}
+    assert [_decoded(p, "v") for p in packed] == [s.coeffs for s in series]
+    pairs = [(i, (i + 1) % len(series)) for i in range(len(series))]
+    got = PackedSeries.sum_of_products((1, packed[i], packed[j]) for i, j in pairs)
+    want = Series.sum_of_products((1, series[i], series[j]) for i, j in pairs)
+    assert got.shift == packed[0].shift and got.width == width
+    assert _decoded(got, "v") == want.coeffs and got.validity == want.validity
+
+
+_CTX_2_31 = FglContext(2, 31)  # horizon 5: l_1 .. l_5
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bivariate_series(2, "l", gens=5, top_exp=3), st.integers(0, 2))
+def test_to_v_of_a_series_equals_to_v_of_its_packed_form(s, extra):
+    # to_v reads the layout off the PackedSeries it is given, at any width that holds the validity
+    packed = PackedSeries.from_series(s, max(s.validity, 1).bit_length() + extra)
+    got, want = _CTX_2_31.to_v(packed), _CTX_2_31.to_v(s)
+    assert got == want and got.coeffs == want.coeffs
 
 
 def test_packed_product_drops_cancelled_terms_before_any_read():
