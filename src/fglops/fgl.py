@@ -127,6 +127,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_setting(p: int, k: int) -> None:
+    """Refuse a p that is not prime or a truncation k outside 1..MAX_TRUNCATION."""
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+    if not 1 <= k <= MAX_TRUNCATION:
+        raise ValueError(f"truncation order must be in 1..{MAX_TRUNCATION}")
+
+
+def cp_exponent(p: int, i: int) -> int | None:
+    """The m with i = p^m - 1, or None for any other i >= 0.
+
+    cp(i) is p^m l_m at such an i and zero at any other (FglContext.cp_image).
+    """
+    m, q = 0, 1
+    while q - 1 < i:
+        q *= p
+        m += 1
+    return m if q - 1 == i else None
+
+
 def mu(n: int, abar) -> int:
     """Coefficient of b^abar in (1 + b_1 + b_2 + ...)^n, any integer n."""
     s = sum(abar)
@@ -194,10 +214,7 @@ class FglContext:
     """Immutable bundle of prime, truncation order, and cached FGL data."""
 
     def __init__(self, p: int, k: int):
-        if not is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
-        if not 1 <= k <= MAX_TRUNCATION:
-            raise ValueError(f"truncation order must be in 1..{MAX_TRUNCATION}")
+        check_setting(p, k)
         self.p = p
         self.k = k
 
@@ -423,12 +440,8 @@ class FglContext:
             raise ValueError("negative dimension")
         if i == 0:
             return GradedPoly.const(1, "v")
-        m = 0
-        q = 1
-        while q - 1 < i:
-            q *= self.p
-            m += 1
-        if q - 1 != i:
+        m = cp_exponent(self.p, i)
+        if m is None:
             return GradedPoly.zero("v")
         if m > self.horizon:
             raise HorizonError(f"l_{m} is beyond the horizon {self.horizon} for k={self.k}")

@@ -27,9 +27,31 @@ lowest nonzero coefficient is the nonvanishing certificate.
 
 The validity the recurrence must reach is the least validity of a summand,
 min over its factors of (V_i - v_i) plus sum alpha_i v_i, for (V_i, v_i) the
-validity and valuation of a_i.  It comes from the same grouping by k, as a
-min-plus knapsack over the parts of k with weights v_i - v_0: O(n^2)
-integer steps, no summand enumerated.
+validity and valuation of a_i.  On the power operation's rows it has the
+closed form (_sum_validity)
+
+    k + 1  at n = 0,   k + 1 - n + (n - 1) u  at n >= 1,   u = min(p - 1, k + 1),
+
+read from (p, k, n) alone.  Proof: V_i = k + 1 - i, an empty row has
+valuation V_i, and P = prod_{i=1..p-1} ([i]xi +_F x) = sum_i a_i x^i gives
+two facts.
+  (F1) Every factor starts with i xi + x, so every term of P has total
+       degree >= p - 1, and v_i >= u - i.
+  (F2) a_0 is the Euler class (p-1)! xi^(p-1) + ..., or empty when
+       k < p - 1, so v_0 = u.
+With e_i = v_i - (u - i) >= 0 and e_0 = 0, a summand of t = |abar|' has
+V_f - v_f = k + 1 - u - e_f for each factor a_f and valuation
+n u - t + sum alpha_i e_i, so it is valid to
+n u + k + 1 - u - t + (sum alpha_i e_i - max e_f over its factors), and
+the bracket is >= 0, each a_f being a factor.  It is 0 at abar = (t),
+alpha_t = 1 alone, for t >= 1 and at the empty abar for t = 0, and each is
+a summand, mu(-(n+1); abar) never vanishing.  So the least validity at t is
+n u + k + 1 - u - t, and the least over the t with cp(n - t) != 0 is at
+t = n, as cp(0) = 1.  The tests check (F1), (F2) and the Stirling numbers
+[X^s] prod_i (X + i) at xi^(p-1-s) of every a_s, s <= p - 1, on real rows,
+and the checks below hold the formula to what is computed: the
+recurrence's raw sum must carry exactly this validity, so rows that broke
+it fail loudly.
 
 At n = 2(p-1), the index of every published table at p >= 5 and of every
 certificate, the reduced class comes from the paper's closed form
@@ -44,13 +66,11 @@ multiplied in, is one ColumnSeries.sum_of_products, and a power of a_0,
 from column squarings, multiplies it.  It is not the raw sum: the summands
 it drops are 0 modulo <p>xi, so the raw sum minus the closed form vanishes
 there and both have the same canonical representative.
-Its validity is checked, not assumed: it must reach the validity the sum
-predicts, and it is truncated to exactly that, so the reduced class carries
-the same validity the recurrence would give.  That prediction takes
-V_i = k+1-i and every v_i, i <= n, those of the rows not built from their
-l-basis rows at a low order (PowerOpData.valuations), with no substitution.
-The raw sum is then computed by the recurrence only when it is read, as the
-closed form's cross-check, and reading it builds the other classes.
+Its validity is checked, not assumed: it must reach the closed-form
+validity, and it is truncated to exactly that, so the reduced class carries
+the same validity the recurrence would give.  The raw sum is computed by
+the recurrence only when it is read, as the closed form's cross-check, and
+reading it builds the other classes.
 
 Cross-check routes (exact agreement within joint validity):
   * the paper's multi-index sum, one product chain per summand (the only
@@ -61,13 +81,17 @@ Cross-check routes (exact agreement within joint validity):
 
 For odd p with n not divisible by p-1 the reduced class vanishes identically,
 and sparse_mc returns that zero from (p, k, n) alone, unless a full
-computation is forced.  The zero carries the validity the raw sum would
-have, which needs only V_i = k+1-i and the valuation of each a_i, i <= n:
-they come from the l-basis rows of the power operation, substituted
-nowhere, at the least k' of a doubling sequence from min(k, n + p) whose
-a_i each show a nonzero coefficient below k'+1-i (_shortcut_valuations),
-k' = k at worst.  Neither the context nor the power operation at k is
-built.
+computation is forced, with the closed-form validity and no context and no
+power operation built.  A sketch of why the zero, and the closed form at
+n = 2(p-1), are sound: [zeta]xi = zeta xi for a (p-1)-th root of unity zeta
+of the p-adic integers, and [i]xi = [omega(i)]xi modulo [p]xi, omega the
+Teichmuller lift, so modulo <p>xi the factors of P(xi, zeta x) are those
+of P(xi, x) permuted, each times zeta, and zeta^(p-1) = 1 makes
+P(xi, zeta x) = P(xi, x).  Hence a_i (zeta^i - 1) vanishes there, and
+zeta^i - 1 is a unit unless p - 1 divides i, so such an a_i vanishes.  So
+does every summand of MC_n that holds one: each summand unless p - 1
+divides n, and at n = 2(p-1) the summands the closed form drops.  The
+tests of the rows off class 0 are the evidence.
 """
 
 from __future__ import annotations
@@ -76,9 +100,9 @@ import functools
 import math
 import operator
 
-from .fgl import FglContext, IntegralityError, mu, partitions
+from .fgl import FglContext, IntegralityError, check_setting, cp_exponent, mu, partitions
 from .poly import GradedPoly
-from .powerop import PowerOpData, power_operation
+from .powerop import PowerOpData
 from .reduction import ReducedSeries, canonical_rep, nonvanishing_certificate
 from .series import ColumnSeries, Series
 
@@ -154,55 +178,11 @@ def _check_inputs(ctx: FglContext, data: PowerOpData, n: int) -> None:
         )
 
 
-def _validities(data: PowerOpData, n: int) -> tuple:
-    """The validities V_i and valuations v_i of a_0..a_n, as two lists; every row is built."""
-    return [ai.validity for ai in data.a[:n + 1]], [ai.val() for ai in data.a[:n + 1]]
-
-
-def _shortcut_valuations(p: int, k: int, n: int) -> tuple:
-    """The context at k' and val(a_0..a_n) at k, from the least truncation k' that shows them.
-
-    a_i at k' agrees with a_i at k below its validity k'+1-i, so once every
-    a_i has a nonzero coefficient there, its lowest is the one at k.  k'
-    starts at min(k, n + p), where a_n is valid mod xi^(p+1) and every val(a_i)
-    met at p <= 17 is below p, and doubles up to k, where the run is the full one.
-    The valuations come from the l-basis rows (PowerOpData.valuations), so no
-    row is substituted; a row with no term there reads k'+1-i.
-    """
-    kk = min(k, n + p)
-    while True:
-        ctx = FglContext(p, kk)
-        v = power_operation(ctx, x_cap=n).valuations(n)
-        if kk == k or all(vi < kk + 1 - i for i, vi in enumerate(v)):
-            return ctx, v
-        kk = min(k, 2 * kk)
-
-
-def _sum_validity(ctx: FglContext, big_v: list, v: list, n: int) -> int:
-    """Least validity of a summand of the paper's sum, by a min-plus knapsack.
-
-    With (V_i, v_i) = (big_v[i], v[i]) the validity and valuation of a_i and
-    alpha_0 = n - |abar|, the summand prod a_i^(alpha_i) is valid to the
-    least V_i - v_i of its factors plus sum alpha_i v_i
-    = n v_0 + sum_{i>=1} alpha_i w_i, where w_i = v_i - v_0.  best[t] is the
-    least sum alpha_i w_i over the partitions of t.  Each t = |abar|' with cp(n - t) != 0 takes as the factor that sets
-    the least V_i - v_i a part f, or a_0, which only the all-ones partition
-    of n lacks.  Every index is a summand, since mu(-(n+1); abar) never vanishes.
-    """
+def _sum_validity(p: int, k: int, n: int) -> int:
+    """Least validity of a summand of the paper's sum over the rows at k (module docstring)."""
     if n == 0:  # the empty product, known as far as a_0 is
-        return big_v[0]
-    w = [vi - v[0] for vi in v]
-    best = [0]
-    for t in range(1, n + 1):
-        best.append(min(w[i] + best[t - i] for i in range(1, t + 1)))
-    least = math.inf
-    for t in range(n + 1):
-        if ctx.cp_image(n - t):
-            rest = best[t] if t < n else min((w[f] + best[n - f] for f in range(2, n + 1)),
-                                             default=math.inf)
-            least = min(least, big_v[0] - v[0] + rest,
-                        *(big_v[f] - v[f] + w[f] + best[t - f] for f in range(1, t + 1)))
-    return n * v[0] + least
+        return k + 1
+    return k + 1 - n + (n - 1) * min(p - 1, k + 1)
 
 
 def _one(ctx: FglContext, data: PowerOpData) -> Series:
@@ -214,16 +194,15 @@ def sparse_mc(p: int, k: int, n: int) -> ObstructionResult | None:
     """MC_n by the sparseness shortcut, from (p, k, n) alone; None off it.
 
     Off the shortcut means p - 1 dividing n, every n at p = 2.  On it the
-    reduced class vanishes identically, and the zero carries the validity
-    the raw sum would have: V_i = k+1-i and the valuations of a_0..a_n from
-    the least truncation k' that shows them (_shortcut_valuations), whose
-    context also gives every cp(n - t), as k' >= min(k, n + p) >= n.
+    reduced class vanishes identically (module docstring), and the zero
+    carries the validity the raw sum would have, _sum_validity's closed form.
+    No context and no power operation is built.
     """
+    check_setting(p, k)
     check_truncation(n, k)
     if n % (p - 1) == 0:
         return None
-    ctx, v = _shortcut_valuations(p, k, n)
-    predicted = _sum_validity(ctx, [k + 1 - i for i in range(n + 1)], v, n)
+    predicted = _sum_validity(p, k, n)
     if predicted < p:
         raise InsufficientTruncationError(
             f"obstruction series would have validity {predicted} < p = {p}"
@@ -231,7 +210,7 @@ def sparse_mc(p: int, k: int, n: int) -> ObstructionResult | None:
     # identically zero in the quotient, so any validity claim is sound;
     # report the one the raw sum would have carried
     reduced = ReducedSeries(Series.zero(p, "v", predicted))
-    return ObstructionResult(n, None, reduced, None, not ctx.cp_image(n), True)
+    return ObstructionResult(n, None, reduced, None, cp_exponent(p, n) is None, True)
 
 
 def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
@@ -239,15 +218,18 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
     """The n-th obstruction series, raw and reduced modulo the reduced p-series.
 
     Unless force_full, the sparseness shortcut (sparse_mc) answers where it
-    applies, and `data` is not read.  `progress(k, n)` is called after each
-    of the n recurrence steps; at n = 2(p-1) they run when the raw series is
-    first read.
+    applies, and `data` is not read.  Every other route is held to the
+    closed-form validity (_sum_validity): the raw sum must carry exactly it,
+    and the closed form at n = 2(p-1) must reach it and is truncated to it.
+    `progress(k, n)` is called after each of the n recurrence steps; at
+    n = 2(p-1) they run when the raw series is first read.
     """
     if not force_full and (result := sparse_mc(ctx.p, ctx.k, n)) is not None:
         return result
-    p, k = ctx.p, ctx.k
+    p = ctx.p
     _check_inputs(ctx, data, n)
     pser = ctx.reduced_p_series("v")
+    predicted = _sum_validity(p, ctx.k, n)
 
     def recurrence():
         series = _power_recurrence(ctx, data, n, progress)
@@ -259,7 +241,6 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
 
     if n == 2 * (p - 1):
         closed = mc_explicit_2p2(ctx, data)  # builds the rows of class 0 alone
-        predicted = _sum_validity(ctx, [k + 1 - i for i in range(n + 1)], data.valuations(n), n)
         if closed.validity < predicted:
             raise AssertionError(
                 f"closed form has validity {closed.validity} < predicted {predicted}"
@@ -267,7 +248,6 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
         reduced = canonical_rep(_checked(closed.truncate(predicted), n), pser)
         raw = recurrence  # the cross-check, run when the raw series is read
     else:
-        predicted = _sum_validity(ctx, *_validities(data, n), n)
         raw = recurrence()
         reduced = canonical_rep(raw, pser)
     if reduced.validity < p:
@@ -275,7 +255,7 @@ def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,
             f"reduced obstruction has validity {reduced.validity} < p = {p}"
         )
     cert = nonvanishing_certificate(reduced)
-    return ObstructionResult(n, raw, reduced, cert, not ctx.cp_image(n), False)
+    return ObstructionResult(n, raw, reduced, cert, cp_exponent(p, n) is None, False)
 
 
 def _checked(series: Series, n: int) -> Series:

@@ -55,9 +55,7 @@ PowerOpData, which builds rows when they are read, a class at a time: the
 closed form at n = 2(p-1) reads a_0, a_(p-1) and a_(2p-2), class 0 alone,
 one product and one substitution; a reader of every row (Miller's
 recurrence, power-op-coeffs, --reduced, the raw cross-check) builds every
-class still pending in one more, so no row is built twice.  The valuations
-of rows not built come from their l-basis rows at a low order
-(PowerOpData.valuations).
+class still pending in one more, so no row is built twice.
 """
 
 from __future__ import annotations
@@ -102,13 +100,10 @@ class PowerOpData:
             self._build(self._pending)
         return self._a
 
-    def _check_index(self, i: int):
-        if not 0 <= i < len(self._a):
-            raise IndexError(f"a_{i} is outside a_0..a_{len(self._a) - 1}")
-
     def row(self, i: int) -> Series:
         """a_i, its residue class built alone if it is pending."""
-        self._check_index(i)
+        if not 0 <= i < len(self._a):
+            raise IndexError(f"a_{i} is outside a_0..a_{len(self._a) - 1}")
         if (r := i % (self.ctx.p - 1)) in self._pending:
             self._build({r})
         return self._a[i]
@@ -117,7 +112,7 @@ class PowerOpData:
         """The rows of the classes, as one packed product and one substitution (FglContext.to_v)."""
         ctx, q = self.ctx, self.ctx.p - 1
         xs = [s for s in range(len(self._a)) if s % q in classes]
-        packed = _row_product(ctx, self._forms, xs, ctx.k + 1)
+        packed = _row_product(ctx, self._forms, xs)
         if classes == self._pending:  # the last build: let go of the forms before to_v
             self._forms = None
         rows = {s: {} for s in xs}
@@ -129,38 +124,14 @@ class PowerOpData:
             _check_euler_class(self._a[0], ctx.p)
         self._pending = self._pending - classes
 
-    def valuations(self, top: int) -> list:
-        """val(a_0..a_top): a built row's own, a pending one's from l-basis rows at a low order.
 
-        to_v is injective, so a coefficient is nonzero in the l-basis exactly
-        when it is in the v-basis, and a pending row needs no substitution.
-        The product at order o holds row s below xi^(o-s); o - 1 starts at
-        min(k, top + p) and doubles up to k, where a row with no term is
-        zero below its validity k+1-s, which is then its valuation.
-        """
-        self._check_index(top)
-        ctx, q, k = self.ctx, self.ctx.p - 1, self.ctx.k
-        v = [None if ai is None else ai.val() for ai in self._a[:top + 1]]
-        kk = min(k, top + ctx.p)
-        while None in v:
-            classes = {s % q for s, vs in enumerate(v) if vs is None}
-            xs = [s for s in range(top + 1) if s % q in classes]
-            for j, s in sorted(_row_product(ctx, self._forms, xs, kk + 1).decode()):
-                if v[s] is None:
-                    v[s] = j
-            if kk == k:
-                v = [k + 1 - s if vs is None else vs for s, vs in enumerate(v)]
-            kk = min(k, 2 * kk)
-        return v
-
-
-def _row_product(ctx: FglContext, forms: list, xs: list, order: int) -> PackedSeries:
-    """Rows xs (in x) of the forms (module docstring), a + b < order <= k+1, as one packed product.
+def _row_product(ctx: FglContext, forms: list, xs: list) -> PackedSeries:
+    """Rows xs (in x) of the forms (module docstring), a + b <= k, as one packed product.
 
     xs holds whole residue classes mod p - 1 below some cap: X^a feeds only
     the rows s = a mod p - 1, so the product is sum of X^a W_a over a in xs,
     and C[a][D-a] is read off each form's columns, col[a], for those a alone.
-    L^b = L L^(b-1) at the order and W_a = sum_b C[a][b] L^b at order - a
+    L^b = L L^(b-1) at the order k+1 and W_a = sum_b C[a][b] L^b at order - a
     are each one pass of the monomial loop into an accumulator of its own,
     cut by hand: every operand of them is valid to the order, so their
     validity is the order, with no rule to apply.  The rows are one product
@@ -171,7 +142,8 @@ def _row_product(ctx: FglContext, forms: list, xs: list, order: int) -> PackedSe
     generators of the stored log, and so every monomial of the forms
     (FglContext._monomials); the product is keyed x << S | mono << W | degree.
     """
-    width = (ctx.k + 1).bit_length()
+    order = ctx.k + 1
+    width = order.bit_length()
     by_a = {a: [] for a in xs}  # by_a[a]: (b, C[a][b])
     for d, cols in forms:
         if d < order:
@@ -197,7 +169,7 @@ def _row_product(ctx: FglContext, forms: list, xs: list, order: int) -> PackedSe
 def _rows(ctx: FglContext, forms: list, cap: int) -> list:
     """The rows 0..cap of _row_product as l-basis series in xi, row s valid mod xi^(k+1-s)."""
     rows = [{} for _s in range(cap + 1)]
-    for (e, s), t in _row_product(ctx, forms, range(cap + 1), ctx.k + 1).decode().items():
+    for (e, s), t in _row_product(ctx, forms, range(cap + 1)).decode().items():
         rows[s][(e, 0)] = GradedPoly(t, "l")
     return [Series(ctx.p, "l", coeffs, ctx.k + 1 - s) for s, coeffs in enumerate(rows)]
 

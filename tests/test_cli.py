@@ -12,7 +12,6 @@ import pytest
 
 import fglops.cli
 import fglops.golden
-import fglops.obstruction
 import fglops.powerop
 from fglops import FglContext, mc, power_operation, reduce_a_mod_p_series
 from fglops.cli import DEFAULT_TRUNCATION, main
@@ -352,13 +351,13 @@ def _recorded_sha(command):
 
 
 def _record_row_builds(monkeypatch):
-    """[(x-degrees, order)] of each row product, and the x-degrees of each substitution of rows."""
+    """[(x-degrees, order k + 1)] of each row product, and the x-degrees of each substitution of rows."""
     products, substituted = [], []
     product, to_v = fglops.powerop._row_product, FglContext.to_v
 
-    def recording_product(ctx, forms, xs, order):
-        products.append((list(xs), order))
-        return product(ctx, forms, xs, order)
+    def recording_product(ctx, forms, xs):
+        products.append((list(xs), ctx.k + 1))
+        return product(ctx, forms, xs)
 
     def recording_to_v(self, s, integral=False):
         if isinstance(s, PackedSeries):  # rows, keyed by x at their shift
@@ -372,13 +371,12 @@ def _record_row_builds(monkeypatch):
 
 def test_closed_form_builds_only_class_0(monkeypatch, capsys):
     # mc -p 5 --n 8 prints its text from a_0, a_4 and a_8: one product and one
-    # substitution of class 0 at k + 1 = 77, and the valuations of the other rows from
-    # one product at order min(k, n + p) + 1 = 14, substituted nowhere
+    # substitution of class 0 at k + 1 = 77, and no other row is read
     products, substituted = _record_row_builds(monkeypatch)
     code, out, _err = run(capsys, "mc", "-p", "5", "--n", "8", "--threads", "2")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _recorded_sha("mc -p 5 --n 8 --threads 2")
-    assert products == [([0, 4, 8], 77), ([1, 2, 3, 5, 6, 7], 14)]
+    assert products == [([0, 4, 8], 77)]
     assert substituted == [[0, 4, 8]]
 
 
@@ -606,7 +604,7 @@ def test_progress_on_the_sparseness_shortcut_is_silent(capsys):
 
 
 def test_sparseness_shortcut_builds_no_context_at_k(monkeypatch, capsys):
-    # the shortcut needs only the context and power operation at k' = n + p = 4, never those at k
+    # the shortcut reads (p, k, n) alone: no context and no power operation at any k
     contexts, operations = [], []
     init = FglContext.__init__
 
@@ -619,12 +617,12 @@ def test_sparseness_shortcut_builds_no_context_at_k(monkeypatch, capsys):
         return power_operation(ctx, *args, **kwargs)
 
     monkeypatch.setattr(FglContext, "__init__", recording_init)
-    for module in (fglops.cli, fglops.obstruction):
+    for module in (fglops.cli, fglops.powerop):
         monkeypatch.setattr(module, "power_operation", recording_power_operation)
     code, out, err = run(capsys, "mc", "-p", "3", "-k", "200", "--n", "1")
     assert code == 0 and err == ""
     assert "sparseness shortcut: reduced form vanishes identically" in out
-    assert contexts == operations == [4]
+    assert contexts == operations == []
 
 
 def test_log_builds_no_context(monkeypatch, capsys):

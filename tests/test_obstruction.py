@@ -2,7 +2,6 @@ import functools
 import itertools
 import random
 import tracemalloc
-import types
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -10,6 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 from fglops import (
     FglContext,
     InsufficientTruncationError,
+    NotPrimeError,
     enumerate_indices,
     mc,
     mc_explicit_2p2,
@@ -17,13 +17,14 @@ from fglops import (
     mc_via_sum,
     mu,
     power_operation,
+    reduce_a_mod_p_series,
     sparse_mc,
 )
 import fglops.obstruction
 import fglops.series
 from fglops.fgl import IntegralityError
 from fglops.golden import SUITES, compare_series, load_suite
-from fglops.obstruction import _power_recurrence, _sum_validity, _validities, multi_weighted_size
+from fglops.obstruction import _power_recurrence, _sum_validity, multi_weighted_size
 from fglops.poly import MAX_EXP, UNIT_MONO, GradedPoly, mono_weight
 from fglops.powerop import EulerClassError, PowerOpData, product_rows, product_rows_by_fold
 from fglops.reduction import canonical_rep, nonvanishing_certificate
@@ -222,7 +223,7 @@ def test_sparseness_shortcut_and_full_route():
             quick = mc(ctx, data, n)
             assert quick.used_shortcut and quick.reduced.is_zero()
             assert mc(ctx, PowerOpData(ctx, []), n).reduced == quick.reduced  # data is not read
-            lazy = sparse_mc(p, k, n)  # the valuations from the least truncation
+            lazy = sparse_mc(p, k, n)  # from (p, k, n) alone
             assert lazy.used_shortcut and lazy.reduced.is_zero()
             full = mc(ctx, data, n, force_full=True)
             assert not full.used_shortcut
@@ -240,45 +241,34 @@ def test_sparse_mc_is_none_off_the_shortcut():
         sparse_mc(3, 13, -1)
     with pytest.raises(InsufficientTruncationError, match="k >= n = 14; got k = 13"):
         sparse_mc(3, 13, 14)
+    # it builds no context, yet refuses what FglContext(p, k) refuses
+    with pytest.raises(NotPrimeError, match="4 is not prime"):
+        sparse_mc(4, 10, 1)
+    with pytest.raises(ValueError, match=r"truncation order must be in 1\.\.4095"):
+        sparse_mc(3, 4096, 1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_lazy_shortcut_validity_at_the_default_truncation(p):
-    # every n of the shortcut up to 30 at the table-reproducing k: the valuations
-    # read at the least truncation give the knapsack's validity on the run at k
+    # every n of the shortcut up to 30 at the table-reproducing k: the zero's
+    # validity is the least validity of a summand over the rows at k
     k = {3: 25, 5: 76, 7: 162}[p]
-    ctx = FglContext(p, k)
     ns = [n for n in range(1, min(k, 30) + 1) if n % (p - 1)]
-    data = power_operation(ctx, x_cap=max(ns))
+    data = power_operation(FglContext(p, k), x_cap=max(ns))
     for n in ns:
         lazy = sparse_mc(p, k, n)
         assert lazy.used_shortcut and lazy.reduced.is_zero()
-        assert lazy.reduced.validity == _sum_validity(ctx, *_validities(data, n), n), n
-
-
-def _recording_power_operation(monkeypatch, hide=None):
-    """Record the k of each power operation sparse_mc builds; hide=(i, k) zeroes a_i below k."""
-    built = []
-
-    def record(ctx, x_cap=None, progress=None):
-        built.append(ctx.k)
-        data = power_operation(ctx, x_cap=x_cap, progress=progress)
-        if hide is not None and ctx.k < hide[1]:
-            i = hide[0]
-            data.a[i] = Series.zero(ctx.p, "v", data.a[i].validity)
-        return data
-
-    monkeypatch.setattr(fglops.obstruction, "power_operation", record)
-    return built
+        assert lazy.reduced.validity == _enumerated_validity(data, n, p), n
 
 
 def test_lazy_shortcut_builds_no_power_operation_at_k(monkeypatch):
-    built = _recording_power_operation(monkeypatch)
+    # the shortcut reads (p, k, n) alone: no context is built, so no power operation
+    built = []
+    monkeypatch.setattr(FglContext, "__init__", lambda self, p, k: built.append((p, k)))
     for p, k, n in [(5, 76, 6), (7, 162, 5), (13, 504, 7), (3, 25, 1)]:
-        built.clear()
         result = sparse_mc(p, k, n)
         assert result.used_shortcut and result.reduced.is_zero()
-        assert built == [n + p], (p, built)
+    assert built == []
 
 
 def test_lazy_shortcut_substitutes_no_row(monkeypatch):
@@ -290,18 +280,6 @@ def test_lazy_shortcut_substitutes_no_row(monkeypatch):
     for p, k, n in [(5, 76, 6), (3, 25, 1), (13, 504, 7)]:
         result = sparse_mc(p, k, n)
         assert result.used_shortcut and result.reduced.is_zero()
-
-
-def test_lazy_shortcut_doubles_up_to_k(monkeypatch):
-    # a_3 shows no coefficient below k at any smaller truncation, so the
-    # valuations come from the run at k itself, k' = 8, 16, 32, 64, 76
-    p, k, n = 5, 76, 3
-    ctx = FglContext(p, k)
-    data = power_operation(ctx, x_cap=n)
-    built = _recording_power_operation(monkeypatch, hide=(3, k))
-    lazy = sparse_mc(p, k, n)
-    assert built == [8, 16, 32, 64, 76]
-    assert lazy.reduced.validity == mc(ctx, data, n, force_full=True).raw.validity
 
 
 def test_sparseness_shortcut_reads_no_reduced_p_series(monkeypatch):
@@ -416,7 +394,7 @@ def test_closed_form_route_property(case):
     ctx, n = data.ctx, 2 * (p - 1)
     closed = mc_explicit_2p2(ctx, data)
     assert closed == _closed_form_by_series(ctx, data)
-    assert closed.validity >= _sum_validity(ctx, *_validities(data, n), n)
+    assert closed.validity >= _sum_validity(p, k, n) == _enumerated_validity(data, n, p)
     try:
         r = mc(ctx, data, n)
     except InsufficientTruncationError:
@@ -424,6 +402,38 @@ def test_closed_form_route_property(case):
     reduced = canonical_rep(r.raw, ctx.reduced_p_series("v"))
     assert reduced == r.reduced
     assert nonvanishing_certificate(reduced) == r.certificate
+
+
+def _class_0(data):
+    """data with every row off class 0 (i not divisible by p - 1) zero at its validity."""
+    p = data.ctx.p
+    return PowerOpData(data.ctx, [ai if i % (p - 1) == 0 else Series.zero(p, "v", ai.validity)
+                                  for i, ai in enumerate(data.a)])
+
+
+@pytest.mark.parametrize("p, k", [(2, 14), (3, 25), (5, 76), (7, 100)])
+def test_closed_form_is_the_recurrence_over_class_0(p, k):
+    # Miller's recurrence over a_0, a_(p-1) and a_(2p-2), every other row zero, is the
+    # paper's closed form, coefficients and validity
+    data = _closed_form_data(p, k)
+    n = 2 * (p - 1)
+    assert _power_recurrence(data.ctx, _class_0(data), n, None) == mc_explicit_2p2(data.ctx, data)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_rows_off_class_0_vanish_mod_the_reduced_p_series(p):
+    # P(xi, zeta x) = P(xi, x) modulo <p>xi (obstruction docstring), so a_i vanishes
+    # there unless p - 1 divides i, and the class-0 rows alone give mc's reduced class
+    # at every n divisible by p - 1: why the shortcut's zero and the closed form are sound
+    k = {3: 25, 5: 76, 7: 162}[p]
+    ctx = FglContext(p, k)
+    data = power_operation(ctx, x_cap=4 * p - 2)
+    reduced = reduce_a_mod_p_series(data)
+    assert [i for i, r in enumerate(reduced) if i % (p - 1) and not r.is_zero()] == []
+    pser = ctx.reduced_p_series("v")
+    for n in (p - 1, 2 * (p - 1), 3 * (p - 1)):
+        want = mc(ctx, data, n).reduced
+        assert canonical_rep(_power_recurrence(ctx, _class_0(data), n, None), pser) == want, n
 
 
 def _corrupted_forms(monkeypatch, change):
@@ -508,8 +518,8 @@ def test_mc_progress_counts(ctx27, data27):
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 9), (3, 8), (5, 24), (7, 14)])
 def test_every_index_is_a_summand(p, n):
-    # _sum_validity counts every partition of every |abar|' with a nonzero cp
-    # as a summand, so no mu(-(n+1); abar) and no cp of an index may vanish
+    # _sum_validity's closed form takes abar = (t) as a summand at every t with a
+    # nonzero cp(n - t), so no mu(-(n+1); abar) and no cp of an index may vanish
     ctx = FglContext(p, max(n, 2 * p))
     nonzero = [abar for abar, _m in enumerate_indices(n, p)
                if mu(-(n + 1), abar) and ctx.cp_image(n - multi_weighted_size(abar))]
@@ -542,19 +552,20 @@ def _capped_data(p, k):
 
 
 # every n <= min(k, 14), so n = 0, n = 1 at p = 2 and, at odd p, every n of
-# the sparseness shortcut (p - 1 not dividing n) are among them
+# the sparseness shortcut (p - 1 not dividing n) are among them; at k < p - 1
+# every row is empty, and at k = p - 1 a_0 first shows the Euler class
 @pytest.mark.parametrize("p, k", [(2, 1), (2, 9), (2, 27), (3, 4), (3, 20), (5, 2), (5, 8),
-                                  (5, 30), (7, 6), (7, 40)])
+                                  (5, 30), (7, 6), (7, 40), (7, 4), (11, 9), (11, 10),
+                                  (13, 5), (13, 12), (13, 30)])
 def test_sum_validity_equals_the_enumeration(p, k):
     data = _capped_data(p, k)
     for n in range(min(k, 14) + 1):
-        want = _enumerated_validity(data, n, p)
-        assert _sum_validity(data.ctx, *_validities(data, n), n) == want, n
+        assert _sum_validity(p, k, n) == _enumerated_validity(data, n, p), n
 
 
 @st.composite
 def _validity_cases(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
     k = draw(st.integers(1, 40))
     return p, k, draw(st.integers(0, min(k, 20)))
 
@@ -563,32 +574,7 @@ def _validity_cases(draw):
 @given(_validity_cases())
 def test_sum_validity_property(case):
     p, k, n = case
-    data = _capped_data(p, k)
-    assert _sum_validity(data.ctx, *_validities(data, n), n) == _enumerated_validity(data, n, p)
-
-
-@st.composite
-def _drawn_factors(draw):
-    """a_0..a_n as one-term series of drawn validity and valuation; some are zero."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    a = []
-    for _ in range(draw(st.integers(0, 12)) + 1):
-        validity = draw(st.integers(1, 30))
-        val = draw(st.integers(0, validity))  # at the validity the series is zero
-        a.append(Series(p, "v", {(val, 0): GradedPoly.const(1, "v")}, validity))
-    return p, a
-
-
-@settings(max_examples=150, deadline=None)
-@given(_drawn_factors())
-def test_sum_validity_property_on_drawn_factors(case):
-    # on the real a_i some factors never set the minimum (a_0, for one), so
-    # the knapsack is also held to the enumeration on arbitrary factors
-    p, a = case
-    n = len(a) - 1
-    data = types.SimpleNamespace(a=a)
-    want = _enumerated_validity(data, n, p)
-    assert _sum_validity(FglContext(p, 12), *_validities(data, n), n) == want
+    assert _sum_validity(p, k, n) == _enumerated_validity(_capped_data(p, k), n, p)
 
 
 def test_mc_enumerates_no_index(monkeypatch, ctx313, data313):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from fglops import FglContext, IntegralityError, power_operation, reduce_a_mod_p
 import fglops.poly
 import fglops.series
 from fglops import powerop
+from fglops.cli import DEFAULT_TRUNCATION
 from fglops.poly import UNIT_MONO, GradedPoly, add_products, sum_products
 from fglops.powerop import (EulerClassError, PowerOpData, _check_euler_class, _euler_columns,
                             _factor_forms, _rows, product_rows, product_rows_by_fold)
@@ -70,6 +72,26 @@ def test_euler_check_fires_on_bad_series():
     bad = S("7*xi", 2, "v", validity=5)
     with pytest.raises(EulerClassError):
         _check_euler_class(bad, 2)
+
+
+# every golden prime at its table k, and at k = p - 2 and p - 1, where the rows are
+# empty or a_0 first shows the Euler class
+@pytest.mark.parametrize("p, k", sorted({(p, k) for p, table in DEFAULT_TRUNCATION.items()
+                                         for k in (table, p - 2, p - 1) if k >= 1}))
+def test_rows_meet_the_premises_of_the_validity_formula(p, k):
+    # the closed-form validity of MC_n (obstruction docstring) reads no row: (F1) every
+    # term of P has total degree >= p - 1, so val(a_i) >= u - i, an empty row reading its
+    # validity, and (F2) val(a_0) = u; the lowest part of P, prod_i (i xi + x), puts the
+    # Stirling number [X^s] prod_i (X + i) = e_(p-1-s)(1..p-1) at xi^(p-1-s) of a_s,
+    # which takes in (F2) and, at s = 1, val(a_1) = u - 1
+    u = min(p - 1, k + 1)
+    rows = power_operation(FglContext(p, k), x_cap=min(k, p)).a
+    assert rows[0].val() == u
+    assert [i for i, ai in enumerate(rows) if ai.val() < u - i] == []
+    if k >= p - 1:  # xi^(p-1-s) lies below the validity k + 1 - s of a_s
+        for s in range(p):
+            want = sum(map(math.prod, itertools.combinations(range(1, p), p - 1 - s)))
+            assert rows[s].coefficient(p - 1 - s) == GradedPoly.const(want, "v"), s
 
 
 def _product(data) -> Series:
@@ -153,8 +175,8 @@ def test_sparseness_divisibility_of_a(ctx313, data313):
 
 
 def test_validity_soundness_across_truncations():
-    # the sparseness shortcut reads val(a_i) at a small k' near n + p: every a_i
-    # there must agree with the run at a larger k below the smaller validity
+    # a_i does not depend on the truncation below its validity: every a_i at a small
+    # k' near n + p must agree with the run at a larger k below the smaller validity
     lo = power_operation(FglContext(3, 9), x_cap=4)
     hi = power_operation(FglContext(3, 13), x_cap=4)
     for alo, ahi in zip(lo.a, hi.a):
@@ -487,8 +509,7 @@ def _row_class_cases(draw):
     return p, k, draw(st.integers(0, k))
 
 
-# at k = cap = p, a_p (of class 1 mod p - 1) is zero below its validity 1: its
-# valuation is that validity, read at the order k + 1
+# at k = cap = p, a_p (of class 1 mod p - 1) is zero below its validity 1
 @settings(max_examples=40, deadline=None)
 @given(_row_class_cases())
 @example((3, 3, 3))
@@ -498,36 +519,29 @@ def _row_class_cases(draw):
 @example((13, 60, 24))
 def test_rows_by_residue_class_equal_the_full_rows(case):
     # X^a = L(x)^a feeds only the rows s = a mod p - 1: class 0 built alone equals the
-    # rows built all at once, and the valuations read off l-basis rows at a low order
-    # equal those of the v-basis rows, before and after class 0 is built
+    # rows built all at once, and so do the other classes built after it
     p, k, cap = case
     ctx, q = FglContext(p, k), p - 1
     full = power_operation(ctx, x_cap=cap).a
-    vals = [ai.val() for ai in full]
     lazy = power_operation(ctx, x_cap=cap)
-    assert lazy.valuations(cap) == vals
     assert [lazy.row(i) for i in range(0, cap + 1, q)] == full[::q]  # == compares validity
-    assert lazy.valuations(cap) == vals
-    assert [lazy.valuations(top) for top in range(cap + 1)] == [vals[:t + 1] for t in range(cap + 1)]
     assert lazy.a == full
 
 
 def test_row_and_valuations_refuse_an_index_outside_the_rows(monkeypatch):
     # at x-cap 3 there is no a_-1 (row -1 would be a_3) and no a_4 or beyond: each read
     # is refused before any row product, and the rows that exist still build
-    want = [ai.val() for ai in power_operation(FglContext(5, 30), x_cap=3).a]
+    want = power_operation(FglContext(5, 30), x_cap=3).a
     data = power_operation(FglContext(5, 30), x_cap=3)
     products = []
     product = powerop._row_product
     monkeypatch.setattr(powerop, "_row_product",
-                        lambda *args: products.append(args[2:]) or product(*args))
-    for read, i in ((data.row, -1), (data.row, 4), (data.row, 7),
-                    (data.valuations, -1), (data.valuations, 4), (data.valuations, 6)):
+                        lambda ctx, forms, xs: products.append(list(xs)) or product(ctx, forms, xs))
+    for i in (-1, 4, 7):
         with pytest.raises(IndexError, match=f"^a_{i} is outside a_0..a_3$"):
-            read(i)
+            data.row(i)
     assert products == []
-    assert data.valuations(3) == want and data.row(3).val() == want[3]
-    assert [(list(xs), order) for xs, order in products] == [([0, 1, 2, 3], 9), ([3], 31)]
+    assert data.row(3) == want[3] and products == [[3]]
 
 
 @pytest.mark.parametrize("k", [7, 14, 24])
@@ -540,21 +554,3 @@ def test_euler_loop_at_p2_equals_the_single_factor(k):
         assert _rows(ctx, euler, cap) == _rows(ctx, _factor_forms(ctx, 1, cap), cap)
 
 
-def test_valuations_double_the_order_until_every_pending_row_shows(monkeypatch):
-    # with the forms of degree below 38 cut away, row s has no term below xi^(38 - s): the
-    # order o doubles, o - 1 = 9 (top + p), 18, 36 and 40 = k, and each valuation is that
-    # of the l-basis row built whole at k + 1
-    p, k, cap = 3, 40, 6
-    ctx = FglContext(p, k)
-    forms = [f for f in powerop.product_forms(ctx, cap) if f[0] >= 38]
-    want = [row.val() for row in _rows(ctx, forms, cap)]
-    orders = []
-    product = powerop._row_product
-
-    def recording(ctx, forms, xs, order):
-        orders.append((list(xs), order))
-        return product(ctx, forms, xs, order)
-
-    monkeypatch.setattr(powerop, "_row_product", recording)
-    assert PowerOpData(ctx, [None] * (cap + 1), forms).valuations(cap) == want
-    assert orders == [(list(range(cap + 1)), o) for o in (10, 19, 37, 41)]
