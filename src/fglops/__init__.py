@@ -24,7 +24,6 @@ from .poly import BasisMismatchError, GradedPoly
 from .powerop import PowerOpData, power_operation, reduce_a_mod_p_series
 from .reduction import (
     NonIntegralError,
-    ReducedSeries,
     canonical_rep,
     divide,
     divisible_by_full_p_series,
@@ -45,7 +44,6 @@ __all__ = [
     "ObstructionResult",
     "OutsideValidityError",
     "PowerOpData",
-    "ReducedSeries",
     "Series",
     "canonical_rep",
     "divide",

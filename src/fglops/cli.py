@@ -18,7 +18,7 @@ from .golden import SUITES, GoldenFileError, verify_suite
 from .obstruction import InsufficientTruncationError, check_truncation, mc, sparse_mc
 from .poly import MAX_TRUNCATION
 from .powerop import power_operation, reduce_a_mod_p_series
-from .reduction import ReducedSeries, nonvanishing_certificate
+from .reduction import nonvanishing_certificate
 from .render import poly_text, series_text, series_to_json, to_json
 from .series import Series
 
@@ -193,8 +193,8 @@ def _mc(args, k: int, ideal: list) -> int:
                         progress=_progress_printer(args.progress, "recurrence steps"))
     except (InsufficientTruncationError, ValueError) as exc:
         return _fail(str(exc))
-    reduced = apply_ideal(result.reduced.series, ideal)
-    certificate = nonvanishing_certificate(ReducedSeries(reduced))  # of the printed class
+    reduced = apply_ideal(result.reduced, ideal)
+    certificate = nonvanishing_certificate(reduced)  # of the printed class
     annotation = (
         "obstruction index" if result.is_obstruction_index
         else "not an obstruction index (n = p^i - 1)"
@@ -282,7 +282,7 @@ def main(argv=None) -> int:
             data = power_operation(ctx, x_cap=cap)
         except ValueError as exc:
             return _fail(str(exc))
-        entries = data.a if not args.reduced else [r.series for r in reduce_a_mod_p_series(data)]
+        entries = reduce_a_mod_p_series(data) if args.reduced else data.a
         if args.format == "json":
             obj = {"prime": ctx.p, "truncation": ctx.k,
                    "a": [apply_ideal(s, ideal) for s in entries]}

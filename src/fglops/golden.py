@@ -174,7 +174,7 @@ def verify_suite(name: str, progress=None, powerop_progress=None) -> list:
                     f"golden suite {name!r} at {golden_dir() / f'{name}.json'}: "
                     f"its truncation {k} is too small: {exc}"
                 ) from exc
-            got = result.reduced.series
+            got = result.reduced
             label = f"p={p} MC_{n}"
         mismatches.extend(compare_series(label, got, want))
     return mismatches

@@ -103,7 +103,7 @@ import operator
 from .fgl import FglContext, IntegralityError, check_setting, cp_exponent, mu, partitions
 from .poly import GradedPoly
 from .powerop import PowerOpData
-from .reduction import ReducedSeries, canonical_rep, nonvanishing_certificate
+from .reduction import canonical_rep, nonvanishing_certificate
 from .series import ColumnSeries, Series
 
 
@@ -136,7 +136,10 @@ def enumerate_indices(n: int, p: int):
 
 
 class ObstructionResult:
-    """MC_n, raw and reduced.  A raw series given as a function is computed on first read."""
+    """MC_n, raw and reduced, each a Series.
+
+    A raw series given as a function is computed on first read.
+    """
 
     __slots__ = ("n", "_raw", "reduced", "certificate", "is_obstruction_index",
                  "used_shortcut")
@@ -209,8 +212,8 @@ def sparse_mc(p: int, k: int, n: int) -> ObstructionResult | None:
         )
     # identically zero in the quotient, so any validity claim is sound;
     # report the one the raw sum would have carried
-    reduced = ReducedSeries(Series.zero(p, "v", predicted))
-    return ObstructionResult(n, None, reduced, None, cp_exponent(p, n) is None, True)
+    return ObstructionResult(n, None, Series.zero(p, "v", predicted), None,
+                             cp_exponent(p, n) is None, True)
 
 
 def mc(ctx: FglContext, data: PowerOpData, n: int, force_full: bool = False,

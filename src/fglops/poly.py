@@ -104,20 +104,6 @@ def _norm_coef(c):
     return c
 
 
-def add_products(tgt: dict, t1: dict, t2: dict, c=1) -> dict:
-    """tgt += c * t1 * t2 on term dicts, in place, cancelled terms removed.
-
-    The one-pair case of sum_products; the removal is a pass over all of
-    tgt, so a caller accumulating many products into one target calls
-    sum_products once instead.
-    """
-    if c:
-        sum_products(tgt, ((c, t1.items(), t2.items()),))
-        for m in [m for m, x in tgt.items() if not x]:
-            del tgt[m]
-    return tgt
-
-
 def sum_products(tgt: dict, triples) -> dict:
     """tgt += sum of c * t1 * t2 over (c, t1, t2) triples, in place.
 

@@ -65,6 +65,7 @@ from operator import add
 
 from .fgl import FglContext, IntegralityError
 from .poly import UNIT_MONO, GradedPoly, sum_products
+from .reduction import canonical_rep
 from .series import PackedSeries, Series, convolve
 
 
@@ -183,11 +184,6 @@ def _factor_forms(ctx: FglContext, i: int, cap: int) -> list:
     return forms
 
 
-def product_rows(ctx: FglContext, cap: int, progress=None) -> list:
-    """Rows 0..cap (in x) of prod_{i=1..p-1} ([i]xi +_F x), as l-basis series in xi."""
-    return _rows(ctx, product_forms(ctx, cap, progress), cap)
-
-
 def _euler_columns(ctx: FglContext, cap: int, progress=None) -> list:
     """P_q .. P_(q(top+1)) (module docstring) as {l-monomial: column}, for 1 <= q <= k.
 
@@ -280,7 +276,5 @@ def _check_euler_class(a0: Series, p: int):
 
 def reduce_a_mod_p_series(data: PowerOpData):
     """Canonical representatives of every a_i modulo the reduced p-series."""
-    from .reduction import canonical_rep
-
     pser = data.ctx.reduced_p_series("v")
     return [canonical_rep(ai, pser) for ai in data.a]

@@ -16,9 +16,12 @@ degree is read or the remainder is built.  The remainder's validity is
 min(V_g, m0 + V_pser) where m0 is the first degree that needed a
 subtraction.
 
-A canonical representative is nonzero iff it is nonzero modulo p, so its
-lowest nonzero coefficient certifies nonvanishing in the quotient; a zero
-representative is inconclusive beyond the validity order.
+divide returns d and s as two v-basis Series, and canonical_rep returns s
+alone, the canonical representative of g.  A canonical representative is
+nonzero iff it is nonzero modulo p, so its lowest nonzero coefficient
+certifies nonvanishing in the quotient (nonvanishing_certificate, which
+reads a Series with no terms as zero); a zero representative is
+inconclusive beyond the validity order.
 """
 
 from __future__ import annotations
@@ -29,30 +32,6 @@ from .series import Series
 
 class NonIntegralError(ValueError):
     """Division input must have integer coefficients in the v-basis."""
-
-
-class ReducedSeries:
-    """A canonical representative modulo the reduced p-series."""
-
-    __slots__ = ("series",)
-
-    def __init__(self, series: Series):
-        self.series = series
-
-    @property
-    def validity(self) -> int:
-        return self.series.validity
-
-    def is_zero(self) -> bool:
-        return not self.series.coeffs
-
-    def __eq__(self, other):
-        if isinstance(other, ReducedSeries):
-            return self.series == other.series
-        return NotImplemented
-
-    def __repr__(self):
-        return f"ReducedSeries({self.series!r})"
 
 
 def _check_division_inputs(g: Series, pser: Series):
@@ -108,9 +87,7 @@ def divide(g: Series, pser: Series, on_step=None):
                 if on_step is not None:
                     on_step(m, d[(m, 0)], _series(work, p, validity))
         m += 1
-    s = _series(work, p, validity)
-    dser = Series(p, "v", d, validity)
-    return dser, ReducedSeries(s)
+    return Series(p, "v", d, validity), _series(work, p, validity)
 
 
 def _series(work: dict, p: int, validity: int) -> Series:
@@ -118,19 +95,20 @@ def _series(work: dict, p: int, validity: int) -> Series:
     return Series(p, "v", {(j, 0): GradedPoly(t, "v") for j, t in work.items()}, validity)
 
 
-def canonical_rep(g: Series, pser: Series, on_step=None) -> ReducedSeries:
-    return divide(g, pser, on_step)[1]
+def canonical_rep(g: Series, pser: Series) -> Series:
+    """The remainder s of divide(g, pser): g's canonical representative."""
+    return divide(g, pser)[1]
 
 
-def nonvanishing_certificate(s: ReducedSeries):
-    """Lowest nonzero coefficient (exponent, polynomial), or None if zero.
+def nonvanishing_certificate(s: Series):
+    """Lowest nonzero coefficient (exponent, polynomial) of a canonical s, or None if zero.
 
     None is inconclusive: the class may still be nonzero beyond the validity.
     """
-    if s.is_zero():
+    if not s.coeffs:
         return None
-    j = min(e[0] for e in s.series.coeffs)
-    return j, s.series.coeffs[(j, 0)]
+    j = min(e[0] for e in s.coeffs)
+    return j, s.coeffs[(j, 0)]
 
 
 def divisible_by_full_p_series(g: Series, pser: Series) -> bool:
@@ -143,4 +121,4 @@ def divisible_by_full_p_series(g: Series, pser: Series) -> bool:
         return False
     if g.validity < 1:
         return True
-    return canonical_rep(g.shift_xi(-1), pser).is_zero()
+    return not canonical_rep(g.shift_xi(-1), pser).coeffs

@@ -68,9 +68,9 @@ def test_criterion_2_mc_tables_p2(ctx214):
         for n in range(1, 6):
             res = mc(ctx214, data, n)
             assert res.reduced.validity == 14
-            _assert_matches(f"p2 MC_{n}", res.reduced.series, _golden("p2", "mc", n))
+            _assert_matches(f"p2 MC_{n}", res.reduced, _golden("p2", "mc", n))
         res5 = mc(ctx214, data, 5)
-        assert res5.reduced.is_zero() and res5.reduced.validity == 14
+        assert not res5.reduced.coeffs and res5.reduced.validity == 14
 
 
 def test_criterion_3_tables_p3(ctx325, data325):
@@ -80,10 +80,10 @@ def test_criterion_3_tables_p3(ctx325, data325):
         _assert_matches("p3 <3>xi", got, _golden("p3", "reduced-pseries"))
         for n in (2, 4):
             res = mc(ctx325, data325, n)
-            _assert_matches(f"p3 MC_{n}", res.reduced.series, _golden("p3", "mc", n))
+            _assert_matches(f"p3 MC_{n}", res.reduced, _golden("p3", "mc", n))
         res4 = mc(ctx325, data325, 4)
-        assert res4.reduced.series.coefficient(22) == P("2*v1^9")
-        assert res4.reduced.series.coefficient(24) == P("2*v1^10")
+        assert res4.reduced.coefficient(22) == P("2*v1^9")
+        assert res4.reduced.coefficient(24) == P("2*v1^10")
 
 
 def test_criterion_4_mc8_p5():
@@ -92,7 +92,7 @@ def test_criterion_4_mc8_p5():
         data = power_operation(ctx, x_cap=8)
         res = mc(ctx, data, 8)
         assert res.reduced.validity >= 97
-        _assert_matches("p5 MC_8", res.reduced.series, _golden("p5", "mc", 8))
+        _assert_matches("p5 MC_8", res.reduced, _golden("p5", "mc", 8))
         assert res.certificate == (88, P("3*v1^16"))
 
 
@@ -102,7 +102,7 @@ def test_criterion_5_mc12_p7():
         data = power_operation(ctx, x_cap=12)
         res = mc(ctx, data, 12)
         assert res.reduced.validity >= 217
-        _assert_matches("p7 MC_12", res.reduced.series, _golden("p7", "mc", 12))
+        _assert_matches("p7 MC_12", res.reduced, _golden("p7", "mc", 12))
 
 
 @pytest.mark.extended
@@ -112,7 +112,7 @@ def test_criterion_6_mc20_p11():
         data = power_operation(ctx, x_cap=20)
         res = mc(ctx, data, 20)
         assert res.reduced.validity >= 541
-        _assert_matches("p11 MC_20", res.reduced.series, _golden("p11", "mc", 20))
+        _assert_matches("p11 MC_20", res.reduced, _golden("p11", "mc", 20))
         assert res.certificate == (520, P("9*v1^34"))
 
 
@@ -123,9 +123,9 @@ def test_criterion_6_mc24_p13():
         data = power_operation(ctx, x_cap=24)
         res = mc(ctx, data, 24)
         assert res.reduced.validity >= 757
-        _assert_matches("p13 MC_24", res.reduced.series, _golden("p13", "mc", 24))
+        _assert_matches("p13 MC_24", res.reduced, _golden("p13", "mc", 24))
         assert res.certificate == (744, P("11*v1^40"))
-        assert res.reduced.series.coefficient(756) == P("6*v1^41 + 6*v1^27*v2")
+        assert res.reduced.coefficient(756) == P("6*v1^41 + 6*v1^27*v2")
 
 
 def test_criterion_7_worked_example_trace(ctx27, data27):
@@ -162,9 +162,9 @@ def test_criterion_7_worked_example_trace(ctx27, data27):
             2, "v", validity=6).coeffs
 
         red = reduce_a_mod_p_series(data27)
-        a0r = red[0].series.kill_generators(ideal)
-        a1r = red[1].series.kill_generators(ideal)
-        a2r = red[2].series.kill_generators(ideal)
+        a0r = red[0].kill_generators(ideal)
+        a1r = red[1].kill_generators(ideal)
+        a2r = red[2].kill_generators(ideal)
         assert a1r.coeffs == S("1 + v1*xi + v1^4*xi^4 + v1^5*xi^5 + v1^6*xi^6",
                                2, "v", validity=7).coeffs
         assert a2r.coeffs == S("v1^2*xi + v1^5*xi^4", 2, "v", validity=6).coeffs
@@ -184,13 +184,13 @@ def test_criterion_7_worked_example_trace(ctx27, data27):
         assert steps[0][2].coeffs == S(
             "12*v1*xi - 6*v1^2*xi^2 + 24*v1^3*xi^3 - 66*v1^4*xi^4 "
             "+ 270*v1^5*xi^5 - 879*v1^6*xi^6", 2, "v", validity=7).coeffs
-        assert s.series.coeffs == {(6, 0): P("v1^6")}
+        assert s.coeffs == {(6, 0): P("v1^6")}
         assert s.validity == 7
 
         # the real pipeline lands on the same class
         res = mc(ctx27, data27, 2)
-        assert res.reduced.series.kill_generators(ideal).coeffs == {(6, 0): P("v1^6")}
-        assert res.reduced.series.coeffs == {(6, 0): P("v1^6 + v2^2")}
+        assert res.reduced.kill_generators(ideal).coeffs == {(6, 0): P("v1^6")}
+        assert res.reduced.coeffs == {(6, 0): P("v1^6 + v2^2")}
 
 
 @pytest.mark.parametrize("p,k", [(2, 13), (3, 15), (5, 15), (7, 10)])
@@ -216,7 +216,7 @@ def test_criterion_8_homogeneity_scan(p, k):
         for n in (1, 2):
             res = mc(ctx, data, n, force_full=True)
             res.raw.assert_weight(-n * (p - 2))
-            res.reduced.series.assert_weight(-n * (p - 2))
+            res.reduced.assert_weight(-n * (p - 2))
 
 
 @pytest.mark.parametrize("p,n,k,xcap", [(2, 2, 9, 2), (3, 4, 13, 4), (5, 8, 30, 8)])
@@ -241,8 +241,8 @@ def test_criterion_8_division_reconstruction(ctx27):
         for _ in range(100):
             g = rand_series(rng, validity=rng.randrange(2, 8))
             d, s = divide(g, pser)
-            assert (d * pser + s.series).agrees_with(g)
-            for c in s.series.coeffs.values():
+            assert (d * pser + s).agrees_with(g)
+            for c in s.coeffs.values():
                 assert all(0 <= x < 2 for x in c.terms.values())
 
 
@@ -250,7 +250,7 @@ def test_criterion_8_sparseness_full_route(ctx313, data313):
     with criterion("8.sparseness", "full-route vanishing at p=3, n in {1,3,5}, k=13"):
         for n in (1, 3, 5):
             res = mc(ctx313, data313, n, force_full=True)
-            assert res.reduced.is_zero()
+            assert not res.reduced.coeffs
 
 
 def test_criterion_8_a_series_divisibility(ctx313, data313):

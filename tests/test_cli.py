@@ -17,7 +17,7 @@ from fglops import FglContext, mc, power_operation, reduce_a_mod_p_series
 from fglops.cli import DEFAULT_TRUNCATION, main
 from fglops.fgl import MR_BOUND
 from fglops.golden import ENV_GOLDEN_DIR, golden_dir
-from fglops.reduction import ReducedSeries, nonvanishing_certificate
+from fglops.reduction import nonvanishing_certificate
 from fglops.render import (parse_series, poly_text, series_from_obj, series_text, series_to_obj,
                            to_json)
 from fglops.series import PackedSeries
@@ -172,11 +172,11 @@ def _json_reference(cmd, p, k, ideal=None, basis="v", reduced=False, n=None):
         return series_to_obj(kill(ctx.reduced_p_series(basis)), k)
     if cmd == "power-op-coeffs":
         data = power_operation(ctx, x_cap=min(k, 16))
-        entries = [r.series for r in reduce_a_mod_p_series(data)] if reduced else data.a
+        entries = reduce_a_mod_p_series(data) if reduced else data.a
         return {"prime": p, "truncation": k, "a": [series_to_obj(kill(s), k) for s in entries]}
     result = mc(ctx, power_operation(ctx, x_cap=n), n)
-    reduced = kill(result.reduced.series)
-    certificate = nonvanishing_certificate(ReducedSeries(reduced))  # of the class printed
+    reduced = kill(result.reduced)
+    certificate = nonvanishing_certificate(reduced)  # of the class printed
     return {
         "prime": p, "truncation": k, "n": n,
         "reduced": series_to_obj(reduced, k),
@@ -315,12 +315,10 @@ def test_a_prime_far_above_k_forms_no_factorial_of_p(monkeypatch, capsys, argv, 
 
 
 def test_default_truncations():
-    assert DEFAULT_TRUNCATION[2] == 14
-    assert DEFAULT_TRUNCATION[3] == 25
-    assert DEFAULT_TRUNCATION[5] == 76
-    assert DEFAULT_TRUNCATION[7] == 162
-    assert DEFAULT_TRUNCATION[11] == 370
-    assert DEFAULT_TRUNCATION[13] == 504
+    # each prime's default is its golden table's truncation, so neither drifts unseen
+    assert [f"p{p}" for p in DEFAULT_TRUNCATION] == list(fglops.golden.SUITES)
+    for p, k in DEFAULT_TRUNCATION.items():
+        assert k == fglops.golden.load_suite(f"p{p}")["truncation"], p
 
 
 def test_mc_defaults_the_truncation_outside_the_tables_at_n_2p_2(monkeypatch, capsys):

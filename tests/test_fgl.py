@@ -451,7 +451,7 @@ def test_power_operation_rows_match_each_coefficient_alone(p, k, cap):
     # power_operation substitutes the packed product once; each row alone agrees
     ctx = FglContext(p, k)
     data = power_operation(ctx, x_cap=cap)
-    for s, row in enumerate(fglops.powerop.product_rows(ctx, cap)):
+    for s, row in enumerate(fglops.powerop._rows(ctx, fglops.powerop.product_forms(ctx, cap), cap)):
         want = row.map_polys(lambda c: c.substitute(ctx._ell_table, "v"), basis="v")
         assert data.a[s].coeffs == want.coeffs
         assert data.a[s].validity == want.validity == k + 1 - s

@@ -10,9 +10,9 @@ import fglops.poly
 import fglops.series
 from fglops import powerop
 from fglops.cli import DEFAULT_TRUNCATION
-from fglops.poly import UNIT_MONO, GradedPoly, add_products, sum_products
+from fglops.poly import UNIT_MONO, GradedPoly, sum_products
 from fglops.powerop import (EulerClassError, PowerOpData, _check_euler_class, _euler_columns,
-                            _factor_forms, _rows, product_rows, product_rows_by_fold)
+                            _factor_forms, _rows, product_forms, product_rows_by_fold)
 from fglops.reduction import divisible_by_full_p_series
 from fglops.series import PackedSeries, Series
 
@@ -43,14 +43,14 @@ def test_a1_a2_raw_displays(data27):
 
 def test_reduced_a_displays(data27):
     red = reduce_a_mod_p_series(data27)
-    a1 = red[1].series.kill_generators([2, 3])
+    a1 = red[1].kill_generators([2, 3])
     assert a1.coeffs == S("1 + v1*xi + v1^4*xi^4 + v1^5*xi^5 + v1^6*xi^6",
                           2, "v", validity=7).coeffs
-    a2 = red[2].series.kill_generators([2, 3])
+    a2 = red[2].kill_generators([2, 3])
     assert a2.coeffs == S("v1^2*xi + v1^5*xi^4", 2, "v", validity=6).coeffs
     # reduction preserves validity, and reducing a raw a_i matches the goldens
     assert red[1].validity == data27.a[1].validity
-    assert red[0].series.agrees_with(data27.a[0])
+    assert red[0].agrees_with(data27.a[0])
 
 
 def test_validity_ladder(data27):
@@ -201,7 +201,7 @@ FOLD_GRID = [(2, 9), (3, 13), (5, 3), (5, 20), (7, 4), (7, 18)]
 def test_power_sum_exponential_matches_the_fold(p, k):
     ctx = FglContext(p, k)
     for cap in (0, k // 2, k):
-        rows = product_rows(ctx, cap)
+        rows = _rows(ctx, product_forms(ctx, cap), cap)
         assert len(rows) == cap + 1
         assert rows == product_rows_by_fold(ctx, cap)  # coefficients and validity
 
@@ -210,7 +210,7 @@ def test_inexact_division_raises(monkeypatch):
     # a wrong binomial in the power-sum forms B_d leaves a remainder mod q j at some Euler step
     monkeypatch.setattr(powerop, "comb", lambda n, r: math.comb(n, r) + (r == 1))
     with pytest.raises(IntegralityError):
-        product_rows(FglContext(3, 13), 6)
+        product_forms(FglContext(3, 13), 6)
 
 
 def _as_dicts(ctx, forms, cap):
@@ -228,7 +228,7 @@ def _as_dicts(ctx, forms, cap):
 def _rows_by_closed_form(ctx, forms, cap):
     """Rows and inner sums W_a from the partition closed form of [xi^d] (log/xi)^r.
 
-    Independent of the series kernel: term dicts and add_products only.
+    Independent of the series kernel: term dicts and sum_products only.
     """
     k, q = ctx.k, ctx.p - 1
     forms = _as_dicts(ctx, forms, cap)
@@ -237,8 +237,9 @@ def _rows_by_closed_form(ctx, forms, cap):
         w = {}
         for b, c in forms[a].items():
             for t in range(0, k + 1 - a - b, q):  # R^b only has terms xi^t with q | t
-                add_products(w.setdefault(b + t, {}), c, ctx.log_ratio_power(b, t).terms)
-        ws.append(w)
+                sum_products(w.setdefault(b + t, {}),
+                             ((1, c.items(), ctx.log_ratio_power(b, t).terms.items()),))
+        ws.append({d: GradedPoly(t, "l").terms for d, t in w.items()})  # cancelled terms dropped
     rows = []
     for s in range(cap + 1):
         row = {}
@@ -246,7 +247,7 @@ def _rows_by_closed_form(ctx, forms, cap):
             c = ctx.log_ratio_power(a, s - a).terms  # [x^s] L(x)^a
             for d, terms in ws[a].items():
                 if d < k + 1 - s:
-                    add_products(row.setdefault(d, {}), terms, c)
+                    sum_products(row.setdefault(d, {}), ((1, terms.items(), c.items()),))
         rows.append(Series(ctx.p, "l", {(d, 0): GradedPoly(t, "l") for d, t in row.items()},
                            k + 1 - s))
     return rows, ws
@@ -260,12 +261,8 @@ ROWS_GRID = [(2, 20, 8), (3, 25, 6), (5, 40, 10), (2, 15, 8), (2, 16, 8), (3, 31
 
 
 def _forms_of(ctx, cap):
-    """The forms product_rows converts, and those of the single factor i = 2 if p > 2."""
-    seen = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(powerop, "_rows", lambda ctx, forms, cap: seen.append(forms))
-        product_rows(ctx, cap)
-    return seen + ([_factor_forms(ctx, 2, cap)] if ctx.p > 2 else [])
+    """The forms of the whole product, and those of the single factor i = 2 if p > 2."""
+    return [product_forms(ctx, cap)] + ([_factor_forms(ctx, 2, cap)] if ctx.p > 2 else [])
 
 
 @pytest.mark.parametrize("p,k,cap", ROWS_GRID)
